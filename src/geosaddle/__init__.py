@@ -30,11 +30,7 @@ from .curvature import (
     xi_upper,
 )
 from .solvers import (
-    ConstantSchedule,
-    ExplicitSchedule,
     NoiseModel,
-    PracticalSchedule,
-    RgdaScscSchedule,
     SaddleProblem,
     SolverState,
     Trace,
@@ -69,7 +65,6 @@ from .problems import (
     make_bilinear,
     make_karcher,
     make_rpca,
-    minibatch_oracle,
     rpca_grad,
     rpca_value,
 )

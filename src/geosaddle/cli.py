@@ -12,10 +12,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .harness import (
+    PROBLEM_KINDS,
     ConfigError,
     RunConfig,
     build_problem,
@@ -30,7 +32,7 @@ from .harness import (
     write_reference,
 )
 from .manifolds import GeometryError
-from .solvers import DivergenceError
+from .solvers import SOLVER_KINDS, DivergenceError
 
 logger = logging.getLogger("geosaddle")
 
@@ -40,7 +42,7 @@ logger = logging.getLogger("geosaddle")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", choices=("rpca", "karcher", "bilinear"))
+    p.add_argument("--problem", choices=tuple(PROBLEM_KINDS))
     p.add_argument("--d", type=int, help="problem dimension")
     p.add_argument("--n", type=int, help="rpca: number of data matrices")
     p.add_argument("--alpha", type=float, help="rpca: penalty weight")
@@ -54,7 +56,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=("rceg", "srceg", "rgda", "srgda"))
+    p.add_argument("--solver", choices=tuple(SOLVER_KINDS))
     p.add_argument("--eta", help="step size, or 'auto' for the benchmark default")
     p.add_argument("--a", type=float, help="decay numerator of the practical schedule")
     p.add_argument("--sigma", type=float, help="additive gradient-noise bound")
@@ -80,32 +82,21 @@ def _parse_eta(raw) -> object:
         raise ConfigError(f"eta must be a number or 'auto', got {raw!r}") from e
 
 
+def _parse_grid(raw: str | None, flag: str) -> list[float] | None:
+    if not raw:
+        return None
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {raw!r}") from e
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = load_config_file(args.config) if args.config else {}
-    cli_map = {
-        "problem": args.problem,
-        "solver": args.solver,
-        "seed": args.seed,
-        "iters": args.iters,
-        "d": args.d,
-        "n": args.n,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "n_anchors": args.n_anchors,
-        "eta": args.eta,
-        "a": args.a,
-        "sigma": args.sigma,
-        "batch_size": args.batch_size,
-        "data_seed": args.data_seed,
-        "diameter": args.diameter,
-        "out": getattr(args, "out", None),
-        "reference": args.reference,
-        "init_from": args.init_from,
-        "instance": args.instance,
-        "save_instance": args.save_instance,
-        "timing": args.timing,
-        "track_average": None if args.no_average is None else not args.no_average,
-    }
+    # Every RunConfig field has a flag of the same name except track_average,
+    # which is set by --no-average.
+    cli_map = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    cli_map["track_average"] = None if args.no_average is None else not args.no_average
     merged.update({k: v for k, v in cli_map.items() if v is not None})
     if merged.get("problem") is None:
         raise ConfigError("--problem is required (flag or config file)")
@@ -131,8 +122,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_grid_search(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    ell_grid = [float(v) for v in args.ell_grid.split(",")] if args.ell_grid else None
-    a_grid = [float(v) for v in args.a_grid.split(",")] if args.a_grid else None
+    ell_grid = _parse_grid(args.ell_grid, "--ell-grid")
+    a_grid = _parse_grid(args.a_grid, "--a-grid")
     try:
         best, _rows = grid_search(cfg, ell_grid=ell_grid, a_grid=a_grid, out=args.out)
     except DivergenceError as e:

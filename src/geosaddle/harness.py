@@ -1,10 +1,11 @@
 """Experiment harness: configs, trace files, grid search, references, plots.
 
 Everything a benchmark run needs around the solvers: a flat config (JSON
-file mirrored by CLI flags), deterministic CSV traces with a metadata
-header, gradient-norm and distance-gap metrics, step-size grid search,
+file mirrored by CLI flags), step-size schedules built from it,
+deterministic CSV traces with a metadata header, step-size grid search,
 reference-saddle computation and persistence, and long-format plot data
-with an optional SVG rendering.
+with an optional SVG rendering. The gradient-norm and distance-gap metrics
+are methods of :class:`~geosaddle.solvers.SaddleProblem`.
 
 File formats:
 
@@ -47,26 +48,25 @@ from .problems import (
     make_rpca,
 )
 from .solvers import (
-    ConstantSchedule,
+    SOLVER_KINDS,
     DivergenceError,
-    PracticalSchedule,
-    RgdaScscSchedule,
     NoiseModel,
     SaddleProblem,
     Trace,
     TraceRow,
-    rceg_step,
     initial_state,
+    rceg_step,
     run,
+    schedule_practical,
+    schedule_rgda_scsc,
 )
 
 __all__ = [
     "ConfigError",
+    "PROBLEM_KINDS",
     "RunConfig",
     "build_problem",
     "build_schedule",
-    "metric_gradient_norm",
-    "metric_distance_gap",
     "write_trace_csv",
     "read_trace_csv",
     "execute_run",
@@ -82,6 +82,9 @@ logger = logging.getLogger("geosaddle")
 
 _SMOOTHNESS_SAMPLES = 64
 _MONOTONICITY_SAMPLES = 128
+
+# Problem names with the instance type each one runs on.
+PROBLEM_KINDS = {"rpca": RpcaInstance, "karcher": KarcherInstance, "bilinear": BilinearInstance}
 
 
 class ConfigError(ValueError):
@@ -116,9 +119,9 @@ class RunConfig:
     track_average: bool = True
 
     def validate(self) -> None:
-        if self.problem not in ("rpca", "karcher", "bilinear"):
+        if self.problem not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.solver not in ("rceg", "srceg", "rgda", "srgda"):
+        if self.solver not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.iters < 1:
             raise ConfigError("iters must be >= 1")
@@ -127,29 +130,29 @@ class RunConfig:
         if self.problem == "rpca":
             if self.n < 1:
                 raise ConfigError("n must be >= 1")
-            if self.alpha <= 0:
-                raise ConfigError("alpha must be positive")
+            if not _positive_finite(self.alpha):
+                raise ConfigError("alpha must be positive and finite")
         if self.problem == "karcher":
-            if self.gamma <= 0:
-                raise ConfigError("gamma must be positive")
+            if not _positive_finite(self.gamma):
+                raise ConfigError("gamma must be positive and finite")
             if self.n_anchors < 1:
                 raise ConfigError("n_anchors must be >= 1")
-        if self.solver in ("srceg", "srgda"):
+        if SOLVER_KINDS[self.solver].stochastic:
             if self.sigma is None and self.batch_size is None:
                 raise ConfigError(f"{self.solver} requires --sigma or --batch-size")
             if self.batch_size is not None and self.problem != "rpca":
                 raise ConfigError("--batch-size is only available for the rpca problem")
         if self.batch_size is not None and self.problem == "rpca" and not (1 <= self.batch_size <= self.n):
             raise ConfigError(f"batch_size must be in [1, {self.n}]")
-        if self.sigma is not None and self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        if self.sigma is not None and not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ConfigError("sigma must be nonnegative and finite")
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ConfigError(f"eta must be a positive number or 'auto', got {self.eta!r}")
-        elif not (float(self.eta) > 0):
-            raise ConfigError("eta must be positive")
-        if self.a <= 0:
-            raise ConfigError("a must be positive")
+        elif not _positive_finite(float(self.eta)):
+            raise ConfigError("eta must be positive and finite")
+        if not _positive_finite(self.a):
+            raise ConfigError("a must be positive and finite")
         if self.diameter is not None and self.diameter <= 0:
             raise ConfigError("diameter must be positive")
 
@@ -167,12 +170,20 @@ class RunConfig:
         return cfg
 
 
-def load_config_file(path: str) -> dict:
+def _positive_finite(v: float) -> bool:
+    return v > 0 and math.isfinite(v)
+
+
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path!r}: {e}") from e
+        raise ConfigError(f"cannot read {what} file {path!r}: {e}") from e
+
+
+def load_config_file(path: str) -> dict:
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
@@ -180,10 +191,12 @@ def load_config_file(path: str) -> dict:
 
 def build_instance(cfg: RunConfig):
     if cfg.instance is not None:
-        with open(cfg.instance, "r", encoding="utf-8") as fh:
-            inst = instance_from_json(json.load(fh))
-        expected = {"rpca": RpcaInstance, "karcher": KarcherInstance, "bilinear": BilinearInstance}
-        if not isinstance(inst, expected[cfg.problem]):
+        data = _read_json(cfg.instance, "instance")
+        try:
+            inst = instance_from_json(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"instance file {cfg.instance!r} does not hold an instance: {e!r}") from e
+        if not isinstance(inst, PROBLEM_KINDS[cfg.problem]):
             raise ConfigError(f"instance file holds a {type(inst).__name__}, config wants {cfg.problem}")
         return inst
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
@@ -213,47 +226,34 @@ def build_schedule(cfg: RunConfig, problem: SaddleProblem) -> tuple[Callable[[in
     """
     if not isinstance(cfg.eta, str):
         eta = float(cfg.eta)
-        return ConstantSchedule(eta), {"kind": "constant", "eta": eta}
-    est_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
-    if cfg.solver in ("rceg", "srceg"):
-        ell_hat = estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, est_rng)
+        return (lambda t: eta), {"kind": "constant", "eta": eta}
+    kind = SOLVER_KINDS[cfg.solver]
+    if kind.extragradient:
+        ell_hat = _estimated_smoothness(problem, cfg.seed)
         if not ell_hat > 0:
             raise ConfigError("smoothness estimate collapsed to zero; pass an explicit eta")
-        if cfg.solver == "rceg":
-            return ConstantSchedule(1.0 / (2.0 * ell_hat)), {
-                "kind": "constant",
-                "eta": 1.0 / (2.0 * ell_hat),
-                "ell_hat": ell_hat,
-            }
-        return PracticalSchedule(ell_hat, cfg.a), {"kind": "practical", "ell_hat": ell_hat, "a": cfg.a}
-    mu_hat = estimate_strong_monotonicity(problem, _MONOTONICITY_SAMPLES, est_rng)
+        if not kind.stochastic:
+            eta = 1.0 / (2.0 * ell_hat)
+            return (lambda t: eta), {"kind": "constant", "eta": eta, "ell_hat": ell_hat}
+        meta = {"kind": "practical", "ell_hat": ell_hat, "a": cfg.a}
+        return (lambda t: schedule_practical(ell_hat, cfg.a, t)), meta
+    mu_hat = estimate_strong_monotonicity(problem, _MONOTONICITY_SAMPLES, _estimation_rng(cfg.seed))
     if mu_hat <= 0:
         raise ConfigError(
             f"strong-monotonicity estimate {mu_hat:.3e} is not positive; "
             "the decaying descent-ascent schedule needs mu > 0 (pass an explicit eta)"
         )
-    return RgdaScscSchedule(mu_hat), {"kind": "rgda-scsc", "mu_hat": mu_hat}
+    return (lambda t: schedule_rgda_scsc(mu_hat, t)), {"kind": "rgda-scsc", "mu_hat": mu_hat}
 
 
-# -- metrics -------------------------------------------------------------------
+def _estimation_rng(seed: int) -> np.random.Generator:
+    # One stream for every empirical constant of a seed, so a run, its grid
+    # search and its reference solve all see the same estimate.
+    return np.random.default_rng(np.random.SeedSequence([seed, 0xE57]))
 
 
-def metric_gradient_norm(problem: SaddleProblem, x: Point, y: Point) -> dict:
-    """Riemannian gradient norms: combined, and per block."""
-    gx, gy = problem.grad(x, y)
-    nx = problem.m_min.norm(gx)
-    ny = problem.m_max.norm(gy)
-    return {"combined": math.hypot(nx, ny), "x_part": nx, "y_part": ny}
-
-
-def metric_distance_gap(
-    problem: SaddleProblem, iterates: tuple[Point, Point], reference: tuple[Point, Point]
-) -> float:
-    """Squared-distance sum to the reference saddle."""
-    return (
-        problem.m_min.distance(iterates[0], reference[0]) ** 2
-        + problem.m_max.distance(iterates[1], reference[1]) ** 2
-    )
+def _estimated_smoothness(problem: SaddleProblem, seed: int) -> float:
+    return estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, _estimation_rng(seed))
 
 
 # -- trace files ---------------------------------------------------------------
@@ -348,16 +348,14 @@ def solve_reference(
     ``RuntimeError`` when the budget ends above tolerance.
     """
     if eta is None:
-        est_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE57]))
-        ell_hat = estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, est_rng)
-        eta = 1.0 / (2.0 * ell_hat)
+        eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
     if x0 is None:
         x0 = problem.m_min.random_point(rng)
     if y0 is None:
         y0 = problem.m_max.random_point(rng)
     state = initial_state(problem, x0, y0, rng)
-    gn = metric_gradient_norm(problem, state.x, state.y)["combined"]
+    gn = problem.grad_norms(state.x, state.y)[0]
     best = gn
     for t in range(max_iters):
         try:
@@ -367,7 +365,7 @@ def solve_reference(
                 f"reference solve hit a geometry failure at iteration {t}: {e}", Trace(), state
             ) from e
         if (t + 1) % check_every == 0 or t == max_iters - 1:
-            gn = metric_gradient_norm(problem, state.x, state.y)["combined"]
+            gn = problem.grad_norms(state.x, state.y)[0]
             best = min(best, gn)
             if not math.isfinite(gn) or gn > 1e6:
                 raise DivergenceError(
@@ -395,14 +393,11 @@ def write_reference(path: str, x: Point, y: Point, grad_norm: float, iters: int)
 
 
 def load_reference(path: str, m_min: Manifold, m_max: Manifold) -> tuple[Point, Point, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return point_from_json(m_min, data["x"]), point_from_json(m_max, data["y"]), data
-
-
-def load_init(path: str, m_min: Manifold, m_max: Manifold) -> tuple[Point, Point]:
-    x, y, _ = load_reference(path, m_min, m_max)
-    return x, y
+    data = _read_json(path, "saddle")
+    try:
+        return point_from_json(m_min, data["x"]), point_from_json(m_max, data["y"]), data
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"saddle file {path!r} does not hold a saddle of this problem: {e!r}") from e
 
 
 # -- run execution ---------------------------------------------------------------
@@ -443,7 +438,7 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
         )
 
     noise = None
-    if cfg.solver in ("srceg", "srgda") and cfg.sigma is not None:
+    if SOLVER_KINDS[cfg.solver].stochastic and cfg.sigma is not None:
         noise = NoiseModel(cfg.sigma, seed=cfg.seed)
     passes_per_call = 1.0
     if cfg.batch_size is not None and problem.stochastic_grad is not None:
@@ -459,7 +454,7 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
 
     x0 = y0 = None
     if cfg.init_from:
-        x0, y0 = load_init(cfg.init_from, problem.m_min, problem.m_max)
+        x0, y0, _ = load_reference(cfg.init_from, problem.m_min, problem.m_max)
 
     meta = {
         "version": __version__,
@@ -517,7 +512,8 @@ def grid_search(
     """Rank schedule candidates by the final gradient norm of a short run.
 
     Exactly one of ``ell_grid`` (constant steps 1/(2 ell)) or ``a_grid``
-    (practical decay around an estimated smoothness cap) must be given.
+    (practical decay around an estimated smoothness cap; srceg only) must
+    be given.
     Diverged candidates rank last; ties break toward the smaller step.
     Returns (best row, all rows ranked); optionally writes a ranking CSV.
     """
@@ -526,15 +522,18 @@ def grid_search(
     grid = list(ell_grid if ell_grid is not None else a_grid)
     if not grid:
         raise ConfigError("the candidate grid is empty")
-    if any(not (g > 0 and math.isfinite(g)) for g in grid):
+    if any(not _positive_finite(g) for g in grid):
         raise ConfigError("grid values must be positive and finite")
+    cfg.validate()
+    kind = SOLVER_KINDS[cfg.solver]
+    if a_grid is not None and not (kind.extragradient and kind.stochastic):
+        raise ConfigError(f"only the srceg auto schedule reads a, so an a grid cannot rank {cfg.solver}")
 
     inst = build_instance(cfg)
     problem = build_problem(cfg, inst)
     ell_hat = None
     if a_grid is not None:
-        est_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
-        ell_hat = estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, est_rng)
+        ell_hat = _estimated_smoothness(problem, cfg.seed)
 
     rows = []
     for g in grid:

@@ -50,7 +50,6 @@ __all__ = [
     "rpca_grad",
     "make_rpca",
     "MinibatchOracle",
-    "minibatch_oracle",
     "KarcherInstance",
     "karcher_value",
     "karcher_grad",
@@ -195,12 +194,11 @@ class MinibatchOracle:
     epoch is exhausted, so trajectories are reproducible from the run seed.
     """
 
-    def __init__(self, inst: RpcaInstance, batch_size: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, inst: RpcaInstance, batch_size: int):
         if not (1 <= batch_size <= inst.n):
             raise ValueError(f"batch_size must be in [1, {inst.n}], got {batch_size}")
         self.inst = inst
         self.batch_size = int(batch_size)
-        self._rng = rng
         self._order: list[int] = []
 
     @property
@@ -215,16 +213,9 @@ class MinibatchOracle:
         return np.asarray(batch, dtype=int)
 
     def __call__(self, x: Point, m: Point, rng: np.random.Generator) -> tuple[Tangent, Tangent]:
-        batch = self._next_batch(self._rng if self._rng is not None else rng)
+        batch = self._next_batch(rng)
         gm, gx = rpca_grad(self.inst, m, x, batch=batch)
         return gx, gm
-
-
-def minibatch_oracle(
-    inst: RpcaInstance, batch_size: int, rng: Optional[np.random.Generator] = None
-) -> MinibatchOracle:
-    """Build the minibatch closure; with ``rng`` given it owns its stream."""
-    return MinibatchOracle(inst, batch_size, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -327,7 +318,7 @@ def make_bilinear(inst: BilinearInstance) -> SaddleProblem:
         return Tangent(x, b @ y.value), Tangent(y, b.T @ x.value)
 
     ell = float(np.linalg.norm(b, 2))
-    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad, ell=ell, mu=0.0)
+    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad, ell=ell)
 
 
 # -- empirical constants -------------------------------------------------------

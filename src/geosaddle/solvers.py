@@ -14,8 +14,13 @@ Each extragradient step consumes exactly two gradient-oracle evaluations,
 each descent-ascent step exactly one.
 
 Step-size schedules from the convergence analysis are provided as plain
-functions (one per regime) plus small callable wrappers usable by the run
-driver, alongside the practical min{1/(2l), a/t} decay used in benchmarks.
+functions (one per regime), alongside the practical min{1/(2l), a/t} decay
+used in benchmarks. The run driver takes any ``(t) -> eta`` callable;
+``harness.build_schedule`` builds them from a run config.
+
+``SOLVER_KINDS`` is the one list of solver names, each with the two facts
+callers branch on: extragradient (two oracle calls per step, averages the
+half-iterates) or descent-ascent, and exact or stochastic oracle.
 
 Averaging: the running (Karcher) mean of iterates is maintained through the
 recursion mean <- exp_mean(log_mean(z) / (t+1)). Extragradient solvers
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,18 +62,25 @@ __all__ = [
     "schedule_rgda_cc",
     "schedule_srgda_cc",
     "schedule_practical",
-    "ConstantSchedule",
-    "PracticalSchedule",
-    "RgdaScscSchedule",
-    "ExplicitSchedule",
     "Trace",
     "TraceRow",
     "run",
+    "SolverKind",
     "SOLVER_KINDS",
-    "oracle_calls_per_step",
 ]
 
-SOLVER_KINDS = ("rceg", "srceg", "rgda", "srgda")
+
+class SolverKind(NamedTuple):
+    extragradient: bool
+    stochastic: bool
+
+
+SOLVER_KINDS = {
+    "rceg": SolverKind(extragradient=True, stochastic=False),
+    "srceg": SolverKind(extragradient=True, stochastic=True),
+    "rgda": SolverKind(extragradient=False, stochastic=False),
+    "srgda": SolverKind(extragradient=False, stochastic=True),
+}
 
 GradFn = Callable[[Point, Point], tuple[Tangent, Tangent]]
 StochasticGradFn = Callable[[Point, Point, np.random.Generator], tuple[Tangent, Tangent]]
@@ -82,9 +94,11 @@ class SaddleProblem:
     second; ``grad`` returns the pair of Riemannian gradients (ascent
     direction in both slots -- the solvers flip the sign on the min side).
     ``stochastic_grad(x, y, rng)``, when present, is an unbiased noisy
-    oracle. The constants mirror the regularity assumptions: gradient
-    Lipschitz modulus ``ell``, function Lipschitz bound ``big_l``, strong
-    convexity-concavity modulus ``mu``, and oracle noise bound ``sigma``.
+    oracle. ``ell``, when known in closed form, is the gradient Lipschitz
+    modulus.
+
+    The run driver and the reference solve read their metrics through
+    :meth:`grad_norms` and :meth:`distance_gap`.
     """
 
     m_min: Manifold
@@ -93,9 +107,17 @@ class SaddleProblem:
     grad: GradFn
     stochastic_grad: Optional[StochasticGradFn] = None
     ell: Optional[float] = None
-    big_l: Optional[float] = None
-    mu: float = 0.0
-    sigma: float = 0.0
+
+    def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
+        """Riemannian gradient norms at (x, y): combined, min side, max side."""
+        gx, gy = self.grad(x, y)
+        nx = self.m_min.norm(gx)
+        ny = self.m_max.norm(gy)
+        return math.hypot(nx, ny), nx, ny
+
+    def distance_gap(self, x: Point, y: Point, reference: tuple[Point, Point]) -> float:
+        """Squared-distance sum from (x, y) to the reference saddle."""
+        return self.m_min.distance(x, reference[0]) ** 2 + self.m_max.distance(y, reference[1]) ** 2
 
 
 @dataclass(frozen=True)
@@ -325,47 +347,6 @@ def schedule_practical(ell: float, a: float, t: int) -> float:
     return min(cap, a / t)
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
-    eta: float
-
-    def __post_init__(self):
-        _positive(eta=self.eta)
-
-    def __call__(self, t: int) -> float:
-        return self.eta
-
-
-@dataclass(frozen=True)
-class PracticalSchedule:
-    ell: float
-    a: float
-
-    def __call__(self, t: int) -> float:
-        return schedule_practical(self.ell, self.a, t)
-
-
-@dataclass(frozen=True)
-class RgdaScscSchedule:
-    mu: float
-
-    def __call__(self, t: int) -> float:
-        return schedule_rgda_scsc(self.mu, t)
-
-
-@dataclass(frozen=True)
-class ExplicitSchedule:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            _positive(eta=v)
-
-    def __call__(self, t: int) -> float:
-        return self.values[min(t, len(self.values) - 1)]
-
-
 # -- run driver ----------------------------------------------------------------
 
 
@@ -417,21 +398,6 @@ class DivergenceError(RuntimeError):
         self.state = state
 
 
-def oracle_calls_per_step(solver_kind: str) -> int:
-    if solver_kind in ("rceg", "srceg"):
-        return 2
-    if solver_kind in ("rgda", "srgda"):
-        return 1
-    raise ValueError(f"unknown solver {solver_kind!r}")
-
-
-def _grad_norms(problem: SaddleProblem, x: Point, y: Point) -> tuple[float, float, float]:
-    gx, gy = problem.grad(x, y)
-    nx = problem.m_min.norm(gx)
-    ny = problem.m_max.norm(gy)
-    return math.hypot(nx, ny), nx, ny
-
-
 def run(
     problem: SaddleProblem,
     solver_kind: str,
@@ -457,11 +423,12 @@ def run(
     state. On divergence past ``divergence_cap`` a :class:`DivergenceError`
     carrying the partial trace is raised.
     """
-    if solver_kind not in SOLVER_KINDS:
-        raise ValueError(f"unknown solver {solver_kind!r}; expected one of {SOLVER_KINDS}")
+    kind = SOLVER_KINDS.get(solver_kind)
+    if kind is None:
+        raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if solver_kind in ("srceg", "srgda") and noise is None and problem.stochastic_grad is None:
+    if kind.stochastic and noise is None and problem.stochastic_grad is None:
         raise ValueError(f"{solver_kind} needs a NoiseModel or a stochastic_grad oracle")
 
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
@@ -472,22 +439,18 @@ def run(
         y0 = problem.m_max.random_point(init_rng)
     state = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
 
-    averages_half = solver_kind in ("rceg", "srceg")
-    calls = oracle_calls_per_step(solver_kind)
+    calls = 2 if kind.extragradient else 1
     trace = Trace()
     started = time.perf_counter()
 
     def record(st: SolverState, eta: float) -> None:
-        gn, gnx, gny = _grad_norms(problem, st.x, st.y)
+        gn, gnx, gny = problem.grad_norms(st.x, st.y)
         gn_avg = None
         if track_average and st.x_bar is not None:
-            gn_avg, _, _ = _grad_norms(problem, st.x_bar, st.y_bar)
+            gn_avg, _, _ = problem.grad_norms(st.x_bar, st.y_bar)
         gap = None
         if reference is not None:
-            gap = (
-                problem.m_min.distance(st.x, reference[0]) ** 2
-                + problem.m_max.distance(st.y, reference[1]) ** 2
-            )
+            gap = problem.distance_gap(st.x, st.y, reference)
         if st.t > 0:
             spread = math.hypot(problem.m_min.distance(st.x, x0), problem.m_max.distance(st.y, y0))
             trace.max_dist_from_init = max(trace.max_dist_from_init, spread)
@@ -515,18 +478,18 @@ def run(
     for t in range(iters):
         eta = schedule(t)
         try:
-            if averages_half:
-                if solver_kind == "rceg":
-                    state = rceg_step(problem, state, eta)
-                else:
+            if kind.extragradient:
+                if kind.stochastic:
                     state = srceg_step(problem, state, eta, noise)
+                else:
+                    state = rceg_step(problem, state, eta)
                 avg_in_x, avg_in_y = state.x_half, state.y_half
             else:
                 avg_in_x, avg_in_y = state.x, state.y
-                if solver_kind == "rgda":
-                    state = rgda_step(problem, state, eta)
-                else:
+                if kind.stochastic:
                     state = srgda_step(problem, state, eta, noise)
+                else:
+                    state = rgda_step(problem, state, eta)
             if track_average:
                 if state.x_bar is None:
                     state = replace(state, x_bar=avg_in_x, y_bar=avg_in_y)

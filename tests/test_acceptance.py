@@ -20,7 +20,6 @@ from geosaddle.curvature import GeodesicTriangle, constants_at, tci_holds_lower,
 from geosaddle.harness import (
     RunConfig,
     grid_search,
-    metric_distance_gap,
     solve_reference,
 )
 from geosaddle.manifolds import Euclidean, Product, Spd, Sphere
@@ -35,7 +34,6 @@ from geosaddle.problems import (
     make_rpca,
 )
 from geosaddle.solvers import (
-    ConstantSchedule,
     DivergenceError,
     NoiseModel,
     initial_state,
@@ -274,10 +272,10 @@ def test_criterion_05_theorem1_contraction_on_pinned_instance(pinned_karcher):
     eta = schedule_rceg_scsc(ell, mu, k.tau0, k.xi_lower0)
     rng = np.random.default_rng(123)
     st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
-    gaps = [metric_distance_gap(prob, (st.x, st.y), ref)]
+    gaps = [prob.distance_gap(st.x, st.y, ref)]
     for _ in range(300):
         st = rceg_step(prob, st, eta)
-        gaps.append(metric_distance_gap(prob, (st.x, st.y), ref))
+        gaps.append(prob.distance_gap(st.x, st.y, ref))
     nonincreasing = all(bb <= aa * (1 + 1e-12) for aa, bb in zip(gaps, gaps[1:]))
     slope = np.polyfit(np.arange(150, 301), np.log(gaps[150:]), 1)[0]
     elapsed = time.perf_counter() - started
@@ -296,10 +294,10 @@ def test_criterion_06_rgda_envelope_on_pinned_instance(pinned_karcher):
         return
     rng = np.random.default_rng(5)
     st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
-    gaps = [metric_distance_gap(prob, (st.x, st.y), ref)]
+    gaps = [prob.distance_gap(st.x, st.y, ref)]
     for t in range(2000):
         st = rgda_step(prob, st, schedule_rgda_scsc(mu, t))
-        gaps.append(metric_distance_gap(prob, (st.x, st.y), ref))
+        gaps.append(prob.distance_gap(st.x, st.y, ref))
     envelope = 2 * gaps[2] * 1.1
     worst = max(gaps[t] * t / envelope for t in range(2, 2001))
     ok = worst <= 1.0
@@ -320,7 +318,7 @@ def figure1_run():
     ell = estimate_smoothness(prob, 64, np.random.default_rng(0xE57))
     eta = 1.0 / (2.0 * ell)
     started = time.perf_counter()
-    trace, _ = run(prob, "rceg", ConstantSchedule(eta), FIG1_ITERS, seed=7)
+    trace, _ = run(prob, "rceg", lambda t: eta, FIG1_ITERS, seed=7)
     elapsed = time.perf_counter() - started
     return inst, trace, elapsed
 

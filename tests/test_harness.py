@@ -13,8 +13,6 @@ from geosaddle.harness import (
     execute_run,
     grid_search,
     load_reference,
-    metric_distance_gap,
-    metric_gradient_norm,
     read_trace_csv,
     solve_reference,
     write_reference,
@@ -59,22 +57,20 @@ def test_metric_gradient_norm_bilinear():
     p = make_bilinear(BilinearInstance(k=1))
     x = p.m_min.point([1.0])
     y = p.m_max.point([1.0])
-    got = metric_gradient_norm(p, x, y)
-    assert abs(got["combined"] - math.sqrt(2.0)) < 1e-12
-    assert abs(got["combined"] ** 2 - (got["x_part"] ** 2 + got["y_part"] ** 2)) < 1e-12
+    combined, x_part, y_part = p.grad_norms(x, y)
+    assert abs(combined - math.sqrt(2.0)) < 1e-12
+    assert abs(combined**2 - (x_part**2 + y_part**2)) < 1e-12
     origin = p.m_min.point([0.0])
-    assert metric_gradient_norm(p, origin, origin)["combined"] <= 1e-12
+    assert p.grad_norms(origin, origin)[0] <= 1e-12
 
 
 def test_metric_distance_gap_bilinear():
     p = make_bilinear(BilinearInstance(k=1))
     one = p.m_min.point([1.0])
     zero = p.m_min.point([0.0])
-    assert metric_distance_gap(p, (one, one), (zero, zero)) == pytest.approx(2.0)
-    assert metric_distance_gap(p, (one, one), (one, one)) == 0.0
-    assert metric_distance_gap(p, (one, zero), (zero, zero)) == metric_distance_gap(
-        p, (zero, one), (zero, zero)
-    )
+    assert p.distance_gap(one, one, (zero, zero)) == pytest.approx(2.0)
+    assert p.distance_gap(one, one, (one, one)) == 0.0
+    assert p.distance_gap(one, zero, (zero, zero)) == p.distance_gap(zero, one, (zero, zero))
 
 
 # -- trace CSV -----------------------------------------------------------------------
@@ -246,6 +242,15 @@ def test_grid_search_requires_exactly_one_grid():
         grid_search(cfg, ell_grid=[1.0], a_grid=[1.0])
 
 
+@pytest.mark.parametrize("solver", ["rceg", "rgda", "srgda"])
+def test_grid_search_a_grid_needs_srceg(solver):
+    # only the srceg auto schedule reads a; elsewhere every candidate would run
+    # the same schedule and the ranking would only reflect the tie-break
+    cfg = RunConfig(problem="karcher", solver=solver, seed=1, iters=5, d=2, gamma=3.0, sigma=0.1)
+    with pytest.raises(ConfigError):
+        grid_search(cfg, a_grid=[0.1, 1.0])
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 
@@ -272,6 +277,32 @@ def test_cli_rejects_invalid_flag_combination(tmp_path):
         ]
     )
     assert code == 2
+    assert not out.exists()
+
+
+_SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--iters", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "inf"],
+        ["run", *_SMALL_RPCA, "--solver", "srceg", "--batch-size", "2", "--eta", "auto", "--a", "inf"],
+        ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "nan", "--eta", "0.1"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,x"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{missing}"],
+        ["reference", *_SMALL_RPCA, "--init-from", "{missing}"],
+    ],
+    ids=[
+        "eta-inf", "a-inf", "sigma-nan", "grid-value",
+        "instance-missing", "init-missing", "reference-init-missing",
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, argv):
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from geosaddle.manifolds import Product, Spd, Sphere
 from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
+    MinibatchOracle,
     RpcaInstance,
     estimate_smoothness,
     estimate_strong_monotonicity,
@@ -20,7 +21,6 @@ from geosaddle.problems import (
     make_bilinear,
     make_karcher,
     make_rpca,
-    minibatch_oracle,
     rpca_grad,
     rpca_value,
 )
@@ -181,14 +181,14 @@ def test_minibatch_is_unbiased():
 
 def test_minibatch_pass_accounting():
     inst = RpcaInstance.generate(d=2, n=8, alpha=1.0, seed=15)
-    oracle = minibatch_oracle(inst, 2)
+    oracle = MinibatchOracle(inst, 2)
     assert abs(oracle.passes_per_call - 0.25) < 1e-15
     assert abs(4 * oracle.passes_per_call - 1.0) < 1e-15
 
 
 def test_minibatch_epoch_covers_all_indices():
     inst = RpcaInstance.generate(d=2, n=6, alpha=1.0, seed=16)
-    oracle = minibatch_oracle(inst, 2)
+    oracle = MinibatchOracle(inst, 2)
     rng = np.random.default_rng(17)
     seen = []
     for _ in range(3):
@@ -200,7 +200,7 @@ def test_minibatch_rejects_bad_batch_size():
     inst = RpcaInstance.generate(d=2, n=4, alpha=1.0, seed=18)
     for bad in (0, 5):
         with pytest.raises(ValueError):
-            minibatch_oracle(inst, bad)
+            MinibatchOracle(inst, bad)
 
 
 # -- robust matrix mean -------------------------------------------------------------

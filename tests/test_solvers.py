@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geosaddle.curvature import constants_at
-from geosaddle.harness import metric_distance_gap, solve_reference
+from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
 from geosaddle.manifolds import Euclidean, Sphere
 from geosaddle.problems import (
     BilinearInstance,
@@ -22,11 +22,7 @@ from geosaddle.problems import (
     make_karcher,
 )
 from geosaddle.solvers import (
-    ConstantSchedule,
-    ExplicitSchedule,
     NoiseModel,
-    PracticalSchedule,
-    RgdaScscSchedule,
     SaddleProblem,
     initial_state,
     rceg_step,
@@ -397,13 +393,20 @@ def test_schedule_practical_values():
 
 
 def test_schedule_wrappers():
-    assert ConstantSchedule(0.2)(17) == 0.2
-    assert PracticalSchedule(1.0, 1.0)(4) == 0.25
-    assert RgdaScscSchedule(2.0)(8) == 1.0 / 8.0
-    sched = ExplicitSchedule((0.5, 0.25, 0.1))
-    assert sched(0) == 0.5 and sched(2) == 0.1 and sched(99) == 0.1
-    with pytest.raises(ValueError):
-        ConstantSchedule(0.0)
+    def built(**kw):
+        cfg = RunConfig(seed=3, iters=10, **kw)
+        return build_schedule(cfg, build_problem(cfg))
+
+    sched, _ = built(problem="bilinear", solver="rceg", eta=0.2)
+    assert sched(17) == 0.2
+    # identity coupling: the sampled smoothness is below 1, so the a/t branch
+    # of min{1/(2 l^), a/t} binds from t = 2 on
+    sched, meta = built(problem="bilinear", solver="srceg", sigma=0.1, eta="auto", a=1.0)
+    assert meta["kind"] == "practical" and meta["ell_hat"] < 1.0
+    assert sched(0) == 1.0 / (2.0 * meta["ell_hat"]) and sched(4) == 0.25
+    sched, meta = built(problem="karcher", solver="rgda", d=2, n_anchors=3, gamma=3.0, eta="auto")
+    assert meta["kind"] == "rgda-scsc"
+    assert sched(0) == sched(2) == 1.0 / meta["mu_hat"] and sched(8) == 0.25 / meta["mu_hat"]
 
 
 # -- oracle accounting and the run driver ---------------------------------------------
@@ -445,18 +448,18 @@ def test_oracle_calls_per_step():
 def test_run_rejects_zero_iters():
     p = bilinear_problem()
     with pytest.raises(ValueError):
-        run(p, "rceg", ConstantSchedule(0.1), 0, seed=1)
+        run(p, "rceg", lambda t: 0.1, 0, seed=1)
 
 
 def test_run_rejects_unknown_solver():
     p = bilinear_problem()
     with pytest.raises(ValueError):
-        run(p, "newton", ConstantSchedule(0.1), 5, seed=1)
+        run(p, "newton", lambda t: 0.1, 5, seed=1)
 
 
 def test_run_bilinear_rceg_contracts():
     p = bilinear_problem(k=2)
-    trace, state = run(p, "rceg", ConstantSchedule(0.1), 100, seed=3)
+    trace, state = run(p, "rceg", lambda t: 0.1, 100, seed=3)
     assert trace.rows[-1].grad_norm < trace.rows[0].grad_norm
     assert state.t == 100
     assert len(trace.rows) == 101
@@ -464,23 +467,23 @@ def test_run_bilinear_rceg_contracts():
 
 def test_run_is_deterministic():
     p = bilinear_problem(k=2)
-    t1, _ = run(p, "srceg", ConstantSchedule(0.05), 40, seed=11, noise=NoiseModel(0.3, seed=11))
-    t2, _ = run(p, "srceg", ConstantSchedule(0.05), 40, seed=11, noise=NoiseModel(0.3, seed=11))
+    t1, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, noise=NoiseModel(0.3, seed=11))
+    t2, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, noise=NoiseModel(0.3, seed=11))
     assert [r.grad_norm for r in t1.rows] == [r.grad_norm for r in t2.rows]
     assert [r.eta for r in t1.rows] == [r.eta for r in t2.rows]
 
 
 def test_run_data_passes_accounting():
     p = bilinear_problem(k=2)
-    trace, _ = run(p, "rceg", ConstantSchedule(0.1), 10, seed=0)
+    trace, _ = run(p, "rceg", lambda t: 0.1, 10, seed=0)
     assert trace.rows[-1].data_passes == 20.0  # 2 oracle calls per step
-    trace, _ = run(p, "rgda", ConstantSchedule(0.1), 10, seed=0)
+    trace, _ = run(p, "rgda", lambda t: 0.1, 10, seed=0)
     assert trace.rows[-1].data_passes == 10.0
 
 
 def test_run_averages_half_iterates_for_eg_and_iterates_for_gda():
     p = bilinear_problem(k=1)
-    trace, state = run(p, "rceg", ConstantSchedule(0.1), 3, seed=5)
+    trace, state = run(p, "rceg", lambda t: 0.1, 3, seed=5)
     # by induction the mean equals the arithmetic mean of the half-iterates
     st = euclid_state(p, state_x0(p, 5)[0], state_x0(p, 5)[1])
     halves = []
@@ -489,7 +492,7 @@ def test_run_averages_half_iterates_for_eg_and_iterates_for_gda():
         halves.append(st.x_half.value[0])
     assert abs(state.x_bar.value[0] - np.mean(halves)) < 1e-12
 
-    trace, state = run(p, "rgda", ConstantSchedule(0.1), 3, seed=5)
+    trace, state = run(p, "rgda", lambda t: 0.1, 3, seed=5)
     st = euclid_state(p, state_x0(p, 5)[0], state_x0(p, 5)[1])
     iters = [st.x.value[0]]
     for _ in range(2):
@@ -525,10 +528,10 @@ def test_rceg_contraction_on_karcher(karcher_setup):
     eta = schedule_rceg_scsc(ell, mu, k.tau0, k.xi_lower0)
     rng = np.random.default_rng(123)
     st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
-    gaps = [metric_distance_gap(prob, (st.x, st.y), ref)]
+    gaps = [prob.distance_gap(st.x, st.y, ref)]
     for _ in range(300):
         st = rceg_step(prob, st, eta)
-        gaps.append(metric_distance_gap(prob, (st.x, st.y), ref))
+        gaps.append(prob.distance_gap(st.x, st.y, ref))
     floor = 1e-20  # squared-distance resolution of the eigh-based kernels
     for a, b in zip(gaps, gaps[1:]):
         if a > floor:
@@ -543,10 +546,10 @@ def test_rgda_one_over_t_envelope_on_karcher(karcher_setup):
     prob, ref, _ell, mu = karcher_setup
     rng = np.random.default_rng(5)
     st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
-    gaps = [metric_distance_gap(prob, (st.x, st.y), ref)]
+    gaps = [prob.distance_gap(st.x, st.y, ref)]
     for t in range(2000):
         st = rgda_step(prob, st, schedule_rgda_scsc(mu, t))
-        gaps.append(metric_distance_gap(prob, (st.x, st.y), ref))
+        gaps.append(prob.distance_gap(st.x, st.y, ref))
     envelope = 2 * gaps[2] * 1.1
     for t in range(2, 2001):
         assert gaps[t] * t <= envelope
