@@ -71,8 +71,8 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize; applied after every SPD matrix function to kill drift."""
-    return 0.5 * (a + a.T)
+    """Symmetrize (each slice of a stack); applied after every SPD matrix function to kill drift."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +147,8 @@ def _payload_equal(a, b) -> bool:
 
 
 def _require_same_base(a: Point, b: Point) -> None:
+    if a is b:
+        return
     if a.manifold != b.manifold or not _payload_equal(a.value, b.value):
         raise ValueError("tangent vectors live at different base points")
 
@@ -194,7 +196,8 @@ class Manifold:
         return np.asarray(value, dtype=float)
 
     def _require_mine(self, p: Point) -> None:
-        if p.manifold != self:
+        # Identity first: the dataclass != walks every factor of a Product.
+        if p.manifold is not self and p.manifold != self:
             raise ValueError(f"point belongs to {p.manifold!r}, not {self!r}")
 
     # -- operations ----------------------------------------------------------
@@ -422,6 +425,18 @@ def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"{what}: non-finite eigenvalues")
     if w[0] <= _PD_RTOL * max(w[-1], 0.0) or w[0] <= 0.0:
         raise NumericError(f"{what}: eigenvalue {w[0]!r} below the PD threshold")
+    return w, q
+
+
+def _eigh_checked_stack(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_eigh_checked` over a (k, n, n) stack: one batched eigh, the same PD test per slice."""
+    w, q = np.linalg.eigh(_sym(a))
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"{what}: non-finite eigenvalues")
+    lo = w[:, 0]
+    bad = np.flatnonzero((lo <= _PD_RTOL * np.maximum(w[:, -1], 0.0)) | (lo <= 0.0))
+    if bad.size:
+        raise NumericError(f"{what}: eigenvalue {lo[bad[0]]!r} of slice {bad[0]} below the PD threshold")
     return w, q
 
 

@@ -20,6 +20,13 @@ finite-difference directional-derivative check in the test suite. The SPD
 gradients use the affine-invariant conversion grad = M sym(euclidean) M and
 the geodesic-distance gradients -2 log_X(Y) (squared) and -log_X(Y)/d
 (plain).
+
+The robust PCA oracle evaluates its k distance terms (k = n, or the batch
+size) as one stacked kernel: one root factorization of M, one (k, d, d)
+congruence M^-1/2 M_i M^-1/2, one batched eigendecomposition with the SPD
+threshold checked on every slice, then the weighted inner logs are summed
+and sandwiched by M^1/2 once, since log_M(M_i) = M^1/2 log(M^-1/2 M_i
+M^-1/2) M^1/2 is linear in the inner log.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .manifolds import (
     Spd,
     Sphere,
     Tangent,
-    _eigh_checked,
+    _eigh_checked_stack,
     _sym,
     random_orthogonal,
 )
@@ -107,19 +114,18 @@ class RpcaInstance:
         return cls(d=d, n=n, alpha=alpha, data=tuple(gen_spd_data(d, n, seed=seed)))
 
 
-def _spd_logs_and_distances(
+def _log_spectra(
     spd: Spd, m_value: np.ndarray, targets: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[float]]:
-    """log_M(M_i) and d(M, M_i) for all targets, sharing one root factorization."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M^1/2 and the eigenpairs of every M^-1/2 M_i M^-1/2, as stacks.
+
+    Returns ``(half, lw, q)`` with ``lw`` of shape (k, d) holding the logs
+    of the eigenvalues and ``q`` of shape (k, d, d) the eigenvectors, so
+    that d(M, M_i) = |lw_i| and log_M(M_i) = half q_i diag(lw_i) q_i^T half.
+    """
     half, inv_half = spd._roots(m_value)
-    logs, dists = [], []
-    for tgt in targets:
-        s = _sym(inv_half @ tgt @ inv_half)
-        w, q = _eigh_checked(s, "SPD log")
-        lw = np.log(w)
-        logs.append(_sym(half @ _sym((q * lw) @ q.T) @ half))
-        dists.append(float(np.linalg.norm(lw)))
-    return logs, dists
+    w, q = _eigh_checked_stack(inv_half @ np.stack(targets) @ inv_half, "SPD log")
+    return half, np.log(w), q
 
 
 def rpca_value(inst: RpcaInstance, m_point: Point, x_point: Point) -> float:
@@ -130,8 +136,8 @@ def rpca_value(inst: RpcaInstance, m_point: Point, x_point: Point) -> float:
     if x_point.value.shape != (inst.d,):
         raise ValueError("x must be a unit vector of the instance dimension")
     m, x = m_point.value, x_point.value
-    _, dists = _spd_logs_and_distances(spd, m, inst.data)
-    return float(-x @ m @ x - (inst.alpha / inst.n) * sum(dists))
+    _, lw, _ = _log_spectra(spd, m, inst.data)
+    return float(-x @ m @ x - (inst.alpha / inst.n) * np.linalg.norm(lw, axis=1).sum())
 
 
 def rpca_grad(
@@ -153,14 +159,19 @@ def rpca_grad(
 
     # SPD side: affine-invariant gradient of the quadratic term ...
     gm = -_sym(m @ np.outer(x, x) @ m)
-    # ... plus the distance attraction toward each (sampled) data matrix.
-    idx = range(inst.n) if batch is None else [int(i) for i in batch]
-    weight = inst.alpha / inst.n if batch is None else inst.alpha / len(idx)
-    targets = [inst.data[i] for i in idx]
-    logs, dists = _spd_logs_and_distances(spd, m, targets)
-    for lg, di in zip(logs, dists):
-        if di > _SUBGRAD_TOL:
-            gm = gm + (weight / di) * lg
+    # ... plus the distance attraction toward each (sampled) data matrix,
+    # sum_i (weight/d_i) log_M(M_i) = half [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] half.
+    targets = inst.data if batch is None else [inst.data[int(i)] for i in batch]
+    weight = inst.alpha / len(targets)
+    half, lw, q = _log_spectra(spd, m, targets)
+    dists = np.linalg.norm(lw, axis=1)
+    coef = np.zeros_like(dists)
+    far = dists > _SUBGRAD_TOL
+    coef[far] = weight / dists[far]
+    # Columns of qcat are the eigenvectors of every slice, so one product sums all k terms.
+    qcat = q.transpose(1, 0, 2).reshape(len(m), -1)
+    inner = (qcat * (coef[:, None] * lw).ravel()) @ qcat.T
+    gm = gm + _sym(half @ _sym(inner) @ half)
     return Tangent(m_point, gm), Tangent(x_point, gx)
 
 

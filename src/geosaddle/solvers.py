@@ -11,7 +11,15 @@ ascend the second):
 - ``srgda``: its stochastic variant.
 
 Each extragradient step consumes exactly two gradient-oracle evaluations,
-each descent-ascent step exactly one.
+each descent-ascent step exactly one, and the ``data_passes`` trace column
+counts them so. The run driver evaluates the exact gradient at every
+iterate for its ``grad_norm`` column anyway, so it hands that pair to the
+next step (the ``grad0`` argument of every step) in place of the step's
+first oracle call: same inputs, same floating-point operations, one full
+gradient less per iteration. Only exact first oracles take it -- rceg,
+rgda, and srceg/srgda under a :class:`NoiseModel`, whose noise is still
+drawn and added in the step; a problem's own ``stochastic_grad`` never
+does.
 
 Step-size schedules from the convergence analysis are provided as plain
 functions (one per regime), alongside the practical min{1/(2l), a/t} decay
@@ -82,8 +90,9 @@ SOLVER_KINDS = {
     "srgda": SolverKind(extragradient=False, stochastic=True),
 }
 
-GradFn = Callable[[Point, Point], tuple[Tangent, Tangent]]
-StochasticGradFn = Callable[[Point, Point, np.random.Generator], tuple[Tangent, Tangent]]
+GradPair = tuple[Tangent, Tangent]
+GradFn = Callable[[Point, Point], GradPair]
+StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,8 @@ class SaddleProblem:
     modulus.
 
     The run driver and the reference solve read their metrics through
-    :meth:`grad_norms` and :meth:`distance_gap`.
+    :meth:`grad_norms` (or :meth:`pair_norms` on a gradient pair already
+    evaluated) and :meth:`distance_gap`.
     """
 
     m_min: Manifold
@@ -110,7 +120,11 @@ class SaddleProblem:
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""
-        gx, gy = self.grad(x, y)
+        return self.pair_norms(self.grad(x, y))
+
+    def pair_norms(self, grads: GradPair) -> tuple[float, float, float]:
+        """Norms of a gradient pair: combined, min side, max side."""
+        gx, gy = grads
         nx = self.m_min.norm(gx)
         ny = self.m_max.norm(gy)
         return math.hypot(nx, ny), nx, ny
@@ -156,8 +170,8 @@ class NoiseModel:
     """
 
     def __init__(self, sigma: float, seed: int = 0):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (sigma >= 0 and math.isfinite(sigma)):
+            raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
         self.sigma = float(sigma)
         children = np.random.SeedSequence(seed).spawn(2)
         self._streams = [np.random.default_rng(c) for c in children]
@@ -176,6 +190,10 @@ def _eta_positive(eta: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {eta!r}")
 
 
+def _exact_grad(problem: SaddleProblem, x: Point, y: Point, grad: Optional[GradPair]) -> GradPair:
+    return problem.grad(x, y) if grad is None else grad
+
+
 def _noisy_grad(
     problem: SaddleProblem,
     state: SolverState,
@@ -183,65 +201,99 @@ def _noisy_grad(
     y: Point,
     noise: Optional[NoiseModel],
     stream: int,
-) -> tuple[Tangent, Tangent]:
+    grad: Optional[GradPair],
+) -> GradPair:
     if noise is not None:
-        gx, gy = problem.grad(x, y)
+        gx, gy = _exact_grad(problem, x, y, grad)
         nx, ny = noise.draw(problem, x, y, stream)
         return gx + nx, gy + ny
+    if grad is not None:
+        raise ValueError("grad0 is an exact gradient; the problem's stochastic_grad oracle cannot reuse it")
     if problem.stochastic_grad is None:
         raise ValueError("stochastic solver needs a NoiseModel or a problem stochastic_grad oracle")
     return problem.stochastic_grad(x, y, state.rng)
 
 
-def _eg_step(problem: SaddleProblem, state: SolverState, eta: float, oracle) -> SolverState:
+def _eg_step(
+    problem: SaddleProblem, state: SolverState, eta: float, oracle, grad0: Optional[GradPair]
+) -> SolverState:
+    # oracle(x, y, stream, grad): ``grad`` is the exact pair already
+    # evaluated at (x, y), or None to evaluate it.
     mx, my = problem.m_min, problem.m_max
-    gx, gy = oracle(state.x, state.y, 0)
+    gx, gy = oracle(state.x, state.y, 0, grad0)
     x_half = mx.exp(state.x, (-eta) * gx)
     y_half = my.exp(state.y, eta * gy)
-    gx_h, gy_h = oracle(x_half, y_half, 1)
+    gx_h, gy_h = oracle(x_half, y_half, 1, None)
     x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, state.x))
     y_next = my.exp(y_half, eta * gy_h + my.log(y_half, state.y))
     return replace(state, x=x_next, y=y_next, x_half=x_half, y_half=y_half, t=state.t + 1)
 
 
-def rceg_step(problem: SaddleProblem, state: SolverState, eta: float) -> SolverState:
-    """One corrected-extragradient step with the exact oracle (2 grad calls)."""
+def rceg_step(
+    problem: SaddleProblem, state: SolverState, eta: float, grad0: Optional[GradPair] = None
+) -> SolverState:
+    """One corrected-extragradient step with the exact oracle (2 grad calls).
+
+    ``grad0``, when given, is ``problem.grad(state.x, state.y)`` already
+    evaluated; it stands in for the first oracle call.
+    """
     _eta_positive(eta)
-    return _eg_step(problem, state, eta, lambda x, y, _s: problem.grad(x, y))
+    return _eg_step(problem, state, eta, lambda x, y, _s, g: _exact_grad(problem, x, y, g), grad0)
 
 
 def srceg_step(
-    problem: SaddleProblem, state: SolverState, eta: float, noise: Optional[NoiseModel] = None
+    problem: SaddleProblem,
+    state: SolverState,
+    eta: float,
+    noise: Optional[NoiseModel] = None,
+    grad0: Optional[GradPair] = None,
 ) -> SolverState:
     """Corrected-extragradient step with a noisy oracle.
 
     With a :class:`NoiseModel` the oracle is grad + independent tangent
     noise at the two query points; without one the problem's own
-    ``stochastic_grad`` (e.g. a minibatch closure) is used.
+    ``stochastic_grad`` (e.g. a minibatch closure) is used. ``grad0`` is
+    the exact gradient at the iterate, as in :func:`rceg_step`; the noise
+    is still drawn and added to it. It needs a :class:`NoiseModel`.
     """
     _eta_positive(eta)
-    return _eg_step(problem, state, eta, lambda x, y, s: _noisy_grad(problem, state, x, y, noise, s))
+    return _eg_step(
+        problem, state, eta, lambda x, y, s, g: _noisy_grad(problem, state, x, y, noise, s, g), grad0
+    )
 
 
-def _gda_step(problem: SaddleProblem, state: SolverState, eta: float, oracle) -> SolverState:
-    gx, gy = oracle(state.x, state.y, 0)
+def _gda_step(
+    problem: SaddleProblem, state: SolverState, eta: float, oracle, grad0: Optional[GradPair]
+) -> SolverState:
+    gx, gy = oracle(state.x, state.y, 0, grad0)
     x_next = problem.m_min.exp(state.x, (-eta) * gx)
     y_next = problem.m_max.exp(state.y, eta * gy)
     return replace(state, x=x_next, y=y_next, t=state.t + 1)
 
 
-def rgda_step(problem: SaddleProblem, state: SolverState, eta: float) -> SolverState:
-    """One gradient descent-ascent step (1 grad call); half-iterates untouched."""
+def rgda_step(
+    problem: SaddleProblem, state: SolverState, eta: float, grad0: Optional[GradPair] = None
+) -> SolverState:
+    """One gradient descent-ascent step (1 grad call, none given ``grad0``).
+
+    Half-iterates are untouched; ``grad0`` is as in :func:`rceg_step`.
+    """
     _eta_positive(eta)
-    return _gda_step(problem, state, eta, lambda x, y, _s: problem.grad(x, y))
+    return _gda_step(problem, state, eta, lambda x, y, _s, g: _exact_grad(problem, x, y, g), grad0)
 
 
 def srgda_step(
-    problem: SaddleProblem, state: SolverState, eta: float, noise: Optional[NoiseModel] = None
+    problem: SaddleProblem,
+    state: SolverState,
+    eta: float,
+    noise: Optional[NoiseModel] = None,
+    grad0: Optional[GradPair] = None,
 ) -> SolverState:
-    """Gradient descent-ascent step with a noisy oracle."""
+    """Gradient descent-ascent step with a noisy oracle; ``grad0`` as in :func:`srceg_step`."""
     _eta_positive(eta)
-    return _gda_step(problem, state, eta, lambda x, y, s: _noisy_grad(problem, state, x, y, noise, s))
+    return _gda_step(
+        problem, state, eta, lambda x, y, s, g: _noisy_grad(problem, state, x, y, noise, s, g), grad0
+    )
 
 
 def running_mean_update(m: Manifold, x_bar: Point, x_new: Point, t: int) -> Point:
@@ -422,6 +474,9 @@ def run(
     derive from it. Row 0 of the trace holds the metrics of the initial
     state. On divergence past ``divergence_cap`` a :class:`DivergenceError`
     carrying the partial trace is raised.
+
+    The exact gradient each row evaluates at the iterate is passed on as the
+    next step's ``grad0`` whenever that step's first oracle is exact.
     """
     kind = SOLVER_KINDS.get(solver_kind)
     if kind is None:
@@ -440,11 +495,14 @@ def run(
     state = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
 
     calls = 2 if kind.extragradient else 1
+    reuse = not kind.stochastic or noise is not None
     trace = Trace()
     started = time.perf_counter()
 
-    def record(st: SolverState, eta: float) -> None:
-        gn, gnx, gny = problem.grad_norms(st.x, st.y)
+    def record(st: SolverState, eta: float) -> Optional[GradPair]:
+        """Append the row of ``st``; return its gradient pair for the next step to reuse."""
+        grads = problem.grad(st.x, st.y)
+        gn, gnx, gny = problem.pair_norms(grads)
         gn_avg = None
         if track_average and st.x_bar is not None:
             gn_avg, _, _ = problem.grad_norms(st.x_bar, st.y_bar)
@@ -473,23 +531,24 @@ def run(
             raise DivergenceError(
                 f"gradient norm {gn!r} beyond the divergence cap at iteration {st.t}", trace, st
             )
+        return grads if reuse else None
 
-    record(state, 0.0)
+    grad0 = record(state, 0.0)
     for t in range(iters):
         eta = schedule(t)
         try:
             if kind.extragradient:
                 if kind.stochastic:
-                    state = srceg_step(problem, state, eta, noise)
+                    state = srceg_step(problem, state, eta, noise, grad0=grad0)
                 else:
-                    state = rceg_step(problem, state, eta)
+                    state = rceg_step(problem, state, eta, grad0=grad0)
                 avg_in_x, avg_in_y = state.x_half, state.y_half
             else:
                 avg_in_x, avg_in_y = state.x, state.y
                 if kind.stochastic:
-                    state = srgda_step(problem, state, eta, noise)
+                    state = srgda_step(problem, state, eta, noise, grad0=grad0)
                 else:
-                    state = rgda_step(problem, state, eta)
+                    state = rgda_step(problem, state, eta, grad0=grad0)
             if track_average:
                 if state.x_bar is None:
                     state = replace(state, x_bar=avg_in_x, y_bar=avg_in_y)
@@ -499,7 +558,7 @@ def run(
                         x_bar=running_mean_update(problem.m_min, state.x_bar, avg_in_x, t),
                         y_bar=running_mean_update(problem.m_max, state.y_bar, avg_in_y, t),
                     )
-            record(state, eta)
+            grad0 = record(state, eta)
         except GeometryError as e:
             # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
             # failure; the partial trace is part of the result.

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geosaddle.manifolds import Product, Spd, Sphere
+from geosaddle.manifolds import NumericError, Product, Spd, Sphere, _sym, random_orthogonal
 from geosaddle.problems import (
+    _SUBGRAD_TOL,
     BilinearInstance,
     KarcherInstance,
     MinibatchOracle,
@@ -132,6 +135,77 @@ def test_rpca_subgradient_zero_at_data_point():
     inst_rest = RpcaInstance(d=3, n=2, alpha=2.0 / 3.0, data=data[1:])  # same weight per term
     gm_rest, _ = rpca_grad(inst_rest, m, x)
     assert np.allclose(gm.value, gm_rest.value, atol=1e-12)
+
+
+# -- the stacked distance kernel against the per-term loop ----------------------------
+
+
+def rpca_grad_per_term(inst, m_point, x_point, batch=None):
+    """Reference: one SPD log, one distance and one sandwich per data matrix."""
+    spd, sph = m_point.manifold, x_point.manifold
+    m, x = m_point.value, x_point.value
+    gx = sph.project_tangent(x, -2.0 * (m @ x))
+    gm = -_sym(m @ np.outer(x, x) @ m)
+    idx = range(inst.n) if batch is None else [int(i) for i in batch]
+    weight = inst.alpha / len(idx)
+    for i in idx:
+        di = spd._distance(m, inst.data[i])
+        if di > _SUBGRAD_TOL:
+            gm = gm + (weight / di) * spd._log(m, inst.data[i])
+    return gm, gx
+
+
+def assert_matches_per_term(inst, m, x, batch=None):
+    gm, gx = rpca_grad(inst, m, x, batch=batch)
+    ref_gm, ref_gx = rpca_grad_per_term(inst, m, x, batch=batch)
+    np.testing.assert_allclose(gm.value, ref_gm, rtol=1e-10, atol=1e-10 * np.abs(ref_gm).max())
+    np.testing.assert_allclose(gx.value, ref_gx, rtol=1e-10, atol=1e-10 * np.abs(ref_gx).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 7), n=st.integers(1, 9))
+def test_rpca_grad_matches_per_term_loop(seed, d, n):
+    rng = np.random.default_rng(seed)
+    inst = RpcaInstance.generate(d=d, n=n, alpha=float(rng.uniform(0.5, 6.0)), seed=seed % 10_000)
+    spd, sph = Spd(d), Sphere(d)
+    m, x = spd.random_point(rng), sph.random_point(rng)
+    assert_matches_per_term(inst, m, x)
+    batch = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    assert_matches_per_term(inst, m, x, batch=batch)
+    # at M = M_j term j takes the zero subgradient, with or without a batch
+    on_data = spd.point(inst.data[int(rng.integers(n))])
+    assert_matches_per_term(inst, on_data, x)
+    assert_matches_per_term(inst, on_data, x, batch=batch)
+
+
+def test_rpca_grad_matches_per_term_loop_at_benchmark_size():
+    inst = RpcaInstance.generate(d=25, n=40, alpha=6.0, seed=7)
+    spd, sph = Spd(25), Sphere(25)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        assert_matches_per_term(inst, spd.random_point(rng), sph.random_point(rng))
+    assert_matches_per_term(inst, spd.point(inst.data[3]), sph.random_point(rng), batch=np.array([3, 17, 0, 39]))
+
+
+def test_rpca_kernel_rejects_near_singular_slice():
+    # a data slice of condition number 5e11 passes the instance check, but
+    # whitened by this M its condition number is 1e13, past the PD threshold
+    d = 4
+    q = random_orthogonal(d, np.random.default_rng(21))
+    thin = _sym((q * np.array([1.0, 0.8, 0.6, 2e-12])) @ q.T)
+    data = (*gen_spd_data(d, 3, seed=22), thin)
+    inst = RpcaInstance(d=d, n=4, alpha=1.0, data=data)
+    m = Spd(d).point(_sym((q * np.array([1.0, 1.0, 1.0, 20.0])) @ q.T))
+    x = Sphere(d).random_point(np.random.default_rng(23))
+    with pytest.raises(NumericError, match="slice 3"):
+        rpca_grad(inst, m, x)
+    with pytest.raises(NumericError):
+        rpca_value(inst, m, x)
+    with pytest.raises(NumericError, match="slice 1"):
+        rpca_grad(inst, m, x, batch=np.array([0, 3]))
+    rpca_grad(inst, m, x, batch=np.array([0, 1, 2]))  # the batch that skips it is fine
+    with pytest.raises(NumericError):
+        rpca_grad_per_term(inst, m, x)  # the per-term loop rejects it too
 
 
 def test_make_rpca_orientation():

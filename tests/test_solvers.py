@@ -6,6 +6,7 @@ and act as the independent oracle for the manifold implementations.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from geosaddle.manifolds import Euclidean, Sphere
 from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
+    RpcaInstance,
     estimate_smoothness,
     estimate_strong_monotonicity,
     make_bilinear,
     make_karcher,
+    make_rpca,
 )
 from geosaddle.solvers import (
+    SOLVER_KINDS,
     NoiseModel,
     SaddleProblem,
     initial_state,
@@ -250,6 +254,12 @@ def test_noise_norm_mean_matches_chi_distribution():
     assert abs(emp - chi_mean) <= 3.0 * math.sqrt(chi_var / n)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_noise_model_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        NoiseModel(sigma)
+
+
 def test_noise_streams_are_independent():
     p = bilinear_problem(k=4)
     x = p.m_min.point(np.zeros(4))
@@ -419,13 +429,7 @@ def counting_problem(base: SaddleProblem):
         calls["n"] += 1
         return base.grad(x, y)
 
-    return SaddleProblem(
-        m_min=base.m_min,
-        m_max=base.m_max,
-        value=base.value,
-        grad=grad,
-        stochastic_grad=base.stochastic_grad,
-    ), calls
+    return replace(base, grad=grad), calls
 
 
 def test_oracle_calls_per_step():
@@ -443,6 +447,100 @@ def test_oracle_calls_per_step():
     calls["n"] = 0
     srgda_step(p, st, 0.1, NoiseModel(0.1, seed=0))
     assert calls["n"] == 1
+
+
+@pytest.mark.parametrize(
+    "solver, average, per_iter",
+    [
+        ("rceg", True, 3),
+        ("rceg", False, 2),
+        ("rgda", True, 2),
+        ("rgda", False, 1),
+        ("srceg", True, 3),
+        ("srceg", False, 2),
+        ("srgda", True, 2),
+        ("srgda", False, 1),
+    ],
+)
+def test_run_reuses_the_metric_gradient(solver, average, per_iter):
+    # each row evaluates the exact gradient at the iterate (plus one at the
+    # average); the next step takes it in place of its first oracle call
+    p, calls = counting_problem(bilinear_problem(k=2))
+    noise = NoiseModel(0.1, seed=0) if SOLVER_KINDS[solver].stochastic else None
+    iters = 12
+    run(p, solver, lambda t: 0.05, iters, seed=1, noise=noise, track_average=average)
+    assert calls["n"] == 1 + per_iter * iters
+
+
+def test_run_minibatch_oracle_takes_no_reused_gradient():
+    inst = RpcaInstance.generate(d=3, n=5, alpha=3.0, seed=2)
+    p, calls = counting_problem(make_rpca(inst, batch_size=2))
+    iters = 6
+    run(p, "srceg", lambda t: 0.05, iters, seed=3)
+    # only the two metric gradients per row are full ones
+    assert calls["n"] == 1 + 2 * iters
+
+
+def test_minibatch_step_rejects_grad0():
+    inst = RpcaInstance.generate(d=3, n=5, alpha=3.0, seed=2)
+    p = make_rpca(inst, batch_size=2)
+    rng = np.random.default_rng(4)
+    st = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng), rng)
+    with pytest.raises(ValueError, match="grad0"):
+        srceg_step(p, st, 0.05, grad0=p.grad(st.x, st.y))
+    with pytest.raises(ValueError, match="grad0"):
+        srgda_step(p, st, 0.05, grad0=p.grad(st.x, st.y))
+
+
+def hand_loop_rows(problem, solver, eta, iters, seed, noise):
+    """``run``'s gradient-norm columns and final state, from steps called without ``grad0``."""
+    init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
+    init_rng = np.random.default_rng(init_ss)
+    x0 = problem.m_min.random_point(init_rng)
+    y0 = problem.m_max.random_point(init_rng)
+    st = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
+    kind = SOLVER_KINDS[solver]
+    rows = [problem.grad_norms(st.x, st.y) + (None,)]
+    for t in range(iters):
+        if kind.extragradient:
+            st = srceg_step(problem, st, eta, noise) if kind.stochastic else rceg_step(problem, st, eta)
+            ax, ay = st.x_half, st.y_half
+        else:
+            ax, ay = st.x, st.y
+            st = srgda_step(problem, st, eta, noise) if kind.stochastic else rgda_step(problem, st, eta)
+        if st.x_bar is None:
+            st = replace(st, x_bar=ax, y_bar=ay)
+        else:
+            st = replace(
+                st,
+                x_bar=running_mean_update(problem.m_min, st.x_bar, ax, t),
+                y_bar=running_mean_update(problem.m_max, st.y_bar, ay, t),
+            )
+        rows.append(problem.grad_norms(st.x, st.y) + (problem.grad_norms(st.x_bar, st.y_bar)[0],))
+    return rows, st
+
+
+def _payloads(p):
+    return p.value if isinstance(p.value, tuple) else (p.value,)
+
+
+@pytest.mark.parametrize("solver", list(SOLVER_KINDS))
+@pytest.mark.parametrize("which", ["bilinear", "karcher"])
+def test_run_rows_equal_hand_loop_without_reuse(solver, which):
+    if which == "bilinear":
+        p = bilinear_problem(k=3, coupling=np.random.default_rng(8).standard_normal((3, 3)))
+    else:
+        p = make_karcher(KarcherInstance.generate(d=2, n_anchors=3, gamma=3.0, seed=4))
+    stochastic = SOLVER_KINDS[solver].stochastic
+    iters, seed = 9, 13
+    noise = NoiseModel(0.2, seed=seed) if stochastic else None
+    trace, state = run(p, solver, lambda t: 0.05, iters, seed=seed, noise=noise)
+    noise = NoiseModel(0.2, seed=seed) if stochastic else None
+    rows, st = hand_loop_rows(p, solver, 0.05, iters, seed, noise)
+    got = [(r.grad_norm, r.grad_norm_x, r.grad_norm_y, r.grad_norm_avg) for r in trace.rows]
+    assert got == rows
+    for a, b in zip(_payloads(state.x) + _payloads(state.y), _payloads(st.x) + _payloads(st.y)):
+        assert np.array_equal(a, b)
 
 
 def test_run_rejects_zero_iters():
