@@ -47,8 +47,7 @@ from .solvers import (
     schedule_srceg_cc,
     schedule_srceg_scsc,
     schedule_srgda_cc,
-    srceg_step,
-    srgda_step,
+    stochastic_oracle,
 )
 from .problems import (
     BilinearInstance,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .harness import (
-    PROBLEM_KINDS,
     ConfigError,
     RunConfig,
     build_problem,
@@ -32,6 +31,7 @@ from .harness import (
     write_reference,
 )
 from .manifolds import GeometryError
+from .problems import PROBLEM_KINDS
 from .solvers import SOLVER_KINDS, DivergenceError
 
 logger = logging.getLogger("geosaddle")

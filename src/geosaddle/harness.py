@@ -26,7 +26,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +36,7 @@ from . import __version__
 from .curvature import constants_at
 from .manifolds import GeometryError, Manifold, Point, point_from_json, point_to_json
 from .problems import (
+    PROBLEM_KINDS,
     BilinearInstance,
     KarcherInstance,
     RpcaInstance,
@@ -48,6 +49,7 @@ from .problems import (
     make_rpca,
 )
 from .solvers import (
+    _DIVERGENCE_CAP,
     SOLVER_KINDS,
     DivergenceError,
     NoiseModel,
@@ -63,7 +65,6 @@ from .solvers import (
 
 __all__ = [
     "ConfigError",
-    "PROBLEM_KINDS",
     "RunConfig",
     "build_problem",
     "build_schedule",
@@ -82,9 +83,8 @@ logger = logging.getLogger("geosaddle")
 
 _SMOOTHNESS_SAMPLES = 64
 _MONOTONICITY_SAMPLES = 128
-
-# Problem names with the instance type each one runs on.
-PROBLEM_KINDS = {"rpca": RpcaInstance, "karcher": KarcherInstance, "bilinear": BilinearInstance}
+# Iterations between the reference solve's gradient-norm checks.
+_REFERENCE_CHECK_EVERY = 25
 
 
 class ConfigError(ValueError):
@@ -142,6 +142,11 @@ class RunConfig:
                 raise ConfigError(f"{self.solver} requires --sigma or --batch-size")
             if self.batch_size is not None and self.problem != "rpca":
                 raise ConfigError("--batch-size is only available for the rpca problem")
+            if self.sigma is not None and self.batch_size is not None:
+                # The noise oracle would run on full gradients while data_passes counted minibatches.
+                raise ConfigError("--sigma and --batch-size select different oracles; pass one")
+        elif self.batch_size is not None:
+            raise ConfigError(f"--batch-size selects a stochastic oracle, which {self.solver} does not use")
         if self.batch_size is not None and self.problem == "rpca" and not (1 <= self.batch_size <= self.n):
             raise ConfigError(f"batch_size must be in [1, {self.n}]")
         if self.sigma is not None and not (self.sigma >= 0 and math.isfinite(self.sigma)):
@@ -258,17 +263,8 @@ def _estimated_smoothness(problem: SaddleProblem, seed: int) -> float:
 
 # -- trace files ---------------------------------------------------------------
 
-_COLUMNS = (
-    "iter",
-    "data_passes",
-    "eta",
-    "grad_norm",
-    "grad_norm_x",
-    "grad_norm_y",
-    "grad_norm_avg",
-    "dist_gap",
-    "elapsed_ms",
-)
+_FIELDS = fields(TraceRow)
+_COLUMNS = tuple(f.name for f in _FIELDS)
 
 
 def _fmt(v) -> str:
@@ -288,6 +284,20 @@ def write_trace_csv(trace: Trace, path: str, meta: Optional[dict] = None) -> Non
     for r in trace.rows:
         buf.write(",".join(_fmt(getattr(r, c)) for c in _COLUMNS) + "\n")
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+
+
+def _parse_row(line: str) -> TraceRow:
+    # Inverse of _fmt per field: int or float by the annotation, and an
+    # empty cell is None where the field defaults to None.
+    cells = line.split(",")
+    if len(cells) != len(_FIELDS):
+        raise ValueError(f"trace row has {len(cells)} cells, expected {len(_FIELDS)}")
+    return TraceRow(
+        **{
+            f.name: None if raw == "" and f.default is None else (int if f.type in (int, "int") else float)(raw)
+            for f, raw in zip(_FIELDS, cells)
+        }
+    )
 
 
 def read_trace_csv(path: str) -> tuple[dict, Trace]:
@@ -310,21 +320,7 @@ def read_trace_csv(path: str) -> tuple[dict, Trace]:
                 if tuple(header) != _COLUMNS:
                     raise ValueError(f"unexpected trace columns {header!r}")
                 continue
-            vals = line.split(",")
-            rec = dict(zip(header, vals))
-            rows.append(
-                TraceRow(
-                    iter=int(rec["iter"]),
-                    data_passes=float(rec["data_passes"]),
-                    eta=float(rec["eta"]),
-                    grad_norm=float(rec["grad_norm"]),
-                    grad_norm_x=float(rec["grad_norm_x"]),
-                    grad_norm_y=float(rec["grad_norm_y"]),
-                    grad_norm_avg=float(rec["grad_norm_avg"]) if rec["grad_norm_avg"] else None,
-                    dist_gap=float(rec["dist_gap"]) if rec["dist_gap"] else None,
-                    elapsed_ms=float(rec["elapsed_ms"]),
-                )
-            )
+            rows.append(_parse_row(line))
     return meta, Trace(rows=rows)
 
 
@@ -339,13 +335,12 @@ def solve_reference(
     eta: Optional[float] = None,
     x0: Optional[Point] = None,
     y0: Optional[Point] = None,
-    check_every: int = 25,
 ) -> tuple[Point, Point, float, int]:
     """Drive the corrected extragradient to a high-accuracy saddle.
 
     Returns (x*, y*, final combined gradient norm, iterations used). Raises
-    ``DivergenceError`` when the gradient norm blows past 1e6 and
-    ``RuntimeError`` when the budget ends above tolerance.
+    ``DivergenceError`` when the gradient norm blows past the divergence cap
+    (1e6) and ``RuntimeError`` when the budget ends above tolerance.
     """
     if eta is None:
         eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
@@ -364,10 +359,10 @@ def solve_reference(
             raise DivergenceError(
                 f"reference solve hit a geometry failure at iteration {t}: {e}", Trace(), state
             ) from e
-        if (t + 1) % check_every == 0 or t == max_iters - 1:
+        if (t + 1) % _REFERENCE_CHECK_EVERY == 0 or t == max_iters - 1:
             gn = problem.grad_norms(state.x, state.y)[0]
             best = min(best, gn)
-            if not math.isfinite(gn) or gn > 1e6:
+            if not math.isfinite(gn) or gn > _DIVERGENCE_CAP:
                 raise DivergenceError(
                     f"reference solve diverged (gradient norm {gn!r} at iteration {t + 1})",
                     Trace(),
@@ -440,9 +435,6 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
     noise = None
     if SOLVER_KINDS[cfg.solver].stochastic and cfg.sigma is not None:
         noise = NoiseModel(cfg.sigma, seed=cfg.seed)
-    passes_per_call = 1.0
-    if cfg.batch_size is not None and problem.stochastic_grad is not None:
-        passes_per_call = problem.stochastic_grad.passes_per_call
 
     reference = None
     if cfg.reference:
@@ -482,7 +474,6 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
             y0=y0,
             noise=noise,
             reference=reference,
-            passes_per_call=passes_per_call,
             track_average=cfg.track_average,
             timing=cfg.timing,
         )

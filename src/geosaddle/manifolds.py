@@ -383,6 +383,8 @@ class Sphere(Manifold):
         theta = np.linalg.norm(v)
         if theta == 0.0:
             return x.copy()
+        if not math.isfinite(theta):
+            raise NumericError("sphere exp: non-finite tangent")
         out = math.cos(theta) * x + math.sin(theta) * (v / theta)
         return out / np.linalg.norm(out)
 
@@ -499,7 +501,10 @@ class Spd(Manifold):
     def _exp(self, x, v):
         half, inv_half = self._roots(x)
         m = _sym(inv_half @ v @ inv_half)
-        w, q = np.linalg.eigh(m)
+        try:
+            w, q = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
+            raise NumericError(f"SPD exp: {e}") from e
         if not np.all(np.isfinite(w)):
             raise NumericError("SPD exp: non-finite sandwich eigenvalues")
         with np.errstate(over="ignore"):
@@ -585,14 +590,6 @@ class Product(Manifold):
         if self.kappa_max > 0:
             d = min(d, math.pi / math.sqrt(self.kappa_max))
         return d
-
-    def _split_points(self, value) -> list[Point]:
-        return [f.point(v) for f, v in zip(self.factors, value)]
-
-    def factor_points(self, p: Point) -> list[Point]:
-        """View a product point as a list of per-factor points."""
-        self._require_mine(p)
-        return self._split_points(p.value)
 
     def _check_point(self, value) -> None:
         if not isinstance(value, tuple) or len(value) != len(self.factors):

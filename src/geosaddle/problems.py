@@ -32,7 +32,7 @@ M^-1/2) M^1/2 is linear in the inner log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +65,7 @@ __all__ = [
     "make_bilinear",
     "estimate_smoothness",
     "estimate_strong_monotonicity",
+    "PROBLEM_KINDS",
     "instance_to_json",
     "instance_from_json",
 ]
@@ -175,14 +176,10 @@ def rpca_grad(
     return Tangent(m_point, gm), Tangent(x_point, gx)
 
 
-def make_rpca(
-    inst: RpcaInstance,
-    batch_size: Optional[int] = None,
-    spd_kappa: tuple[float, float] = (-0.5, 1.0),
-) -> SaddleProblem:
+def make_rpca(inst: RpcaInstance, batch_size: Optional[int] = None) -> SaddleProblem:
     """Saddle problem with x on the sphere (min side) and M on SPD (max side)."""
     sphere = Sphere(inst.d)
-    spd = Spd(inst.d, kappa_min=spd_kappa[0], kappa_max=spd_kappa[1])
+    spd = Spd(inst.d)
     oracle = MinibatchOracle(inst, batch_size) if batch_size is not None else None
 
     def value(x: Point, m: Point) -> float:
@@ -249,10 +246,8 @@ class KarcherInstance:
             spd._check_point(a)
 
     @classmethod
-    def generate(
-        cls, d: int, n_anchors: int, gamma: float, seed: int = 0, eig_lo: float = 0.5, eig_hi: float = 2.0
-    ) -> "KarcherInstance":
-        data = gen_spd_data(d, n_anchors, eig_lo=eig_lo, eig_hi=eig_hi, seed=seed)
+    def generate(cls, d: int, n_anchors: int, gamma: float, seed: int = 0) -> "KarcherInstance":
+        data = gen_spd_data(d, n_anchors, eig_lo=0.5, eig_hi=2.0, seed=seed)
         return cls(d=d, n_anchors=n_anchors, gamma=gamma, anchors=tuple(data))
 
 
@@ -284,13 +279,9 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     return Tangent(x_point, gx), Tangent(ys_point, tuple(gys))
 
 
-def make_karcher(
-    inst: KarcherInstance,
-    kappa_min: float = -0.5,
-    kappa_max: float = 0.0,
-) -> SaddleProblem:
+def make_karcher(inst: KarcherInstance) -> SaddleProblem:
     """Saddle problem with X on SPD (min side) and the Y block on SPD^N (max side)."""
-    spd = Spd(inst.d, kappa_min=kappa_min, kappa_max=kappa_max)
+    spd = Spd(inst.d, kappa_min=-0.5, kappa_max=0.0)
     prod = Product(tuple(spd for _ in range(inst.n_anchors)))
 
     def value(x: Point, ys: Point) -> float:
@@ -402,42 +393,30 @@ def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng) -> f
 # -- serialization -------------------------------------------------------------
 
 
+# Problem names with the instance type each one runs on.
+PROBLEM_KINDS = {"rpca": RpcaInstance, "karcher": KarcherInstance, "bilinear": BilinearInstance}
+
+
+def _to_json_value(v):
+    if isinstance(v, tuple):
+        return [m.tolist() for m in v]
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def instance_to_json(inst) -> dict:
-    """Serialize an instance (matrices row-major) for bit-exact reloading."""
-    if isinstance(inst, RpcaInstance):
-        return {
-            "problem": "rpca",
-            "d": inst.d,
-            "n": inst.n,
-            "alpha": inst.alpha,
-            "data": [m.tolist() for m in inst.data],
-        }
-    if isinstance(inst, KarcherInstance):
-        return {
-            "problem": "karcher",
-            "d": inst.d,
-            "n_anchors": inst.n_anchors,
-            "gamma": inst.gamma,
-            "anchors": [a.tolist() for a in inst.anchors],
-        }
-    if isinstance(inst, BilinearInstance):
-        return {"problem": "bilinear", "k": inst.k, "coupling": inst.coupling.tolist()}
-    raise TypeError(f"unknown instance type {type(inst)!r}")
+    """Serialize an instance (matrices row-major) for bit-exact reloading.
+
+    The keys are the problem name and the instance's dataclass fields.
+    """
+    names = [name for name, cls in PROBLEM_KINDS.items() if isinstance(inst, cls)]
+    if not names:
+        raise TypeError(f"unknown instance type {type(inst)!r}")
+    return {"problem": names[0], **{f.name: _to_json_value(getattr(inst, f.name)) for f in fields(inst)}}
 
 
 def instance_from_json(data: dict):
-    kind = data.get("problem")
-    if kind == "rpca":
-        return RpcaInstance(
-            d=data["d"], n=data["n"], alpha=data["alpha"], data=tuple(np.asarray(m) for m in data["data"])
-        )
-    if kind == "karcher":
-        return KarcherInstance(
-            d=data["d"],
-            n_anchors=data["n_anchors"],
-            gamma=data["gamma"],
-            anchors=tuple(np.asarray(a) for a in data["anchors"]),
-        )
-    if kind == "bilinear":
-        return BilinearInstance(k=data["k"], coupling=np.asarray(data["coupling"]))
-    raise ValueError(f"unknown problem kind {kind!r}")
+    """Inverse of :func:`instance_to_json`; each instance coerces its own payloads."""
+    cls = PROBLEM_KINDS.get(data.get("problem"))
+    if cls is None:
+        raise ValueError(f"unknown problem kind {data.get('problem')!r}")
+    return cls(**{f.name: data[f.name] for f in fields(cls)})

@@ -1,25 +1,29 @@
 """Saddle-point solvers: corrected extragradient and gradient descent-ascent.
 
-Four iteration schemes over a pair of manifolds (descend the first slot,
-ascend the second):
+Two steps over a pair of manifolds (descend the first slot, ascend the
+second), each taking a gradient oracle:
 
-- ``rceg``: corrected extragradient. Half-step to (x^, y^) along the exact
-  gradient, then a full step from the half-point with the correction term
-  log_{x^}(x_t) added so the update stays a single exponential map.
-- ``srceg``: the same scheme driven by a noisy gradient oracle.
-- ``rgda``: simultaneous exponential-map gradient descent-ascent.
-- ``srgda``: its stochastic variant.
+- ``rceg_step``: corrected extragradient. Half-step to (x^, y^) along the
+  oracle's gradient, then a full step from the half-point with the
+  correction term log_{x^}(x_t) added so the update stays a single
+  exponential map.
+- ``rgda_step``: simultaneous exponential-map gradient descent-ascent.
 
-Each extragradient step consumes exactly two gradient-oracle evaluations,
-each descent-ascent step exactly one, and the ``data_passes`` trace column
+The four solvers are these two steps with two oracles. ``rceg`` and
+``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
+``srgda`` use the stochastic oracle :func:`stochastic_oracle` builds once
+per run: the exact gradient plus :class:`NoiseModel` noise, or the
+problem's own ``stochastic_grad`` (e.g. a minibatch sampler).
+
+Each extragradient step consumes exactly two oracle evaluations, each
+descent-ascent step exactly one, and the ``data_passes`` trace column
 counts them so. The run driver evaluates the exact gradient at every
 iterate for its ``grad_norm`` column anyway, so it hands that pair to the
-next step (the ``grad0`` argument of every step) in place of the step's
-first oracle call: same inputs, same floating-point operations, one full
-gradient less per iteration. Only exact first oracles take it -- rceg,
-rgda, and srceg/srgda under a :class:`NoiseModel`, whose noise is still
-drawn and added in the step; a problem's own ``stochastic_grad`` never
-does.
+next step (the ``grad0`` argument of both steps) in place of the exact
+gradient of the step's first oracle call: same inputs, same floating-point
+operations, one full gradient less per iteration. The exact oracle and the
+noise oracle take it (the noise is still drawn and added); a problem's own
+``stochastic_grad`` never does.
 
 Step-size schedules from the convergence analysis are provided as plain
 functions (one per regime), alongside the practical min{1/(2l), a/t} decay
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,10 +62,9 @@ __all__ = [
     "SolverState",
     "NoiseModel",
     "initial_state",
+    "stochastic_oracle",
     "rceg_step",
-    "srceg_step",
     "rgda_step",
-    "srgda_step",
     "running_mean_update",
     "schedule_rceg_scsc",
     "schedule_srceg_scsc",
@@ -93,6 +96,12 @@ SOLVER_KINDS = {
 GradPair = tuple[Tangent, Tangent]
 GradFn = Callable[[Point, Point], GradPair]
 StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
+# oracle(x, y, stream, rng, grad): ``grad`` is the exact pair already
+# evaluated at (x, y), or None to evaluate it.
+Oracle = Callable[[Point, Point, int, np.random.Generator, Optional[GradPair]], GradPair]
+
+# Gradient norm beyond which a run or a reference solve counts as diverged.
+_DIVERGENCE_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -190,110 +199,91 @@ def _eta_positive(eta: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {eta!r}")
 
 
-def _exact_grad(problem: SaddleProblem, x: Point, y: Point, grad: Optional[GradPair]) -> GradPair:
-    return problem.grad(x, y) if grad is None else grad
+def stochastic_oracle(problem: SaddleProblem, noise: Optional[NoiseModel] = None) -> tuple[Oracle, bool]:
+    """The oracle of srceg and srgda, and whether it accepts the driver's ``grad0``.
+
+    With a :class:`NoiseModel` it is the exact gradient plus noise drawn from
+    the query's stream (0 at the iterate, 1 at the half-iterate); it accepts
+    ``grad0`` and still draws and adds the noise. Without one it is the
+    problem's ``stochastic_grad`` on the state's generator, which evaluates
+    no exact gradient and so rejects ``grad0``.
+    """
+    if noise is not None:
+
+        def noisy(x: Point, y: Point, stream: int, rng: np.random.Generator, grad: Optional[GradPair]) -> GradPair:
+            gx, gy = problem.grad(x, y) if grad is None else grad
+            nx, ny = noise.draw(problem, x, y, stream)
+            return gx + nx, gy + ny
+
+        return noisy, True
+    sample = problem.stochastic_grad
+    if sample is None:
+        raise ValueError("stochastic solver needs a NoiseModel or a problem stochastic_grad oracle")
+
+    def sampled(x: Point, y: Point, stream: int, rng: np.random.Generator, grad: Optional[GradPair]) -> GradPair:
+        if grad is not None:
+            raise ValueError("grad0 is an exact gradient; the problem's stochastic_grad oracle cannot reuse it")
+        return sample(x, y, rng)
+
+    return sampled, False
 
 
-def _noisy_grad(
+def _query(
     problem: SaddleProblem,
     state: SolverState,
+    oracle: Optional[Oracle],
     x: Point,
     y: Point,
-    noise: Optional[NoiseModel],
     stream: int,
     grad: Optional[GradPair],
 ) -> GradPair:
-    if noise is not None:
-        gx, gy = _exact_grad(problem, x, y, grad)
-        nx, ny = noise.draw(problem, x, y, stream)
-        return gx + nx, gy + ny
-    if grad is not None:
-        raise ValueError("grad0 is an exact gradient; the problem's stochastic_grad oracle cannot reuse it")
-    if problem.stochastic_grad is None:
-        raise ValueError("stochastic solver needs a NoiseModel or a problem stochastic_grad oracle")
-    return problem.stochastic_grad(x, y, state.rng)
+    # ``grad`` is the exact pair already evaluated at (x, y), or None.
+    if oracle is not None:
+        return oracle(x, y, stream, state.rng, grad)
+    return problem.grad(x, y) if grad is None else grad
 
 
-def _eg_step(
-    problem: SaddleProblem, state: SolverState, eta: float, oracle, grad0: Optional[GradPair]
+def rceg_step(
+    problem: SaddleProblem,
+    state: SolverState,
+    eta: float,
+    oracle: Optional[Oracle] = None,
+    grad0: Optional[GradPair] = None,
 ) -> SolverState:
-    # oracle(x, y, stream, grad): ``grad`` is the exact pair already
-    # evaluated at (x, y), or None to evaluate it.
+    """One corrected-extragradient step (2 oracle calls, 1 given ``grad0``).
+
+    ``oracle=None`` is the exact ``problem.grad``; srceg passes an oracle
+    from :func:`stochastic_oracle`. ``grad0``, when given, is
+    ``problem.grad(state.x, state.y)`` already evaluated; it stands in for
+    the exact gradient of the first oracle call.
+    """
+    _eta_positive(eta)
     mx, my = problem.m_min, problem.m_max
-    gx, gy = oracle(state.x, state.y, 0, grad0)
+    gx, gy = _query(problem, state, oracle, state.x, state.y, 0, grad0)
     x_half = mx.exp(state.x, (-eta) * gx)
     y_half = my.exp(state.y, eta * gy)
-    gx_h, gy_h = oracle(x_half, y_half, 1, None)
+    gx_h, gy_h = _query(problem, state, oracle, x_half, y_half, 1, None)
     x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, state.x))
     y_next = my.exp(y_half, eta * gy_h + my.log(y_half, state.y))
     return replace(state, x=x_next, y=y_next, x_half=x_half, y_half=y_half, t=state.t + 1)
 
 
-def rceg_step(
-    problem: SaddleProblem, state: SolverState, eta: float, grad0: Optional[GradPair] = None
-) -> SolverState:
-    """One corrected-extragradient step with the exact oracle (2 grad calls).
-
-    ``grad0``, when given, is ``problem.grad(state.x, state.y)`` already
-    evaluated; it stands in for the first oracle call.
-    """
-    _eta_positive(eta)
-    return _eg_step(problem, state, eta, lambda x, y, _s, g: _exact_grad(problem, x, y, g), grad0)
-
-
-def srceg_step(
+def rgda_step(
     problem: SaddleProblem,
     state: SolverState,
     eta: float,
-    noise: Optional[NoiseModel] = None,
+    oracle: Optional[Oracle] = None,
     grad0: Optional[GradPair] = None,
 ) -> SolverState:
-    """Corrected-extragradient step with a noisy oracle.
+    """One gradient descent-ascent step (1 oracle call); arguments as in :func:`rceg_step`.
 
-    With a :class:`NoiseModel` the oracle is grad + independent tangent
-    noise at the two query points; without one the problem's own
-    ``stochastic_grad`` (e.g. a minibatch closure) is used. ``grad0`` is
-    the exact gradient at the iterate, as in :func:`rceg_step`; the noise
-    is still drawn and added to it. It needs a :class:`NoiseModel`.
+    Half-iterates are untouched.
     """
     _eta_positive(eta)
-    return _eg_step(
-        problem, state, eta, lambda x, y, s, g: _noisy_grad(problem, state, x, y, noise, s, g), grad0
-    )
-
-
-def _gda_step(
-    problem: SaddleProblem, state: SolverState, eta: float, oracle, grad0: Optional[GradPair]
-) -> SolverState:
-    gx, gy = oracle(state.x, state.y, 0, grad0)
+    gx, gy = _query(problem, state, oracle, state.x, state.y, 0, grad0)
     x_next = problem.m_min.exp(state.x, (-eta) * gx)
     y_next = problem.m_max.exp(state.y, eta * gy)
     return replace(state, x=x_next, y=y_next, t=state.t + 1)
-
-
-def rgda_step(
-    problem: SaddleProblem, state: SolverState, eta: float, grad0: Optional[GradPair] = None
-) -> SolverState:
-    """One gradient descent-ascent step (1 grad call, none given ``grad0``).
-
-    Half-iterates are untouched; ``grad0`` is as in :func:`rceg_step`.
-    """
-    _eta_positive(eta)
-    return _gda_step(problem, state, eta, lambda x, y, _s, g: _exact_grad(problem, x, y, g), grad0)
-
-
-def srgda_step(
-    problem: SaddleProblem,
-    state: SolverState,
-    eta: float,
-    noise: Optional[NoiseModel] = None,
-    grad0: Optional[GradPair] = None,
-) -> SolverState:
-    """Gradient descent-ascent step with a noisy oracle; ``grad0`` as in :func:`srceg_step`."""
-    _eta_positive(eta)
-    return _gda_step(
-        problem, state, eta, lambda x, y, s, g: _noisy_grad(problem, state, x, y, noise, s, g), grad0
-    )
 
 
 def running_mean_update(m: Manifold, x_bar: Point, x_new: Point, t: int) -> Point:
@@ -461,30 +451,34 @@ def run(
     y0: Optional[Point] = None,
     noise: Optional[NoiseModel] = None,
     reference: Optional[tuple[Point, Point]] = None,
-    passes_per_call: float = 1.0,
     track_average: bool = True,
     timing: bool = False,
-    divergence_cap: float = 1e6,
-    callbacks: Sequence[Callable[[SaddleProblem, SolverState], None]] = (),
 ) -> tuple[Trace, SolverState]:
     """Drive ``iters`` steps of the chosen solver and record metrics.
 
     Everything is deterministic given ``seed``: initial points (when not
     pinned), the stochastic-oracle stream, and the noise sub-streams all
     derive from it. Row 0 of the trace holds the metrics of the initial
-    state. On divergence past ``divergence_cap`` a :class:`DivergenceError`
-    carrying the partial trace is raised.
+    state. When the gradient norm passes the divergence cap (1e6) or a
+    geometry kernel fails, a :class:`DivergenceError` carrying the partial
+    trace is raised.
 
-    The exact gradient each row evaluates at the iterate is passed on as the
-    next step's ``grad0`` whenever that step's first oracle is exact.
+    srceg and srgda run the rceg and rgda steps with the oracle of
+    :func:`stochastic_oracle`; ``noise`` is read by those two only. The
+    exact gradient each row evaluates at the iterate is passed on as the
+    next step's ``grad0`` whenever the oracle accepts it. ``data_passes``
+    counts every oracle call as one pass, or as ``passes_per_call`` of the
+    problem's minibatch ``stochastic_grad`` when that is the oracle.
     """
     kind = SOLVER_KINDS.get(solver_kind)
     if kind is None:
         raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if kind.stochastic and noise is None and problem.stochastic_grad is None:
-        raise ValueError(f"{solver_kind} needs a NoiseModel or a stochastic_grad oracle")
+    oracle, reuse = stochastic_oracle(problem, noise) if kind.stochastic else (None, True)
+    # Only the problem's own sampler (the one oracle that rejects grad0) reads part of the data.
+    passes_per_call = 1.0 if reuse else getattr(problem.stochastic_grad, "passes_per_call", 1.0)
+    step = rceg_step if kind.extragradient else rgda_step
 
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
@@ -495,7 +489,6 @@ def run(
     state = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
 
     calls = 2 if kind.extragradient else 1
-    reuse = not kind.stochastic or noise is not None
     trace = Trace()
     started = time.perf_counter()
 
@@ -525,9 +518,7 @@ def run(
             elapsed_ms=elapsed,
         )
         trace.rows.append(row)
-        for cb in callbacks:
-            cb(problem, st)
-        if not math.isfinite(gn) or gn > divergence_cap:
+        if not math.isfinite(gn) or gn > _DIVERGENCE_CAP:
             raise DivergenceError(
                 f"gradient norm {gn!r} beyond the divergence cap at iteration {st.t}", trace, st
             )
@@ -537,18 +528,10 @@ def run(
     for t in range(iters):
         eta = schedule(t)
         try:
-            if kind.extragradient:
-                if kind.stochastic:
-                    state = srceg_step(problem, state, eta, noise, grad0=grad0)
-                else:
-                    state = rceg_step(problem, state, eta, grad0=grad0)
-                avg_in_x, avg_in_y = state.x_half, state.y_half
-            else:
-                avg_in_x, avg_in_y = state.x, state.y
-                if kind.stochastic:
-                    state = srgda_step(problem, state, eta, noise, grad0=grad0)
-                else:
-                    state = rgda_step(problem, state, eta, grad0=grad0)
+            prev = state
+            state = step(problem, state, eta, oracle, grad0)
+            # Extragradient averages its half-iterates, descent-ascent the pre-step iterates.
+            avg_in_x, avg_in_y = (state.x_half, state.y_half) if kind.extragradient else (prev.x, prev.y)
             if track_average:
                 if state.x_bar is None:
                     state = replace(state, x_bar=avg_in_x, y_bar=avg_in_y)

@@ -361,7 +361,6 @@ def test_criterion_08_figure2_stochastic(figure1_run):
             lambda t: schedule_practical(ell, a_star, t),
             1500,
             seed=seed,
-            passes_per_call=0.1,
         )
         curves.append(trace.column("grad_norm"))
         last, avg = trace.rows[-1].grad_norm, trace.rows[-1].grad_norm_avg

@@ -88,6 +88,15 @@ def test_trace_csv_roundtrip_exact(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("row", ["0,0.0,0.0,1.0", "0,0.0,,1.0,1.0,1.0,,,0.0"], ids=["short", "empty-eta"])
+def test_read_trace_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "t.csv"
+    header = "iter,data_passes,eta,grad_norm,grad_norm_x,grad_norm_y,grad_norm_avg,dist_gap,elapsed_ms"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError):
+        read_trace_csv(str(path))
+
+
 def test_trace_row_count_matches_contract(tmp_path):
     out = tmp_path / "trace.csv"
     cfg = RunConfig(problem="rpca", solver="rceg", seed=7, iters=20, d=3, n=5, eta=0.1, out=str(out))
@@ -293,10 +302,13 @@ _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--it
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{missing}"],
         ["reference", *_SMALL_RPCA, "--init-from", "{missing}"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--batch-size", "2", "--eta", "0.05"],
+        ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1", "--batch-size", "2", "--eta", "0.05"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
         "instance-missing", "init-missing", "reference-init-missing",
+        "batch-size-exact-solver", "sigma-with-batch-size",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -304,6 +316,20 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_exp_overflow_exits_3_with_partial_trace(tmp_path):
+    # eta 1e200 makes the first half-step tangent infinite in the sphere exp
+    out = tmp_path / "t.csv"
+    argv = [
+        "run", "--problem", "rpca", "--d", "3", "--n", "4", "--alpha", "1.0", "--solver", "rceg",
+        "--eta", "1e200", "--iters", "5", "--seed", "1", "--out", str(out),
+    ]
+    with np.errstate(over="ignore"):
+        assert main(argv) == 3
+    meta, trace = read_trace_csv(str(out))
+    assert meta["status"] == "numeric-failure"
+    assert [r.iter for r in trace.rows] == [0]
 
 
 def test_cli_unknown_flag_exits_2(capsys):

@@ -12,6 +12,8 @@ from geosaddle.manifolds import (
     Product,
     Spd,
     Sphere,
+    Tangent,
+    _sym,
     point_from_json,
     point_to_json,
 )
@@ -273,6 +275,43 @@ def test_spd_exp_overflow_raises_numeric_error():
     v = m.tangent(x, 1e4 * np.eye(2))  # exp(1e4) overflows float64
     with pytest.raises(NumericError):
         m.exp(x, v)
+
+
+def _raw_tangent(m, x, bad):
+    # Tangent() skips the payload checks that reject non-finite entries, as a
+    # step's arithmetic does when a huge step size overflows.
+    if isinstance(m, Sphere):
+        v = np.zeros(m.d)
+        v[1] = bad
+        return Tangent(x, v)
+    return Tangent(x, np.full((m.n, m.n), bad))
+
+
+@pytest.mark.parametrize("m", [Sphere(3), Spd(3)], ids=["sphere", "spd"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200], ids=["inf", "-inf", "nan", "overflow"])
+def test_exp_of_non_finite_tangent_raises_numeric_error(m, bad):
+    x = m.point(e_i(3, 0) if isinstance(m, Sphere) else np.diag([1.0, 2.0, 3.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        m.exp(x, _raw_tangent(m, x, bad))
+
+
+def test_exp_finite_outputs_match_the_closed_forms_bit_for_bit():
+    # The non-finite checks add no arithmetic on the finite path.
+    rng = np.random.default_rng(12)
+    sphere = Sphere(4)
+    x = sphere.random_point(rng)
+    v = sphere.random_tangent(x, rng, scale=0.7)
+    theta = np.linalg.norm(v.value)
+    ref = math.cos(theta) * x.value + math.sin(theta) * (v.value / theta)
+    assert np.array_equal(sphere.exp(x, v).value, ref / np.linalg.norm(ref))
+
+    spd = Spd(3)
+    x = spd.random_point(rng)
+    v = spd.random_tangent(x, rng, scale=0.7)
+    half, inv_half = spd._roots(x.value)
+    w, q = np.linalg.eigh(_sym(inv_half @ v.value @ inv_half))
+    ref = _sym(half @ _sym((q * np.exp(w)) @ q.T) @ half)
+    assert np.array_equal(spd.exp(x, v).value, ref)
 
 
 # -- randomness -----------------------------------------------------------------

@@ -40,8 +40,7 @@ from geosaddle.solvers import (
     schedule_srceg_cc,
     schedule_srceg_scsc,
     schedule_srgda_cc,
-    srceg_step,
-    srgda_step,
+    stochastic_oracle,
 )
 
 
@@ -178,11 +177,11 @@ def test_srceg_zero_sigma_equals_rceg_exactly():
     p = bilinear_problem(k=2)
     rng = np.random.default_rng(3)
     x0, y0 = rng.standard_normal(2), rng.standard_normal(2)
-    noise = NoiseModel(sigma=0.0, seed=9)
+    oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
     a = euclid_state(p, x0, y0)
     b = euclid_state(p, x0, y0)
     for _ in range(20):
-        a = srceg_step(p, a, 0.1, noise)
+        a = rceg_step(p, a, 0.1, oracle)
         b = rceg_step(p, b, 0.1)
     assert np.array_equal(a.x.value, b.x.value)
     assert np.array_equal(a.y.value, b.y.value)
@@ -192,11 +191,11 @@ def test_srgda_zero_sigma_equals_rgda_exactly():
     p = bilinear_problem(k=2)
     rng = np.random.default_rng(4)
     x0, y0 = rng.standard_normal(2), rng.standard_normal(2)
-    noise = NoiseModel(sigma=0.0, seed=9)
+    oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
     a = euclid_state(p, x0, y0)
     b = euclid_state(p, x0, y0)
     for _ in range(20):
-        a = srgda_step(p, a, 0.1, noise)
+        a = rgda_step(p, a, 0.1, oracle)
         b = rgda_step(p, b, 0.1)
     assert np.array_equal(a.x.value, b.x.value)
     assert np.array_equal(a.y.value, b.y.value)
@@ -207,9 +206,9 @@ def test_srceg_seeded_trajectories_are_identical():
     outs = []
     for _ in range(2):
         st = euclid_state(p, [1.0, -0.5], [0.25, 0.75])
-        noise = NoiseModel(sigma=0.5, seed=77)
+        oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.5, seed=77))
         for _ in range(15):
-            st = srceg_step(p, st, 0.05, noise)
+            st = rceg_step(p, st, 0.05, oracle)
         outs.append((st.x.value.copy(), st.y.value.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
@@ -272,9 +271,8 @@ def test_noise_streams_are_independent():
 
 def test_stochastic_step_requires_an_oracle():
     p = bilinear_problem()
-    st = euclid_state(p, [1.0], [1.0])
     with pytest.raises(ValueError):
-        srceg_step(p, st, 0.1, None)
+        stochastic_oracle(p, None)
 
 
 def test_geometry_errors_propagate_through_steps():
@@ -442,10 +440,10 @@ def test_oracle_calls_per_step():
     rgda_step(p, st, 0.1)
     assert calls["n"] == 1
     calls["n"] = 0
-    srceg_step(p, st, 0.1, NoiseModel(0.1, seed=0))
+    rceg_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0))[0])
     assert calls["n"] == 2
     calls["n"] = 0
-    srgda_step(p, st, 0.1, NoiseModel(0.1, seed=0))
+    rgda_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0))[0])
     assert calls["n"] == 1
 
 
@@ -481,15 +479,30 @@ def test_run_minibatch_oracle_takes_no_reused_gradient():
     assert calls["n"] == 1 + 2 * iters
 
 
+@pytest.mark.parametrize("solver, calls", [("srceg", 2), ("srgda", 1)])
+@pytest.mark.parametrize("sigma", [None, 0.1], ids=["minibatch", "noise"])
+def test_run_counts_data_passes_of_the_oracle_in_use(solver, calls, sigma):
+    # the problem carries a minibatch sampler either way; a NoiseModel runs on
+    # full gradients, so each of its calls is one whole pass
+    inst = RpcaInstance.generate(d=3, n=4, alpha=3.0, seed=2)
+    p = make_rpca(inst, batch_size=2)
+    noise = None if sigma is None else NoiseModel(sigma, seed=3)
+    trace, _ = run(p, solver, lambda t: 0.05, 5, seed=3, noise=noise)
+    per_call = 1.0 if noise is not None else 2 / 4
+    assert trace.column("data_passes") == [calls * t * per_call for t in range(6)]
+
+
 def test_minibatch_step_rejects_grad0():
     inst = RpcaInstance.generate(d=3, n=5, alpha=3.0, seed=2)
     p = make_rpca(inst, batch_size=2)
     rng = np.random.default_rng(4)
     st = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng), rng)
+    oracle, takes_grad0 = stochastic_oracle(p)
+    assert not takes_grad0
     with pytest.raises(ValueError, match="grad0"):
-        srceg_step(p, st, 0.05, grad0=p.grad(st.x, st.y))
+        rceg_step(p, st, 0.05, oracle, grad0=p.grad(st.x, st.y))
     with pytest.raises(ValueError, match="grad0"):
-        srgda_step(p, st, 0.05, grad0=p.grad(st.x, st.y))
+        rgda_step(p, st, 0.05, oracle, grad0=p.grad(st.x, st.y))
 
 
 def hand_loop_rows(problem, solver, eta, iters, seed, noise):
@@ -500,14 +513,15 @@ def hand_loop_rows(problem, solver, eta, iters, seed, noise):
     y0 = problem.m_max.random_point(init_rng)
     st = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
     kind = SOLVER_KINDS[solver]
+    oracle = stochastic_oracle(problem, noise)[0] if kind.stochastic else None
     rows = [problem.grad_norms(st.x, st.y) + (None,)]
     for t in range(iters):
         if kind.extragradient:
-            st = srceg_step(problem, st, eta, noise) if kind.stochastic else rceg_step(problem, st, eta)
+            st = rceg_step(problem, st, eta, oracle)
             ax, ay = st.x_half, st.y_half
         else:
             ax, ay = st.x, st.y
-            st = srgda_step(problem, st, eta, noise) if kind.stochastic else rgda_step(problem, st, eta)
+            st = rgda_step(problem, st, eta, oracle)
         if st.x_bar is None:
             st = replace(st, x_bar=ax, y_bar=ay)
         else:
