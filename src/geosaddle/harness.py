@@ -147,6 +147,9 @@ class RunConfig:
                 raise ConfigError("--sigma and --batch-size select different oracles; pass one")
         elif self.batch_size is not None:
             raise ConfigError(f"--batch-size selects a stochastic oracle, which {self.solver} does not use")
+        elif self.sigma is not None:
+            # The noise model is built only for stochastic solvers; the header would record noise that never ran.
+            raise ConfigError(f"--sigma sets the noise of a stochastic oracle, which {self.solver} does not use")
         if self.batch_size is not None and self.problem == "rpca" and not (1 <= self.batch_size <= self.n):
             raise ConfigError(f"batch_size must be in [1, {self.n}]")
         if self.sigma is not None and not (self.sigma >= 0 and math.isfinite(self.sigma)):

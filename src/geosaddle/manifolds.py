@@ -16,6 +16,9 @@ payloads, tagged with the manifold they belong to (and, for tangents, the
 base point). All operations are pure functions of their inputs; descriptors,
 points and tangents can be shared freely across threads.
 
+The SPD payload kernels also accept (..., n, n) stacks, so an oracle over
+many SPD matrices makes a few batched kernel calls, not one per matrix.
+
 Curvature bounds are carried on the descriptor. For SPD matrices they are
 configurable: the affine-invariant metric is nonpositively curved, but some
 benchmark setups model the curvature interval as [-1/2, 1], so neither
@@ -380,7 +383,8 @@ class Sphere(Manifold):
         return ambient - np.dot(x, ambient) * x
 
     def _exp(self, x, v):
-        theta = np.linalg.norm(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
+            theta = np.linalg.norm(v)
         if theta == 0.0:
             return x.copy()
         if not math.isfinite(theta):
@@ -421,25 +425,21 @@ class Sphere(Manifold):
 
 
 def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, rejecting non-PD spectra."""
+    """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
     w, q = np.linalg.eigh(_sym(a))
     if not np.all(np.isfinite(w)):
         raise NumericError(f"{what}: non-finite eigenvalues")
-    if w[0] <= _PD_RTOL * max(w[-1], 0.0) or w[0] <= 0.0:
-        raise NumericError(f"{what}: eigenvalue {w[0]!r} below the PD threshold")
-    return w, q
-
-
-def _eigh_checked_stack(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_eigh_checked` over a (k, n, n) stack: one batched eigh, the same PD test per slice."""
-    w, q = np.linalg.eigh(_sym(a))
-    if not np.all(np.isfinite(w)):
-        raise NumericError(f"{what}: non-finite eigenvalues")
-    lo = w[:, 0]
-    bad = np.flatnonzero((lo <= _PD_RTOL * np.maximum(w[:, -1], 0.0)) | (lo <= 0.0))
+    lo = w[..., 0]
+    bad = np.flatnonzero((lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0))
     if bad.size:
-        raise NumericError(f"{what}: eigenvalue {lo[bad[0]]!r} of slice {bad[0]} below the PD threshold")
+        at = "" if lo.ndim == 0 else f" of slice {', '.join(map(str, np.unravel_index(bad[0], lo.shape)))}"
+        raise NumericError(f"{what}: eigenvalue {lo.flat[bad[0]]!r}{at} below the PD threshold")
     return w, q
+
+
+def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Q diag(f) Q^T for each slice of eigenvector stacks ``q`` (..., n, n) and values ``f`` (..., n)."""
+    return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -451,6 +451,9 @@ class Spd(Manifold):
     computed here in the congruence form E = Y^1/2 S^-1/2 Y^-1/2 with
     S = Y^-1/2 X Y^-1/2 so that only symmetric eigendecompositions appear.
     Every matrix function is re-symmetrized to suppress roundoff drift.
+
+    The payload kernels broadcast over (..., n, n) stacks in any argument,
+    giving each slice the same bits as a call on that slice alone.
     """
 
     n: int
@@ -493,14 +496,22 @@ class Spd(Manifold):
 
     def _roots(self, x) -> tuple[np.ndarray, np.ndarray]:
         w, q = _eigh_checked(x, "SPD point")
-        s = np.sqrt(w)
-        half = _sym((q * s) @ q.T)
-        inv_half = _sym((q / s) @ q.T)
-        return half, inv_half
+        s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
+        return _sym((q * s) @ qt), _sym((q / s) @ qt)
+
+    def _whiten(self, x, y, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """X^1/2, X^-1/2 and the checked eigenpairs (w, q) of X^-1/2 Y X^-1/2.
+
+        ``y`` is a matrix, a stack, or a sequence of matrices that the first product stacks.
+        """
+        half, inv_half = self._roots(x)
+        w, q = _eigh_checked(inv_half @ y @ inv_half, what)
+        return half, inv_half, w, q
 
     def _exp(self, x, v):
         half, inv_half = self._roots(x)
-        m = _sym(inv_half @ v @ inv_half)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
+            m = _sym(inv_half @ v @ inv_half)
         try:
             w, q = np.linalg.eigh(m)
         except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
@@ -511,39 +522,33 @@ class Spd(Manifold):
             ew = np.exp(w)
         if not np.all(np.isfinite(ew)):
             raise NumericError("SPD exp: overflow in matrix exponential")
-        inner = _sym((q * ew) @ q.T)
-        return _sym(half @ inner @ half)
+        return _sym(half @ _spectral(q, ew) @ half)
 
     def _log(self, x, y):
-        half, inv_half = self._roots(x)
-        s = _sym(inv_half @ y @ inv_half)
-        w, q = _eigh_checked(s, "SPD log")
-        inner = _sym((q * np.log(w)) @ q.T)
-        return _sym(half @ inner @ half)
+        half, _, w, q = self._whiten(x, y, "SPD log")
+        return _sym(half @ _spectral(q, np.log(w)) @ half)
 
     def _transport(self, x, y, v):
-        y_half, y_inv_half = self._roots(y)
-        s = _sym(y_inv_half @ x @ y_inv_half)
-        w, q = _eigh_checked(s, "SPD transport")
-        s_inv_half = _sym((q / np.sqrt(w)) @ q.T)
+        y_half, y_inv_half, w, q = self._whiten(y, x, "SPD transport")
+        s_inv_half = _sym((q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2))
         e = y_half @ s_inv_half @ y_inv_half
-        return _sym(e @ v @ e.T)
+        return _sym(e @ v @ e.swapaxes(-1, -2))
 
     def _inner(self, x, u, v) -> float:
         a = np.linalg.solve(x, u)
         b = np.linalg.solve(x, v)
         return float(np.trace(a @ b))
 
-    def _distance(self, x, y) -> float:
-        _, inv_half = self._roots(x)
-        s = _sym(inv_half @ y @ inv_half)
-        w, _ = _eigh_checked(s, "SPD distance")
-        return float(np.linalg.norm(np.log(w)))
+    def _distance(self, x, y):
+        _, _, w, _ = self._whiten(x, y, "SPD distance")
+        lw = np.log(w)
+        # vecdot runs the same BLAS dot as np.linalg.norm of one vector, so a 2-D pair keeps its bits.
+        return np.sqrt(np.vecdot(lw, lw))
 
     def _random_point(self, rng):
         q = random_orthogonal(self.n, rng)
         lam = rng.uniform(0.5, 2.0, size=self.n)
-        return _sym((q * lam) @ q.T)
+        return _spectral(q, lam)
 
     def _gauss_tangent(self, x, rng):
         # Whitened coordinates: X^1/2 S X^1/2 has metric norm |S|_F, and

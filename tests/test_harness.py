@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geosaddle
 from geosaddle.cli import main
 from geosaddle.harness import (
     ConfigError,
@@ -255,8 +260,9 @@ def test_grid_search_requires_exactly_one_grid():
 def test_grid_search_a_grid_needs_srceg(solver):
     # only the srceg auto schedule reads a; elsewhere every candidate would run
     # the same schedule and the ranking would only reflect the tie-break
-    cfg = RunConfig(problem="karcher", solver=solver, seed=1, iters=5, d=2, gamma=3.0, sigma=0.1)
-    with pytest.raises(ConfigError):
+    sigma = 0.1 if solver == "srgda" else None  # rceg/rgda reject --sigma on their own
+    cfg = RunConfig(problem="karcher", solver=solver, seed=1, iters=5, d=2, gamma=3.0, sigma=sigma)
+    with pytest.raises(ConfigError, match="an a grid cannot rank"):
         grid_search(cfg, a_grid=[0.1, 1.0])
 
 
@@ -304,11 +310,14 @@ _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--it
         ["reference", *_SMALL_RPCA, "--init-from", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1", "--batch-size", "2", "--eta", "0.05"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--sigma", "0.1", "--eta", "0.05"],
+        ["run", *_SMALL_RPCA, "--solver", "rgda", "--sigma", "0.1", "--eta", "0.05"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
         "instance-missing", "init-missing", "reference-init-missing",
         "batch-size-exact-solver", "sigma-with-batch-size",
+        "sigma-rceg", "sigma-rgda",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -330,6 +339,23 @@ def test_cli_exp_overflow_exits_3_with_partial_trace(tmp_path):
     meta, trace = read_trace_csv(str(out))
     assert meta["status"] == "numeric-failure"
     assert [r.iter for r in trace.rows] == [0]
+
+
+def test_cli_exp_overflow_prints_only_the_error_line(tmp_path):
+    # warnings are errors in the child, so any numpy RuntimeWarning on the way
+    # to the NumericError would end it with exit 1 and a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(geosaddle.__file__).resolve().parent.parent))
+    argv = [
+        "run", "--problem", "rpca", "--d", "3", "--n", "4", "--alpha", "1.0", "--solver", "rceg",
+        "--eta", "1e200", "--iters", "5", "--seed", "1", "--out", "t.csv",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "geosaddle", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR"), proc.stderr
 
 
 def test_cli_unknown_flag_exits_2(capsys):

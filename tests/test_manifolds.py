@@ -1,9 +1,12 @@
 """Geometry kernel tests: closed-form examples, invariants, errors, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geosaddle.manifolds import (
     Euclidean,
@@ -16,6 +19,7 @@ from geosaddle.manifolds import (
     _sym,
     point_from_json,
     point_to_json,
+    random_orthogonal,
 )
 
 
@@ -213,6 +217,69 @@ def test_spd_affine_invariance():
         assert abs(m.distance(xa, ya) - m.distance(x, y)) < 1e-8
 
 
+# -- stacked SPD kernels against the per-slice loop ----------------------------------
+
+
+def _per_slice(kernel, args, k):
+    """The kernel called on one slice at a time; 2-D arguments are shared by every slice."""
+    return [kernel(*(a if a.ndim == 2 else a[i] for a in args)) for i in range(k)]
+
+
+def assert_stacked_kernels_match_loop(d, k, rng):
+    spd = Spd(d)
+    xs, ys = (np.stack([spd._random_point(rng) for _ in range(k)]) for _ in range(2))
+    vs = 0.5 * _sym(rng.standard_normal((k, d, d)))
+    half, inv_half = spd._roots(xs)
+    loop = _per_slice(spd._roots, (xs,), k)
+    np.testing.assert_array_equal(half, np.stack([h for h, _ in loop]))
+    np.testing.assert_array_equal(inv_half, np.stack([h for _, h in loop]))
+    for kernel, args in (
+        (spd._exp, (xs, vs)),
+        (spd._log, (xs, ys)),
+        (spd._distance, (xs, ys)),
+        (spd._transport, (xs, ys, vs)),
+    ):
+        np.testing.assert_array_equal(kernel(*args), np.stack(_per_slice(kernel, args, k)))
+        for slot in range(len(args)):  # one 2-D argument broadcast against the stacks
+            mixed = tuple(a[-1] if j == slot else a for j, a in enumerate(args))
+            np.testing.assert_array_equal(kernel(*mixed), np.stack(_per_slice(kernel, mixed, k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 7), k=st.integers(1, 9))
+def test_stacked_spd_kernels_match_per_slice_loop(seed, d, k):
+    assert_stacked_kernels_match_loop(d, k, np.random.default_rng(seed))
+
+
+def test_stacked_spd_kernels_match_per_slice_loop_at_benchmark_size():
+    assert_stacked_kernels_match_loop(25, 40, np.random.default_rng(25))
+
+
+def _thin(d, rng):
+    # condition number 1e13, past the 1e12 PD threshold
+    q = random_orthogonal(d, rng)
+    return _sym((q * np.r_[np.ones(d - 1), 1e-13]) @ q.T)
+
+
+def test_stacked_spd_kernel_names_the_failing_slice():
+    spd, rng = Spd(4), np.random.default_rng(26)
+    stack = np.stack([spd._random_point(rng) for _ in range(6)])
+    stack[4] = _thin(4, rng)
+    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
+        spd._roots(stack)
+    with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
+        spd._log(spd._random_point(rng), stack)
+
+
+def test_non_pd_point_message_names_no_slice():
+    spd = Spd(4)
+    thin = _thin(4, np.random.default_rng(27))
+    for call in (lambda: spd._roots(thin), lambda: spd.point(thin)):
+        with pytest.raises(NumericError, match=r"^SPD point: eigenvalue \S+ below the PD threshold$") as err:
+            call()
+        assert "slice" not in str(err.value)
+
+
 # -- errors ---------------------------------------------------------------------
 
 
@@ -291,7 +358,9 @@ def _raw_tangent(m, x, bad):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200], ids=["inf", "-inf", "nan", "overflow"])
 def test_exp_of_non_finite_tangent_raises_numeric_error(m, bad):
     x = m.point(e_i(3, 0) if isinstance(m, Sphere) else np.diag([1.0, 2.0, 3.0]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+    # numpy's default over/invalid warnings as errors: the kernel must raise without printing one
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(NumericError):
+        warnings.simplefilter("error")
         m.exp(x, _raw_tangent(m, x, bad))
 
 

@@ -316,6 +316,49 @@ def test_karcher_gradient_matches_finite_differences():
         assert abs(fd - p.m_max.inner(gys, w)) <= 1e-5 * max(1.0, abs(fd))
 
 
+def karcher_grad_per_factor(inst, x_point, ys_point):
+    """Reference: three SPD logs per anchor, accumulated one factor at a time."""
+    spd, x = x_point.manifold, x_point.value
+    gx = np.zeros((inst.d, inst.d))
+    gys = []
+    for yi, ai in zip(ys_point.value, inst.anchors):
+        gx = gx - 2.0 * spd._log(x, yi)
+        gys.append(-2.0 * spd._log(yi, x) + 2.0 * inst.gamma * spd._log(yi, ai))
+    return gx, gys
+
+
+def karcher_value_per_factor(inst, x_point, ys_point):
+    """Reference: two SPD distances per anchor, accumulated one factor at a time."""
+    spd, x = x_point.manifold, x_point.value
+    total = 0.0
+    for yi, ai in zip(ys_point.value, inst.anchors):
+        total += spd._distance(x, yi) ** 2
+        total -= inst.gamma * spd._distance(yi, ai) ** 2
+    return total
+
+
+def assert_karcher_matches_per_factor(inst, x, ys):
+    gx, gys = karcher_grad(inst, x, ys)
+    ref_gx, ref_gys = karcher_grad_per_factor(inst, x, ys)
+    np.testing.assert_allclose(gx.value, ref_gx, rtol=1e-10, atol=1e-10 * np.abs(ref_gx).max())
+    assert len(gys.value) == len(ref_gys)
+    for g, ref in zip(gys.value, ref_gys):
+        np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    np.testing.assert_allclose(karcher_value(inst, x, ys), karcher_value_per_factor(inst, x, ys), rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 25))
+def test_karcher_oracle_matches_per_factor_loop(seed, d, n):
+    rng = np.random.default_rng(seed)
+    inst = KarcherInstance.generate(d=d, n_anchors=n, gamma=float(rng.uniform(0.5, 4.0)), seed=seed % 10_000)
+    p = make_karcher(inst)
+    assert_karcher_matches_per_factor(inst, p.m_min.random_point(rng), p.m_max.random_point(rng))
+    # at Y = A the anchor logs vanish; at X = Y_j log_X(Y_j) does
+    ys = p.m_max.point(inst.anchors)
+    assert_karcher_matches_per_factor(inst, p.m_min.point(inst.anchors[int(rng.integers(n))]), ys)
+
+
 def test_make_karcher_shape():
     inst = KarcherInstance.generate(d=2, n_anchors=4, gamma=2.0, seed=22)
     p = make_karcher(inst)
