@@ -136,6 +136,9 @@ def _cmd_grid_search(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    if cfg.solver != "rceg":
+        # solve_reference always runs the exact corrected extragradient.
+        raise ConfigError(f"reference solves with rceg only; --solver {cfg.solver} would be ignored")
     problem = build_problem(cfg)
     x0 = y0 = None
     if cfg.init_from:

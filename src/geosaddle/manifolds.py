@@ -9,7 +9,8 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 - ``Spd(d)``: symmetric positive-definite d x d matrices with the
   affine-invariant metric ``<U, V>_X = tr(X^-1 U X^-1 V)``.
 - ``Product``: a tuple of factor manifolds with the metric summed over
-  factors.
+  factors. A power of one ``Spd`` descriptor (SPD^N) keeps its payload as
+  one (N, n, n) array.
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
@@ -17,7 +18,9 @@ base point). All operations are pure functions of their inputs; descriptors,
 points and tangents can be shared freely across threads.
 
 The SPD payload kernels also accept (..., n, n) stacks, so an oracle over
-many SPD matrices makes a few batched kernel calls, not one per matrix.
+many SPD matrices makes a few batched kernel calls, not one per matrix, and
+every SPD^N operation (exp, log, transport, inner, distance) is one stacked
+kernel call rather than a loop over the N factors.
 
 Curvature bounds are carried on the descriptor. For SPD matrices they are
 configurable: the affine-invariant metric is nonpositively curved, but some
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -83,7 +87,8 @@ class Point:
     """A point on a manifold: the descriptor plus its raw payload.
 
     Payloads: unit vector (sphere), SPD matrix (spd), vector (euclidean),
-    tuple of factor payloads (product). Construct through
+    tuple of factor payloads (product), or one (N, n, n) array for a power
+    of one SPD descriptor (SPD^N). Construct through
     ``Manifold.point`` so the invariants are checked.
     """
 
@@ -424,16 +429,23 @@ class Sphere(Manifold):
         return self.project_tangent(x, rng.standard_normal(self.d))
 
 
+def _slice_name(bad: np.ndarray) -> str:
+    """Name the first flagged slice of a per-slice mask: ' of slice i, j', or '' for a lone matrix."""
+    if bad.ndim == 0:
+        return ""
+    return f" of slice {', '.join(map(str, np.unravel_index(np.flatnonzero(bad)[0], bad.shape)))}"
+
+
 def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
     w, q = np.linalg.eigh(_sym(a))
-    if not np.all(np.isfinite(w)):
-        raise NumericError(f"{what}: non-finite eigenvalues")
+    finite = np.isfinite(w).all(axis=-1)
+    if not finite.all():
+        raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
     lo = w[..., 0]
-    bad = np.flatnonzero((lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0))
-    if bad.size:
-        at = "" if lo.ndim == 0 else f" of slice {', '.join(map(str, np.unravel_index(bad[0], lo.shape)))}"
-        raise NumericError(f"{what}: eigenvalue {lo.flat[bad[0]]!r}{at} below the PD threshold")
+    bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
+    if bad.any():
+        raise NumericError(f"{what}: eigenvalue {lo[bad].flat[0]!r}{_slice_name(bad)} below the PD threshold")
     return w, q
 
 
@@ -516,12 +528,14 @@ class Spd(Manifold):
             w, q = np.linalg.eigh(m)
         except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
             raise NumericError(f"SPD exp: {e}") from e
-        if not np.all(np.isfinite(w)):
-            raise NumericError("SPD exp: non-finite sandwich eigenvalues")
+        finite = np.isfinite(w).all(axis=-1)
+        if not finite.all():
+            raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(~finite)}")
         with np.errstate(over="ignore"):
             ew = np.exp(w)
-        if not np.all(np.isfinite(ew)):
-            raise NumericError("SPD exp: overflow in matrix exponential")
+        finite = np.isfinite(ew).all(axis=-1)
+        if not finite.all():
+            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(~finite)}")
         return _sym(half @ _spectral(q, ew) @ half)
 
     def _log(self, x, y):
@@ -534,10 +548,10 @@ class Spd(Manifold):
         e = y_half @ s_inv_half @ y_inv_half
         return _sym(e @ v @ e.swapaxes(-1, -2))
 
-    def _inner(self, x, u, v) -> float:
+    def _inner(self, x, u, v):
         a = np.linalg.solve(x, u)
         b = np.linalg.solve(x, v)
-        return float(np.trace(a @ b))
+        return np.trace(a @ b, axis1=-2, axis2=-1)
 
     def _distance(self, x, y):
         _, _, w, _ = self._whiten(x, y, "SPD distance")
@@ -567,15 +581,27 @@ class Product(Manifold):
     curvature interval is the hull of the factor intervals; the diameter
     bound combines factor bounds in quadrature, clamped to pi/sqrt(kappa_max)
     when some factor is positively curved so the descriptor invariant holds.
+
+    When every factor is the same ``Spd`` descriptor (SPD^N), the payload is
+    one (N, n, n) array instead, and exp, log, transport, inner and distance
+    each make one stacked ``Spd`` kernel call. The stacked kernels give each
+    slice the bits of a per-factor call, and inner and distance add the
+    per-factor terms left to right, so the results equal the per-factor loop
+    that mixed products run. Random draws stay factor by factor.
     """
 
     factors: tuple[Manifold, ...]
     kind: str = field(default="product", init=False)
+    # The shared factor of SPD^N, whose kernels run on the whole payload; None for any other product.
+    _power: Optional[Spd] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("product needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
+        first = self.factors[0]
+        if isinstance(first, Spd) and all(f == first for f in self.factors):
+            object.__setattr__(self, "_power", first)
 
     @property
     def dim(self) -> int:
@@ -597,42 +623,59 @@ class Product(Manifold):
         return d
 
     def _check_point(self, value) -> None:
-        if not isinstance(value, tuple) or len(value) != len(self.factors):
+        if len(value) != len(self.factors):
             raise ValueError(f"expected a tuple of {len(self.factors)} payloads")
         for f, v in zip(self.factors, value):
             f._check_point(f._coerce(v))
 
     def _check_tangent(self, x, value) -> None:
-        if not isinstance(value, tuple) or len(value) != len(self.factors):
+        if len(value) != len(self.factors):
             raise ValueError(f"expected a tuple of {len(self.factors)} payloads")
         for f, xv, v in zip(self.factors, x, value):
             f._check_tangent(xv, f._coerce(v))
 
     def _coerce(self, value):
-        if not isinstance(value, (tuple, list)):
+        accepted = (tuple, list) if self._power is None else (tuple, list, np.ndarray)
+        if not isinstance(value, accepted):
             raise ValueError("product payload must be a tuple")
-        return tuple(f._coerce(v) for f, v in zip(self.factors, value))
+        return self._pack([f._coerce(v) for f, v in zip(self.factors, value)])
+
+    def _pack(self, parts):
+        return np.stack(parts) if self._power is not None else tuple(parts)
 
     def _exp(self, x, v):
+        if self._power is not None:
+            return self._power._exp(x, v)
         return tuple(f._exp(xi, vi) for f, xi, vi in zip(self.factors, x, v))
 
     def _log(self, x, y):
+        if self._power is not None:
+            return self._power._log(x, y)
         return tuple(f._log(xi, yi) for f, xi, yi in zip(self.factors, x, y))
 
     def _transport(self, x, y, v):
+        if self._power is not None:
+            return self._power._transport(x, y, v)
         return tuple(f._transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, x, y, v))
 
     def _inner(self, x, u, v) -> float:
+        if self._power is not None:
+            return sum(self._power._inner(x, u, v).tolist())
         return sum(f._inner(xi, ui, vi) for f, xi, ui, vi in zip(self.factors, x, u, v))
 
     def _distance(self, x, y) -> float:
-        return math.sqrt(sum(f._distance(xi, yi) ** 2 for f, xi, yi in zip(self.factors, x, y)))
+        if self._power is not None:
+            dists = self._power._distance(x, y).tolist()
+        else:
+            dists = [f._distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)]
+        # Square scalars: a float and a numpy scalar both call libm pow, while an array's ** 2 multiplies.
+        return math.sqrt(sum(d**2 for d in dists))
 
     def _random_point(self, rng):
-        return tuple(f._random_point(rng) for f in self.factors)
+        return self._pack([f._random_point(rng) for f in self.factors])
 
     def _gauss_tangent(self, x, rng):
-        return tuple(f._gauss_tangent(xi, rng) for f, xi in zip(self.factors, x))
+        return self._pack([f._gauss_tangent(xi, rng) for f, xi in zip(self.factors, x)])
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

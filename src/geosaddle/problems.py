@@ -29,7 +29,10 @@ with the SPD threshold checked on every slice, then the weighted inner logs
 are summed and sandwiched by M^1/2 once, since log_M(M_i) = M^1/2
 log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner log. The robust mean
 oracle makes two stacked log calls: log_X over the Y stack, and one log at
-the Y stack toward X and toward the anchors.
+the Y stack toward X and toward the anchors. Its max side SPD^N keeps the Y
+block as one (N, d, d) array, so the oracle reads and returns that payload
+as is, and the solver's exp, log, transport, inner and distance on that
+side are each one stacked kernel call.
 """
 
 from __future__ import annotations
@@ -246,7 +249,7 @@ class KarcherInstance:
 def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> float:
     """Objective sum_i d(X, Y_i)^2 - gamma * sum_i d(Y_i, A_i)^2."""
     spd: Spd = x_point.manifold  # type: ignore[assignment]
-    ys = np.stack(ys_point.value)
+    ys = ys_point.value
     to_x = spd._distance(x_point.value, ys)
     to_anchor = spd._distance(ys, np.stack(inst.anchors))
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
@@ -259,16 +262,19 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block.
     """
     spd: Spd = x_point.manifold  # type: ignore[assignment]
-    x, ys = x_point.value, np.stack(ys_point.value)
+    x, ys = x_point.value, ys_point.value
     gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
     # One log at the Y stack, toward X (slot 0) and toward the anchors (slot 1).
     logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), np.stack(inst.anchors))))
     gys = -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
-    return Tangent(x_point, gx), Tangent(ys_point, tuple(gys))
+    return Tangent(x_point, gx), Tangent(ys_point, gys)
 
 
 def make_karcher(inst: KarcherInstance) -> SaddleProblem:
-    """Saddle problem with X on SPD (min side) and the Y block on SPD^N (max side)."""
+    """Saddle problem with X on SPD (min side) and the Y block on SPD^N (max side).
+
+    The max side is a ``Product`` of N equal ``Spd`` factors, so its payloads are (N, d, d) arrays.
+    """
     spd = Spd(inst.d, kappa_min=-0.5, kappa_max=0.0)
     prod = Product(tuple(spd for _ in range(inst.n_anchors)))
 

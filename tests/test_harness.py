@@ -312,12 +312,16 @@ _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--it
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--sigma", "0.1", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "rgda", "--sigma", "0.1", "--eta", "0.05"],
+        ["reference", *_SMALL_RPCA, "--solver", "rgda"],
+        ["reference", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1"],
+        ["reference", *_SMALL_RPCA, "--solver", "srgda", "--sigma", "0.5"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
         "instance-missing", "init-missing", "reference-init-missing",
         "batch-size-exact-solver", "sigma-with-batch-size",
         "sigma-rceg", "sigma-rgda",
+        "reference-rgda", "reference-srceg", "reference-srgda",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

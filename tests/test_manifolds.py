@@ -21,6 +21,7 @@ from geosaddle.manifolds import (
     point_to_json,
     random_orthogonal,
 )
+from geosaddle.solvers import running_mean_update
 
 
 def e_i(d, i):
@@ -34,6 +35,7 @@ MANIFOLDS = {
     "sphere": (Sphere(25), 0.5 * math.pi),  # half the injectivity radius
     "spd": (Spd(5), 1.0),
     "product": (Product((Sphere(7), Spd(3), Euclidean(4))), 0.8),
+    "spd_power": (Product(tuple(Spd(3) for _ in range(4))), 0.8),
 }
 
 
@@ -278,6 +280,185 @@ def test_non_pd_point_message_names_no_slice():
         with pytest.raises(NumericError, match=r"^SPD point: eigenvalue \S+ below the PD threshold$") as err:
             call()
         assert "slice" not in str(err.value)
+
+
+# -- SPD^N as one stacked payload against the per-factor loop ------------------------
+
+
+def _spd_power(d, n):
+    return Product(tuple(Spd(d) for _ in range(n)))
+
+
+def _per_factor(kernel, *payloads):
+    """The loop a mixed product runs: the factor kernel on one factor's payloads at a time."""
+    return [kernel(*parts) for parts in zip(*payloads)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 25))
+def test_spd_power_kernels_match_per_factor_loop(seed, d, n):
+    m = _spd_power(d, n)
+    spd = m.factors[0]
+    rng = np.random.default_rng(seed)
+    x, y = m.random_point(rng), m.random_point(rng)
+    u, v = m.random_tangent(x, rng), m.random_tangent(x, rng)
+    xs, ys, us, vs = x.value, y.value, u.value, v.value
+    assert xs.shape == (n, d, d) and us.shape == (n, d, d)
+    for kernel, loop_kernel, args in (
+        (m._exp, spd._exp, (xs, us)),
+        (m._log, spd._log, (xs, ys)),
+        (m._transport, spd._transport, (xs, ys, us)),
+    ):
+        np.testing.assert_array_equal(kernel(*args), np.stack(_per_factor(loop_kernel, *args)))
+    # the per-factor terms are added left to right, as the loop adds them
+    assert m._inner(xs, us, vs) == sum(_per_factor(spd._inner, xs, us, vs))
+    assert m._distance(xs, ys) == math.sqrt(sum(t**2 for t in _per_factor(spd._distance, xs, ys)))
+    t = int(rng.integers(1, 50))
+    bar = running_mean_update(m, x, y, t)
+    ref = [running_mean_update(spd, spd.point(a), spd.point(b), t).value for a, b in zip(xs, ys)]
+    np.testing.assert_array_equal(bar.value, np.stack(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 25))
+def test_spd_power_draws_and_json_match_the_factor_payloads(seed, d, n):
+    m = _spd_power(d, n)
+    spd = m.factors[0]
+    x = m.random_point(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    xs = [spd._random_point(rng) for _ in range(n)]
+    np.testing.assert_array_equal(x.value, np.stack(xs))
+    rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    np.testing.assert_array_equal(
+        m.standard_gaussian_tangent(x, rng_a).value, np.stack([spd._gauss_tangent(a, rng_b) for a in xs])
+    )
+    data = point_to_json(x)
+    assert data == {"kind": "product", "payload": [a.tolist() for a in xs]}
+    np.testing.assert_array_equal(point_from_json(m, data).value, x.value)
+
+
+def test_spd_power_error_names_the_failing_factor():
+    m, rng = _spd_power(4, 6), np.random.default_rng(28)
+    x = m.random_point(rng).value
+    bad = x.copy()
+    bad[4] = _thin(4, rng)
+    with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
+        m._log(x, bad)
+    with pytest.raises(NumericError, match="SPD distance: eigenvalue .* of slice 4 below the PD threshold"):
+        m._distance(x, bad)
+    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
+        m._exp(bad, np.zeros_like(bad))
+    v = np.zeros_like(x)
+    v[2] = 800.0 * x[2]  # whitened sandwich 800 I, past exp's overflow
+    with pytest.raises(NumericError, match="SPD exp: overflow in matrix exponential of slice 2$"):
+        m._exp(x, v)
+
+
+def test_mixed_products_keep_the_per_factor_loop():
+    rng = np.random.default_rng(29)
+    for m in (Product((Sphere(4), Spd(2))), Product((Spd(2), Spd(3))), Product((Spd(2), Spd(2, kappa_max=0.0)))):
+        assert m._power is None
+        x, y = m.random_point(rng), m.random_point(rng)
+        assert isinstance(x.value, tuple)
+        v = m.log(x, y)
+        assert m.distance(m.exp(x, v), y) < 1e-10
+        assert abs(m.norm(v) - m.distance(x, y)) < 1e-10
+        assert abs(m.norm(m.transport(x, y, v)) - m.norm(v)) < 1e-10
+        want = math.sqrt(sum(f.distance(f.point(a), f.point(b)) ** 2 for f, a, b in zip(m.factors, x.value, y.value)))
+        assert m.distance(x, y) == want
+
+
+# -- geometry identities --------------------------------------------------------------
+
+GEOMETRIES = st.sampled_from(["sphere", "spd", "spd_power"])
+
+
+def _geometry(kind, d, n):
+    return {"sphere": Sphere(d), "spd": Spd(d), "spd_power": _spd_power(d, n)}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=GEOMETRIES, seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 6))
+def test_exp_inverts_log(kind, seed, d, n):
+    m, rng = _geometry(kind, d, n), np.random.default_rng(seed)
+    x, y = m.random_point(rng), m.random_point(rng)
+    assert m.distance(m.exp(x, m.log(x, y)), y) <= 1e-9 * (1.0 + m.distance(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=GEOMETRIES, seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 6))
+def test_transport_keeps_the_metric_and_inverts_along_the_reversed_geodesic(kind, seed, d, n):
+    m, rng = _geometry(kind, d, n), np.random.default_rng(seed)
+    x, y = m.random_point(rng), m.random_point(rng)
+    u, v = m.random_tangent(x, rng), m.random_tangent(x, rng)
+    pu, pv = m.transport(x, y, u), m.transport(x, y, v)
+    assert abs(m.inner(pu, pv) - m.inner(u, v)) <= 1e-9
+    assert abs(m.norm(pu) - 1.0) <= 1e-9
+    assert m.norm(m.transport(y, x, pu) - u) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=GEOMETRIES, seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 6))
+def test_distance_is_symmetric(kind, seed, d, n):
+    m, rng = _geometry(kind, d, n), np.random.default_rng(seed)
+    x, y = m.random_point(rng), m.random_point(rng)
+    assert math.isclose(m.distance(x, y), m.distance(y, x), rel_tol=1e-12)
+
+
+def _ill_conditioned(d, log10_cond, rng):
+    """An SPD matrix with condition number 10**log10_cond and a random spectrum scale."""
+    q = random_orthogonal(d, rng)
+    lam = 10.0 ** (rng.uniform(-1.0, 1.0) - log10_cond * rng.permutation(np.linspace(0.0, 1.0, d)))
+    return _sym((q * lam) @ q.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    power=st.booleans(), seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(1, 6),
+    log10_cond=st.floats(0.0, 8.0),
+)
+def test_spd_up_to_condition_1e8_passes_or_raises_numeric_error(power, seed, d, n, log10_cond):
+    rng = np.random.default_rng(seed)
+    m = _spd_power(d, n) if power else Spd(d)
+
+    def draw():
+        mats = [_ill_conditioned(d, log10_cond, rng) for _ in range(n)]
+        return mats if power else mats[0]
+
+    x, y = m.point(draw()), m.point(draw())  # cond <= 1e8 is far inside the PD threshold
+    try:
+        v = m.log(x, y)
+        outs = [v, m.exp(x, v), m.transport(x, y, v), m.transport(y, x, m.transport(x, y, v)), m.exp(y, m.log(y, x))]
+        scalars = [m.distance(x, y), m.distance(y, x), m.norm(v)]
+    except NumericError:
+        return  # the whitened pair can reach cond 1e16, past the PD threshold
+    assert all(np.all(np.isfinite(o.value)) for o in outs)
+    assert all(math.isfinite(t) and t >= 0.0 for t in scalars)
+
+
+def _unit(a):
+    return a / np.linalg.norm(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+    gap=st.one_of(st.just(0.0), st.floats(1e-16, 1e-6)),
+)
+def test_sphere_log_near_the_antipode(seed, d, gap):
+    # y sits at 1 + <x, y> = gap, so within 1e-6 of the antipode of x
+    m, rng = Sphere(d), np.random.default_rng(seed)
+    x = m.random_point(rng)
+    e = m.project_tangent(x.value, rng.standard_normal(d))
+    theta = math.pi - 2.0 * math.asin(math.sqrt(gap / 2.0))
+    y = m.point(_unit(math.cos(theta) * x.value + math.sin(theta) * (e / np.linalg.norm(e))))
+    if float(np.dot(x.value, y.value)) <= -1.0 + 1e-12:
+        with pytest.raises(GeodesicNotUniqueError):
+            m.log(x, y)
+        return
+    v = m.log(x, y)
+    assert np.all(np.isfinite(v.value))
+    assert m.distance(m.exp(x, v), y) <= 1e-9
 
 
 # -- errors ---------------------------------------------------------------------
