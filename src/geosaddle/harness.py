@@ -202,7 +202,7 @@ def build_instance(cfg: RunConfig):
         data = _read_json(cfg.instance, "instance")
         try:
             inst = instance_from_json(data)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError, GeometryError) as e:
             raise ConfigError(f"instance file {cfg.instance!r} does not hold an instance: {e!r}") from e
         if not isinstance(inst, PROBLEM_KINDS[cfg.problem]):
             raise ConfigError(f"instance file holds a {type(inst).__name__}, config wants {cfg.problem}")
@@ -394,7 +394,7 @@ def load_reference(path: str, m_min: Manifold, m_max: Manifold) -> tuple[Point, 
     data = _read_json(path, "saddle")
     try:
         return point_from_json(m_min, data["x"]), point_from_json(m_max, data["y"]), data
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, GeometryError) as e:
         raise ConfigError(f"saddle file {path!r} does not hold a saddle of this problem: {e!r}") from e
 
 

@@ -15,7 +15,9 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
 base point). All operations are pure functions of their inputs; descriptors,
-points and tangents can be shared freely across threads.
+points and tangents can be shared freely across threads. ``Manifold.point``
+and ``Manifold.tangent`` alone coerce a raw payload and check its shape and
+finiteness; each space checks only its own invariants, SPD^N in one call.
 
 The SPD payload kernels also accept (..., n, n) stacks, so an oracle over
 many SPD matrices makes a few batched kernel calls, not one per matrix, and
@@ -72,11 +74,6 @@ class NumericError(GeometryError):
     """Non-finite payloads or an eigenvalue collapse below the PD threshold."""
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{what} contains non-finite entries")
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize (each slice of a stack); applied after every SPD matrix function to kill drift."""
     return 0.5 * (a + a.swapaxes(-1, -2))
@@ -88,8 +85,8 @@ class Point:
 
     Payloads: unit vector (sphere), SPD matrix (spd), vector (euclidean),
     tuple of factor payloads (product), or one (N, n, n) array for a power
-    of one SPD descriptor (SPD^N). Construct through
-    ``Manifold.point`` so the invariants are checked.
+    of one SPD descriptor (SPD^N). Construct through ``Manifold.point``,
+    the one place a payload is coerced and validated.
     """
 
     manifold: "Manifold"
@@ -164,10 +161,11 @@ def _require_same_base(a: Point, b: Point) -> None:
 class Manifold:
     """Common surface of every geometry kernel.
 
-    Subclasses implement the payload-level kernels ``_exp``, ``_log``,
-    ``_transport``, ``_inner`` and the validators; the public methods wrap
-    payloads into :class:`Point` / :class:`Tangent` and enforce the
-    preconditions (matching descriptors, matching base points).
+    Subclasses implement the payload kernels ``_exp``, ``_log``,
+    ``_transport``, ``_inner``, the payload ``_shape`` and the invariant
+    checks; the public methods wrap payloads into :class:`Point` /
+    :class:`Tangent` and enforce the preconditions (matching descriptors,
+    matching base points).
     """
 
     kind: str = ""
@@ -178,30 +176,38 @@ class Manifold:
         """Intrinsic dimension."""
         raise NotImplementedError
 
-    # -- payload validation ------------------------------------------------
-    def _check_point(self, value) -> None:
+    @property
+    def _shape(self) -> tuple[int, ...]:
         raise NotImplementedError
 
+    # -- payload validation ------------------------------------------------
+    def _check_point(self, value) -> None:
+        """Check the invariants of a coerced point payload beyond its shape and finiteness."""
+
     def _check_tangent(self, x, value) -> None:
-        raise NotImplementedError
+        """Check the invariants of a coerced tangent payload at ``x`` beyond its shape and finiteness."""
 
     def point(self, value) -> Point:
         """Wrap and validate a raw payload as a point on this manifold."""
-        value = self._coerce(value)
+        value = self._coerce(value, "point")
         self._check_point(value)
         return Point(self, value)
 
     def tangent(self, x: Point, value) -> Tangent:
         """Wrap and validate a raw payload as a tangent vector at ``x``."""
         self._require_mine(x)
-        value = self._coerce(value)
+        value = self._coerce(value, "tangent")
         self._check_tangent(x.value, value)
         return Tangent(x, value)
 
-    def _coerce(self, value):
-        if isinstance(value, tuple):
-            return value
-        return np.asarray(value, dtype=float)
+    def _coerce(self, value, what: str):
+        """The payload as a float array of this manifold's shape with finite entries."""
+        value = np.asarray(value, dtype=float)
+        if value.shape != self._shape:
+            raise ValueError(f"expected shape {self._shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise NumericError(f"{what} contains non-finite entries")
+        return value
 
     def _require_mine(self, p: Point) -> None:
         # Identity first: the dataclass != walks every factor of a Product.
@@ -313,15 +319,9 @@ class Euclidean(Manifold):
     def dim(self) -> int:
         return self.d
 
-    def _check_point(self, value) -> None:
-        if value.shape != (self.d,):
-            raise ValueError(f"expected shape ({self.d},), got {value.shape}")
-        _require_finite(value, "point")
-
-    def _check_tangent(self, x, value) -> None:
-        if value.shape != (self.d,):
-            raise ValueError(f"expected shape ({self.d},), got {value.shape}")
-        _require_finite(value, "tangent")
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return (self.d,)
 
     def _exp(self, x, v):
         return x + v
@@ -367,18 +367,16 @@ class Sphere(Manifold):
     def dim(self) -> int:
         return self.d - 1
 
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return (self.d,)
+
     def _check_point(self, value) -> None:
-        if value.shape != (self.d,):
-            raise ValueError(f"expected shape ({self.d},), got {value.shape}")
-        _require_finite(value, "point")
         n = np.linalg.norm(value)
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"sphere point must have unit norm, got {n!r}")
 
     def _check_tangent(self, x, value) -> None:
-        if value.shape != (self.d,):
-            raise ValueError(f"expected shape ({self.d},), got {value.shape}")
-        _require_finite(value, "tangent")
         dot = abs(float(np.dot(x, value)))
         if dot > _ORTHO_TOL * max(1.0, float(np.linalg.norm(value))):
             raise ValueError(f"sphere tangent must be orthogonal to base, <x,v>={dot!r}")
@@ -449,6 +447,16 @@ def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
+def _require_symmetric(a: np.ndarray, what: str) -> None:
+    """Reject a matrix or (..., n, n) stack with a slice whose skew part passes _SYM_TOL of its norm."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    skew = (a - a.swapaxes(-1, -2)).reshape(flat.shape)
+    # vecdot runs the same BLAS dot as np.linalg.norm of one C-ordered matrix, so a 2-D check keeps its bits.
+    bad = np.sqrt(np.vecdot(skew, skew)) > _SYM_TOL * np.maximum(np.sqrt(np.vecdot(flat, flat)), 1.0)
+    if bad.any():
+        raise ValueError(f"{what}{_slice_name(bad)} must be symmetric")
+
+
 def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Q diag(f) Q^T for each slice of eigenvector stacks ``q`` (..., n, n) and values ``f`` (..., n)."""
     return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
@@ -489,22 +497,16 @@ class Spd(Manifold):
     def dim(self) -> int:
         return self.n * (self.n + 1) // 2
 
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return (self.n, self.n)
+
     def _check_point(self, value) -> None:
-        if value.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}), got {value.shape}")
-        _require_finite(value, "point")
-        scale = max(float(np.linalg.norm(value)), 1.0)
-        if float(np.linalg.norm(value - value.T)) > _SYM_TOL * scale:
-            raise ValueError("SPD point must be symmetric")
+        _require_symmetric(value, "SPD point")
         _eigh_checked(value, "SPD point")
 
     def _check_tangent(self, x, value) -> None:
-        if value.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}), got {value.shape}")
-        _require_finite(value, "tangent")
-        scale = max(float(np.linalg.norm(value)), 1.0)
-        if float(np.linalg.norm(value - value.T)) > _SYM_TOL * scale:
-            raise ValueError("SPD tangent must be symmetric")
+        _require_symmetric(value, "SPD tangent")
 
     def _roots(self, x) -> tuple[np.ndarray, np.ndarray]:
         w, q = _eigh_checked(x, "SPD point")
@@ -587,7 +589,9 @@ class Product(Manifold):
     each make one stacked ``Spd`` kernel call. The stacked kernels give each
     slice the bits of a per-factor call, and inner and distance add the
     per-factor terms left to right, so the results equal the per-factor loop
-    that mixed products run. Random draws stay factor by factor.
+    that mixed products run. Random draws stay factor by factor. Validation is
+    one stacked ``Spd`` check naming a bad slice; a mixed product checks the
+    factor count, then lets each factor validate its entry.
     """
 
     factors: tuple[Manifold, ...]
@@ -622,23 +626,30 @@ class Product(Manifold):
             d = min(d, math.pi / math.sqrt(self.kappa_max))
         return d
 
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return (len(self.factors), *self._power._shape)
+
     def _check_point(self, value) -> None:
-        if len(value) != len(self.factors):
-            raise ValueError(f"expected a tuple of {len(self.factors)} payloads")
+        if self._power is not None:
+            return self._power._check_point(value)
         for f, v in zip(self.factors, value):
-            f._check_point(f._coerce(v))
+            f._check_point(v)
 
     def _check_tangent(self, x, value) -> None:
-        if len(value) != len(self.factors):
-            raise ValueError(f"expected a tuple of {len(self.factors)} payloads")
+        if self._power is not None:
+            return self._power._check_tangent(x, value)
         for f, xv, v in zip(self.factors, x, value):
-            f._check_tangent(xv, f._coerce(v))
+            f._check_tangent(xv, v)
 
-    def _coerce(self, value):
-        accepted = (tuple, list) if self._power is None else (tuple, list, np.ndarray)
-        if not isinstance(value, accepted):
+    def _coerce(self, value, what: str):
+        if self._power is not None:
+            return super()._coerce(value, what)
+        if not isinstance(value, (tuple, list)):
             raise ValueError("product payload must be a tuple")
-        return self._pack([f._coerce(v) for f, v in zip(self.factors, value)])
+        if len(value) != len(self.factors):
+            raise ValueError(f"expected {len(self.factors)} factor payloads, got {len(value)}")
+        return tuple(f._coerce(v, what) for f, v in zip(self.factors, value))
 
     def _pack(self, parts):
         return np.stack(parts) if self._power is not None else tuple(parts)
@@ -703,8 +714,4 @@ def point_from_json(m: Manifold, data: dict) -> Point:
     """Rebuild a point on ``m`` from :func:`point_to_json` output."""
     if data.get("kind") != m.kind:
         raise ValueError(f"payload kind {data.get('kind')!r} does not match manifold {m.kind!r}")
-    payload = data["payload"]
-    if isinstance(m, Product):
-        # factor coercion recurses, so nested products round-trip too
-        return m.point(tuple(payload))
-    return m.point(np.asarray(payload, dtype=float))
+    return m.point(data["payload"])

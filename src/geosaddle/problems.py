@@ -50,6 +50,7 @@ from .manifolds import (
     Spd,
     Sphere,
     Tangent,
+    _payload_to_list,
     _spectral,
     _sym,
     random_orthogonal,
@@ -112,9 +113,7 @@ class RpcaInstance:
         if len(self.data) != self.n:
             raise ValueError(f"expected {self.n} data matrices, got {len(self.data)}")
         object.__setattr__(self, "data", tuple(np.asarray(m, dtype=float) for m in self.data))
-        spd = Spd(self.d)
-        for m in self.data:
-            spd._check_point(m)
+        Product((Spd(self.d),) * self.n).point(self.data)
 
     @classmethod
     def generate(cls, d: int, n: int, alpha: float, seed: int = 0) -> "RpcaInstance":
@@ -236,9 +235,7 @@ class KarcherInstance:
         if len(self.anchors) != self.n_anchors:
             raise ValueError(f"expected {self.n_anchors} anchors, got {len(self.anchors)}")
         object.__setattr__(self, "anchors", tuple(np.asarray(a, dtype=float) for a in self.anchors))
-        spd = Spd(self.d)
-        for a in self.anchors:
-            spd._check_point(a)
+        Product((Spd(self.d),) * self.n_anchors).point(self.anchors)
 
     @classmethod
     def generate(cls, d: int, n_anchors: int, gamma: float, seed: int = 0) -> "KarcherInstance":
@@ -391,12 +388,6 @@ def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng) -> f
 PROBLEM_KINDS = {"rpca": RpcaInstance, "karcher": KarcherInstance, "bilinear": BilinearInstance}
 
 
-def _to_json_value(v):
-    if isinstance(v, tuple):
-        return [m.tolist() for m in v]
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 def instance_to_json(inst) -> dict:
     """Serialize an instance (matrices row-major) for bit-exact reloading.
 
@@ -405,7 +396,7 @@ def instance_to_json(inst) -> dict:
     names = [name for name, cls in PROBLEM_KINDS.items() if isinstance(inst, cls)]
     if not names:
         raise TypeError(f"unknown instance type {type(inst)!r}")
-    return {"problem": names[0], **{f.name: _to_json_value(getattr(inst, f.name)) for f in fields(inst)}}
+    return {"problem": names[0], **{f.name: _payload_to_list(getattr(inst, f.name)) for f in fields(inst)}}
 
 
 def instance_from_json(data: dict):

@@ -23,7 +23,14 @@ from geosaddle.harness import (
     write_reference,
     write_trace_csv,
 )
-from geosaddle.problems import BilinearInstance, KarcherInstance, make_bilinear, make_karcher
+from geosaddle.problems import (
+    BilinearInstance,
+    KarcherInstance,
+    RpcaInstance,
+    instance_to_json,
+    make_bilinear,
+    make_karcher,
+)
 from geosaddle.solvers import DivergenceError
 
 
@@ -296,6 +303,27 @@ def test_cli_rejects_invalid_flag_combination(tmp_path):
 
 
 _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--iters", "5"]
+_NOT_PD = [[1.0, 0.0], [0.0, -1.0]]
+
+
+def _bad_input_files(tmp_path) -> dict:
+    """Input files that parse as JSON but hold payloads the problem must reject."""
+    inst = instance_to_json(RpcaInstance.generate(d=2, n=4, alpha=1.0, seed=1))
+    inst["data"][1] = _NOT_PD
+    files = {
+        "missing": tmp_path / "missing.json",
+        "instance_not_pd": tmp_path / "inst.json",
+        "init_not_pd": tmp_path / "init.json",
+        "ref4": tmp_path / "ref4.json",
+    }
+    files["instance_not_pd"].write_text(json.dumps(inst))
+    init = {"x": {"kind": "sphere", "payload": [1.0, 0.0]}, "y": {"kind": "spd", "payload": _NOT_PD}}
+    files["init_not_pd"].write_text(json.dumps(init))
+    # a saddle file of the 4-anchor problem, one Y matrix more than the 3-anchor problem holds
+    problem = make_karcher(KarcherInstance.generate(d=2, n_anchors=4, gamma=3.0, seed=1))
+    rng = np.random.default_rng(1)
+    write_reference(str(files["ref4"]), problem.m_min.random_point(rng), problem.m_max.random_point(rng), 0.0, 0)
+    return files
 
 
 @pytest.mark.parametrize(
@@ -315,6 +343,12 @@ _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--it
         ["reference", *_SMALL_RPCA, "--solver", "rgda"],
         ["reference", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1"],
         ["reference", *_SMALL_RPCA, "--solver", "srgda", "--sigma", "0.5"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance_not_pd}"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{init_not_pd}"],
+        [
+            "reference", "--problem", "karcher", "--d", "2", "--n-anchors", "3", "--gamma", "3.0",
+            "--seed", "1", "--tol", "1e-8", "--init-from", "{ref4}",
+        ],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
@@ -322,11 +356,13 @@ _SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--it
         "batch-size-exact-solver", "sigma-with-batch-size",
         "sigma-rceg", "sigma-rgda",
         "reference-rgda", "reference-srceg", "reference-srgda",
+        "instance-not-pd", "init-not-pd", "reference-init-extra-anchor",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
-    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    files = _bad_input_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
 

@@ -337,11 +337,23 @@ def test_spd_power_draws_and_json_match_the_factor_payloads(seed, d, n):
     np.testing.assert_array_equal(point_from_json(m, data).value, x.value)
 
 
-def test_spd_power_error_names_the_failing_factor():
+def test_spd_power_error_names_the_failing_factor(monkeypatch):
     m, rng = _spd_power(4, 6), np.random.default_rng(28)
     x = m.random_point(rng).value
     bad = x.copy()
     bad[4] = _thin(4, rng)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
+        m.point(bad)
+    assert calls == [(6, 4, 4)]  # the whole stack in one decomposition call
+    monkeypatch.undo()
+    skew = x.copy()
+    skew[4, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="^SPD point of slice 4 must be symmetric$"):
+        m.point(skew)
+    with pytest.raises(ValueError, match="^SPD tangent of slice 4 must be symmetric$"):
+        m.tangent(m.point(x), skew - x)
     with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
         m._log(x, bad)
     with pytest.raises(NumericError, match="SPD distance: eigenvalue .* of slice 4 below the PD threshold"):
@@ -352,6 +364,19 @@ def test_spd_power_error_names_the_failing_factor():
     v[2] = 800.0 * x[2]  # whitened sandwich 800 I, past exp's overflow
     with pytest.raises(NumericError, match="SPD exp: overflow in matrix exponential of slice 2$"):
         m._exp(x, v)
+
+
+@pytest.mark.parametrize(
+    "m", [_spd_power(2, 3), Product((Sphere(3), Spd(2), Euclidean(2)))], ids=["spd_power", "mixed"]
+)
+def test_product_rejects_a_payload_with_the_wrong_factor_count(m):
+    x = m.random_point(np.random.default_rng(30))
+    v = m.zero_tangent(x).value
+    for payload, zero in ((x.value[:-1], v[:-1]), ((*x.value, x.value[0]), (*v, v[0]))):
+        with pytest.raises(ValueError, match="expected"):
+            m.point(payload)
+        with pytest.raises(ValueError, match="expected"):
+            m.tangent(x, zero)
 
 
 def test_mixed_products_keep_the_per_factor_loop():
@@ -482,6 +507,21 @@ def test_spd_rejects_asymmetric():
     m = Spd(2)
     with pytest.raises(ValueError):
         m.point(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "m, point, tangent",
+    [
+        (Euclidean(2), (1.0, 2.0), (0.5, -1.0)),
+        (Sphere(3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        (Spd(2), ((2.0, 0.5), (0.5, 1.0)), ((1.0, 0.0), (0.0, -1.0))),
+    ],
+    ids=["euclidean", "sphere", "spd"],
+)
+def test_tuple_payloads_are_coerced_like_arrays(m, point, tangent):
+    x = m.point(point)
+    np.testing.assert_array_equal(x.value, np.asarray(point, dtype=float))
+    np.testing.assert_array_equal(m.tangent(x, tangent).value, np.asarray(tangent, dtype=float))
 
 
 def test_sphere_rejects_non_unit():
