@@ -182,7 +182,8 @@ class NoiseModel:
         if not (sigma >= 0 and math.isfinite(sigma)):
             raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
         self.sigma = float(sigma)
-        children = np.random.SeedSequence(seed).spawn(2)
+        # Tagged, so the streams differ from the two that run() spawns from the bare seed.
+        children = np.random.SeedSequence([seed, 0x9015E]).spawn(2)
         self._streams = [np.random.default_rng(c) for c in children]
 
     def draw(self, problem: SaddleProblem, x: Point, y: Point, stream: int) -> tuple[Tangent, Tangent]:

@@ -269,6 +269,16 @@ def test_noise_streams_are_independent():
     assert not np.array_equal(a, b)
 
 
+def test_noise_streams_are_not_the_run_init_stream():
+    # run() draws x0 and y0 from the first child of SeedSequence(seed); noise
+    # of the same seed must not replay those draws
+    p, seed = bilinear_problem(k=4), 7
+    init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    x0, y0 = p.m_min.random_point(init_rng), p.m_max.random_point(init_rng)
+    nx, _ = NoiseModel(sigma=1.0, seed=seed).draw(p, x0, y0, 0)
+    assert not np.allclose(nx.value * math.sqrt(2.0 * p.m_min.dim), x0.value)
+
+
 def test_stochastic_step_requires_an_oracle():
     p = bilinear_problem()
     with pytest.raises(ValueError):
