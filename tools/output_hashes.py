@@ -52,6 +52,15 @@ COMMANDS = (
         ["noise.csv"],
         False,
     ),
+    (
+        "noise_noavg",
+        [
+            "run", *_RPCA, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--no-average",
+            "--out", "noise_noavg.csv",
+        ],
+        ["noise_noavg.csv"],
+        False,
+    ),
     ("gda", ["run", *_KARCHER, "--solver", "rgda", "--eta", "0.05", "--out", "gda.csv"], ["gda.csv"], False),
     ("scsc", ["run", *_KARCHER, "--solver", "rgda", "--eta", "auto", "--out", "scsc.csv"], ["scsc.csv"], False),
     (
