@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -139,6 +140,10 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     if cfg.solver != "rceg":
         # solve_reference always runs the exact corrected extragradient.
         raise ConfigError(f"reference solves with rceg only; --solver {cfg.solver} would be ignored")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ConfigError(f"tol must be positive and finite, got {args.tol!r}")
+    if args.max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     problem = build_problem(cfg)
     x0 = y0 = None
     if cfg.init_from:

@@ -125,6 +125,8 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.iters < 1:
             raise ConfigError("iters must be >= 1")
+        if self.seed < 0 or (self.data_seed is not None and self.data_seed < 0):
+            raise ConfigError("seed and data_seed must be >= 0")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.problem == "rpca":
@@ -161,8 +163,8 @@ class RunConfig:
             raise ConfigError("eta must be positive and finite")
         if not _positive_finite(self.a):
             raise ConfigError("a must be positive and finite")
-        if self.diameter is not None and self.diameter <= 0:
-            raise ConfigError("diameter must be positive")
+        if self.diameter is not None and not _positive_finite(self.diameter):
+            raise ConfigError("diameter must be positive and finite")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -600,6 +602,9 @@ def emit_plot_data(series: Sequence[PlotSeries], out_csv: str, svg_path: Optiona
     """Write long-format plot data and, optionally, a log-scale SVG line plot."""
     if not series:
         raise ConfigError("no plot series given")
+    for s in series:
+        if any(c in s.label for c in ",\r\n"):
+            raise ConfigError(f"plot label {s.label!r} would split its CSV row; it must hold no comma or line break")
     buf = io.StringIO()
     buf.write("series,data_passes,grad_norm\n")
     for s in series:

@@ -575,6 +575,14 @@ class Spd(Manifold):
         return _sym(half @ s @ half)
 
 
+def _naming_factor(i: int, check, *args) -> None:
+    """Run one factor's check; re-raise its error, same type, with ' of factor i' added."""
+    try:
+        check(*args)
+    except (ValueError, GeometryError) as e:
+        raise type(e)(f"{e} of factor {i}") from e
+
+
 @dataclass(frozen=True)
 class Product(Manifold):
     """Product of factor manifolds; payloads are tuples of factor payloads.
@@ -591,7 +599,8 @@ class Product(Manifold):
     per-factor terms left to right, so the results equal the per-factor loop
     that mixed products run. Random draws stay factor by factor. Validation is
     one stacked ``Spd`` check naming a bad slice; a mixed product checks the
-    factor count, then lets each factor validate its entry.
+    factor count, then lets each factor validate its entry and adds the
+    factor's index to its error.
     """
 
     factors: tuple[Manifold, ...]
@@ -633,14 +642,14 @@ class Product(Manifold):
     def _check_point(self, value) -> None:
         if self._power is not None:
             return self._power._check_point(value)
-        for f, v in zip(self.factors, value):
-            f._check_point(v)
+        for i, (f, v) in enumerate(zip(self.factors, value)):
+            _naming_factor(i, f._check_point, v)
 
     def _check_tangent(self, x, value) -> None:
         if self._power is not None:
             return self._power._check_tangent(x, value)
-        for f, xv, v in zip(self.factors, x, value):
-            f._check_tangent(xv, v)
+        for i, (f, xv, v) in enumerate(zip(self.factors, x, value)):
+            _naming_factor(i, f._check_tangent, xv, v)
 
     def _coerce(self, value, what: str):
         if self._power is not None:

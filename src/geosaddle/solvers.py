@@ -18,12 +18,9 @@ problem's own ``stochastic_grad`` (e.g. a minibatch sampler).
 Each extragradient step consumes exactly two oracle evaluations, each
 descent-ascent step exactly one, and the ``data_passes`` trace column
 counts them so. The run driver evaluates the exact gradient at every
-iterate for its ``grad_norm`` column anyway, so it hands that pair to the
-next step (the ``grad0`` argument of both steps) in place of the exact
-gradient of the step's first oracle call: same inputs, same floating-point
-operations, one full gradient less per iteration. The exact oracle and the
-noise oracle take it (the noise is still drawn and added); a problem's own
-``stochastic_grad`` never does.
+iterate for its ``grad_norm`` column anyway, through a one-entry memo on
+``problem.grad``, so the next step's first exact query there (the noise
+oracle still adds fresh noise) costs no full gradient.
 
 Step-size schedules from the convergence analysis are provided as plain
 functions (one per regime), alongside the practical min{1/(2l), a/t} decay
@@ -96,9 +93,8 @@ SOLVER_KINDS = {
 GradPair = tuple[Tangent, Tangent]
 GradFn = Callable[[Point, Point], GradPair]
 StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
-# oracle(x, y, stream, rng, grad): ``grad`` is the exact pair already
-# evaluated at (x, y), or None to evaluate it.
-Oracle = Callable[[Point, Point, int, np.random.Generator, Optional[GradPair]], GradPair]
+# oracle(x, y, stream, rng)
+Oracle = Callable[[Point, Point, int, np.random.Generator], GradPair]
 
 # Gradient norm beyond which a run or a reference solve counts as diverged.
 _DIVERGENCE_CAP = 1e6
@@ -116,8 +112,7 @@ class SaddleProblem:
     modulus.
 
     The run driver and the reference solve read their metrics through
-    :meth:`grad_norms` (or :meth:`pair_norms` on a gradient pair already
-    evaluated) and :meth:`distance_gap`.
+    :meth:`grad_norms` and :meth:`distance_gap`.
     """
 
     m_min: Manifold
@@ -129,11 +124,7 @@ class SaddleProblem:
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""
-        return self.pair_norms(self.grad(x, y))
-
-    def pair_norms(self, grads: GradPair) -> tuple[float, float, float]:
-        """Norms of a gradient pair: combined, min side, max side."""
-        gx, gy = grads
+        gx, gy = self.grad(x, y)
         nx = self.m_min.norm(gx)
         ny = self.m_max.norm(gy)
         return math.hypot(nx, ny), nx, ny
@@ -200,88 +191,57 @@ def _eta_positive(eta: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {eta!r}")
 
 
-def stochastic_oracle(problem: SaddleProblem, noise: Optional[NoiseModel] = None) -> tuple[Oracle, bool]:
-    """The oracle of srceg and srgda, and whether it accepts the driver's ``grad0``.
+def stochastic_oracle(problem: SaddleProblem, noise: Optional[NoiseModel] = None) -> Oracle:
+    """The oracle of srceg and srgda.
 
-    With a :class:`NoiseModel` it is the exact gradient plus noise drawn from
-    the query's stream (0 at the iterate, 1 at the half-iterate); it accepts
-    ``grad0`` and still draws and adds the noise. Without one it is the
-    problem's ``stochastic_grad`` on the state's generator, which evaluates
-    no exact gradient and so rejects ``grad0``.
+    With a :class:`NoiseModel` it is ``problem.grad`` plus noise drawn from
+    the query's stream (0 at the iterate, 1 at the half-iterate). Without
+    one it is the problem's ``stochastic_grad`` on the state's generator.
     """
     if noise is not None:
 
-        def noisy(x: Point, y: Point, stream: int, rng: np.random.Generator, grad: Optional[GradPair]) -> GradPair:
-            gx, gy = problem.grad(x, y) if grad is None else grad
+        def noisy(x: Point, y: Point, stream: int, rng: np.random.Generator) -> GradPair:
+            gx, gy = problem.grad(x, y)
             nx, ny = noise.draw(problem, x, y, stream)
             return gx + nx, gy + ny
 
-        return noisy, True
+        return noisy
     sample = problem.stochastic_grad
     if sample is None:
         raise ValueError("stochastic solver needs a NoiseModel or a problem stochastic_grad oracle")
-
-    def sampled(x: Point, y: Point, stream: int, rng: np.random.Generator, grad: Optional[GradPair]) -> GradPair:
-        if grad is not None:
-            raise ValueError("grad0 is an exact gradient; the problem's stochastic_grad oracle cannot reuse it")
-        return sample(x, y, rng)
-
-    return sampled, False
+    return lambda x, y, stream, rng: sample(x, y, rng)
 
 
 def _query(
-    problem: SaddleProblem,
-    state: SolverState,
-    oracle: Optional[Oracle],
-    x: Point,
-    y: Point,
-    stream: int,
-    grad: Optional[GradPair],
+    problem: SaddleProblem, state: SolverState, oracle: Optional[Oracle], x: Point, y: Point, stream: int
 ) -> GradPair:
-    # ``grad`` is the exact pair already evaluated at (x, y), or None.
-    if oracle is not None:
-        return oracle(x, y, stream, state.rng, grad)
-    return problem.grad(x, y) if grad is None else grad
+    return problem.grad(x, y) if oracle is None else oracle(x, y, stream, state.rng)
 
 
-def rceg_step(
-    problem: SaddleProblem,
-    state: SolverState,
-    eta: float,
-    oracle: Optional[Oracle] = None,
-    grad0: Optional[GradPair] = None,
-) -> SolverState:
-    """One corrected-extragradient step (2 oracle calls, 1 given ``grad0``).
+def rceg_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Optional[Oracle] = None) -> SolverState:
+    """One corrected-extragradient step (2 oracle calls).
 
     ``oracle=None`` is the exact ``problem.grad``; srceg passes an oracle
-    from :func:`stochastic_oracle`. ``grad0``, when given, is
-    ``problem.grad(state.x, state.y)`` already evaluated; it stands in for
-    the exact gradient of the first oracle call.
+    from :func:`stochastic_oracle`.
     """
     _eta_positive(eta)
     mx, my = problem.m_min, problem.m_max
-    gx, gy = _query(problem, state, oracle, state.x, state.y, 0, grad0)
+    gx, gy = _query(problem, state, oracle, state.x, state.y, 0)
     x_half = mx.exp(state.x, (-eta) * gx)
     y_half = my.exp(state.y, eta * gy)
-    gx_h, gy_h = _query(problem, state, oracle, x_half, y_half, 1, None)
+    gx_h, gy_h = _query(problem, state, oracle, x_half, y_half, 1)
     x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, state.x))
     y_next = my.exp(y_half, eta * gy_h + my.log(y_half, state.y))
     return replace(state, x=x_next, y=y_next, x_half=x_half, y_half=y_half, t=state.t + 1)
 
 
-def rgda_step(
-    problem: SaddleProblem,
-    state: SolverState,
-    eta: float,
-    oracle: Optional[Oracle] = None,
-    grad0: Optional[GradPair] = None,
-) -> SolverState:
+def rgda_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Optional[Oracle] = None) -> SolverState:
     """One gradient descent-ascent step (1 oracle call); arguments as in :func:`rceg_step`.
 
     Half-iterates are untouched.
     """
     _eta_positive(eta)
-    gx, gy = _query(problem, state, oracle, state.x, state.y, 0, grad0)
+    gx, gy = _query(problem, state, oracle, state.x, state.y, 0)
     x_next = problem.m_min.exp(state.x, (-eta) * gx)
     y_next = problem.m_max.exp(state.y, eta * gy)
     return replace(state, x=x_next, y=y_next, t=state.t + 1)
@@ -441,6 +401,18 @@ class DivergenceError(RuntimeError):
         self.state = state
 
 
+def _reuse_last(grad: GradFn) -> GradFn:
+    """``grad`` with a one-entry memo: a call at the same two points (``is``) as the last returns its pair."""
+    last: list = [None, None, None]
+
+    def memo(x: Point, y: Point) -> GradPair:
+        if x is not last[0] or y is not last[1]:
+            last[:] = x, y, grad(x, y)
+        return last[2]
+
+    return memo
+
+
 def run(
     problem: SaddleProblem,
     solver_kind: str,
@@ -465,10 +437,11 @@ def run(
     trace is raised.
 
     srceg and srgda run the rceg and rgda steps with the oracle of
-    :func:`stochastic_oracle`; ``noise`` is read by those two only. The
-    exact gradient each row evaluates at the iterate is passed on as the
-    next step's ``grad0`` whenever the oracle accepts it. ``data_passes``
-    counts every oracle call as one pass, or as ``passes_per_call`` of the
+    :func:`stochastic_oracle`; ``noise`` is read by those two only.
+    ``problem.grad`` runs with a one-entry memo, and each row evaluates the
+    gradient at the averaged iterate before the one at the iterate, so the
+    next step's first exact query reuses the row's. ``data_passes`` counts
+    every oracle call as one pass, or as ``passes_per_call`` of the
     problem's minibatch ``stochastic_grad`` when that is the oracle.
     """
     kind = SOLVER_KINDS.get(solver_kind)
@@ -476,9 +449,11 @@ def run(
         raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    oracle, reuse = stochastic_oracle(problem, noise) if kind.stochastic else (None, True)
-    # Only the problem's own sampler (the one oracle that rejects grad0) reads part of the data.
-    passes_per_call = 1.0 if reuse else getattr(problem.stochastic_grad, "passes_per_call", 1.0)
+    problem = replace(problem, grad=_reuse_last(problem.grad))
+    oracle = stochastic_oracle(problem, noise) if kind.stochastic else None
+    # Only the problem's own sampler reads part of the data per call.
+    sampled = kind.stochastic and noise is None
+    passes_per_call = getattr(problem.stochastic_grad, "passes_per_call", 1.0) if sampled else 1.0
     step = rceg_step if kind.extragradient else rgda_step
 
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
@@ -493,13 +468,12 @@ def run(
     trace = Trace()
     started = time.perf_counter()
 
-    def record(st: SolverState, eta: float) -> Optional[GradPair]:
-        """Append the row of ``st``; return its gradient pair for the next step to reuse."""
-        grads = problem.grad(st.x, st.y)
-        gn, gnx, gny = problem.pair_norms(grads)
+    def record(st: SolverState, eta: float) -> None:
+        # The iterate's gradient last, so the memo holds it for the next step.
         gn_avg = None
         if track_average and st.x_bar is not None:
             gn_avg, _, _ = problem.grad_norms(st.x_bar, st.y_bar)
+        gn, gnx, gny = problem.grad_norms(st.x, st.y)
         gap = None
         if reference is not None:
             gap = problem.distance_gap(st.x, st.y, reference)
@@ -523,14 +497,13 @@ def run(
             raise DivergenceError(
                 f"gradient norm {gn!r} beyond the divergence cap at iteration {st.t}", trace, st
             )
-        return grads if reuse else None
 
-    grad0 = record(state, 0.0)
+    record(state, 0.0)
     for t in range(iters):
         eta = schedule(t)
         try:
             prev = state
-            state = step(problem, state, eta, oracle, grad0)
+            state = step(problem, state, eta, oracle)
             # Extragradient averages its half-iterates, descent-ascent the pre-step iterates.
             avg_in_x, avg_in_y = (state.x_half, state.y_half) if kind.extragradient else (prev.x, prev.y)
             if track_average:
@@ -542,7 +515,7 @@ def run(
                         x_bar=running_mean_update(problem.m_min, state.x_bar, avg_in_x, t),
                         y_bar=running_mean_update(problem.m_max, state.y_bar, avg_in_y, t),
                     )
-            grad0 = record(state, eta)
+            record(state, eta)
         except GeometryError as e:
             # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
             # failure; the partial trace is part of the result.

@@ -14,7 +14,9 @@ import geosaddle
 from geosaddle.cli import main
 from geosaddle.harness import (
     ConfigError,
+    PlotSeries,
     RunConfig,
+    emit_plot_data,
     execute_run,
     grid_search,
     load_reference,
@@ -349,6 +351,15 @@ def _bad_input_files(tmp_path) -> dict:
             "reference", "--problem", "karcher", "--d", "2", "--n-anchors", "3", "--gamma", "3.0",
             "--seed", "1", "--tol", "1e-8", "--init-from", "{ref4}",
         ],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--seed", "-1"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--seed", "-1"],
+        ["reference", *_SMALL_RPCA, "--seed", "-1"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--data-seed", "-2"],
+        ["reference", *_SMALL_RPCA, "--tol", "nan"],
+        ["reference", *_SMALL_RPCA, "--tol", "-1"],
+        ["reference", *_SMALL_RPCA, "--max-iters", "0"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "nan"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "inf"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
@@ -357,6 +368,9 @@ def _bad_input_files(tmp_path) -> dict:
         "sigma-rceg", "sigma-rgda",
         "reference-rgda", "reference-srceg", "reference-srgda",
         "instance-not-pd", "init-not-pd", "reference-init-extra-anchor",
+        "run-seed-negative", "grid-seed-negative", "reference-seed-negative", "data-seed-negative",
+        "reference-tol-nan", "reference-tol-negative", "reference-max-iters-zero",
+        "diameter-nan", "diameter-inf",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -524,6 +538,19 @@ def test_cli_plot_rejects_unknown_column(tmp_path):
     main(["run", "--problem", "bilinear", "--d", "2", "--solver", "rceg", "--eta", "0.2",
           "--iters", "5", "--seed", "2", "--out", str(trace_path)])
     assert main(["plot", "--series", f"{trace_path}:nonsense", "--out", str(tmp_path / "p.csv")]) == 2
+
+
+def test_cli_plot_rejects_a_label_that_splits_the_csv_row(tmp_path):
+    # the label defaults to the file stem, here "x,y", which would write four cells under a three-column header
+    trace_path = tmp_path / "x,y.csv"
+    main(["run", "--problem", "bilinear", "--d", "2", "--solver", "rceg", "--eta", "0.2",
+          "--iters", "5", "--seed", "2", "--out", str(trace_path)])
+    out = tmp_path / "p.csv"
+    assert main(["plot", "--series", str(trace_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="line break"):
+        emit_plot_data([PlotSeries(label="a\nb", data_passes=(0.0,), values=(1.0,))], str(out))
+    assert not out.exists()
 
 
 def test_cli_save_and_reload_instance(tmp_path):

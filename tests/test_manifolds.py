@@ -393,6 +393,16 @@ def test_mixed_products_keep_the_per_factor_loop():
         assert m.distance(x, y) == want
 
 
+def test_mixed_product_errors_name_the_factor():
+    m = Product((Spd(2), Spd(3)))
+    with pytest.raises(NumericError, match=r"^SPD point: eigenvalue \S+ below the PD threshold of factor 1$"):
+        m.point((np.eye(2), np.diag([1.0, 1.0, -1.0])))
+    m = Product((Sphere(3), Spd(2)))
+    x = m.point((np.array([1.0, 0.0, 0.0]), np.eye(2)))
+    with pytest.raises(ValueError, match="orthogonal to base.* of factor 0$"):
+        m.tangent(x, (np.array([1.0, 1.0, 0.0]), np.zeros((2, 2))))
+
+
 # -- geometry identities --------------------------------------------------------------
 
 GEOMETRIES = st.sampled_from(["sphere", "spd", "spd_power"])

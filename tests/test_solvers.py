@@ -177,7 +177,7 @@ def test_srceg_zero_sigma_equals_rceg_exactly():
     p = bilinear_problem(k=2)
     rng = np.random.default_rng(3)
     x0, y0 = rng.standard_normal(2), rng.standard_normal(2)
-    oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
+    oracle = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
     a = euclid_state(p, x0, y0)
     b = euclid_state(p, x0, y0)
     for _ in range(20):
@@ -191,7 +191,7 @@ def test_srgda_zero_sigma_equals_rgda_exactly():
     p = bilinear_problem(k=2)
     rng = np.random.default_rng(4)
     x0, y0 = rng.standard_normal(2), rng.standard_normal(2)
-    oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
+    oracle = stochastic_oracle(p, NoiseModel(sigma=0.0, seed=9))
     a = euclid_state(p, x0, y0)
     b = euclid_state(p, x0, y0)
     for _ in range(20):
@@ -206,7 +206,7 @@ def test_srceg_seeded_trajectories_are_identical():
     outs = []
     for _ in range(2):
         st = euclid_state(p, [1.0, -0.5], [0.25, 0.75])
-        oracle, _ = stochastic_oracle(p, NoiseModel(sigma=0.5, seed=77))
+        oracle = stochastic_oracle(p, NoiseModel(sigma=0.5, seed=77))
         for _ in range(15):
             st = rceg_step(p, st, 0.05, oracle)
         outs.append((st.x.value.copy(), st.y.value.copy()))
@@ -450,10 +450,10 @@ def test_oracle_calls_per_step():
     rgda_step(p, st, 0.1)
     assert calls["n"] == 1
     calls["n"] = 0
-    rceg_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0))[0])
+    rceg_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0)))
     assert calls["n"] == 2
     calls["n"] = 0
-    rgda_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0))[0])
+    rgda_step(p, st, 0.1, stochastic_oracle(p, NoiseModel(0.1, seed=0)))
     assert calls["n"] == 1
 
 
@@ -472,12 +472,14 @@ def test_oracle_calls_per_step():
 )
 def test_run_reuses_the_metric_gradient(solver, average, per_iter):
     # each row evaluates the exact gradient at the iterate (plus one at the
-    # average); the next step takes it in place of its first oracle call
+    # average), which the next step's first oracle call reuses; the first
+    # average is a point whose gradient was just evaluated (the half-iterate,
+    # or the start), so it costs nothing
     p, calls = counting_problem(bilinear_problem(k=2))
     noise = NoiseModel(0.1, seed=0) if SOLVER_KINDS[solver].stochastic else None
     iters = 12
     run(p, solver, lambda t: 0.05, iters, seed=1, noise=noise, track_average=average)
-    assert calls["n"] == 1 + per_iter * iters
+    assert calls["n"] == 1 + per_iter * iters - average
 
 
 def test_run_minibatch_oracle_takes_no_reused_gradient():
@@ -502,28 +504,15 @@ def test_run_counts_data_passes_of_the_oracle_in_use(solver, calls, sigma):
     assert trace.column("data_passes") == [calls * t * per_call for t in range(6)]
 
 
-def test_minibatch_step_rejects_grad0():
-    inst = RpcaInstance.generate(d=3, n=5, alpha=3.0, seed=2)
-    p = make_rpca(inst, batch_size=2)
-    rng = np.random.default_rng(4)
-    st = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng), rng)
-    oracle, takes_grad0 = stochastic_oracle(p)
-    assert not takes_grad0
-    with pytest.raises(ValueError, match="grad0"):
-        rceg_step(p, st, 0.05, oracle, grad0=p.grad(st.x, st.y))
-    with pytest.raises(ValueError, match="grad0"):
-        rgda_step(p, st, 0.05, oracle, grad0=p.grad(st.x, st.y))
-
-
 def hand_loop_rows(problem, solver, eta, iters, seed, noise):
-    """``run``'s gradient-norm columns and final state, from steps called without ``grad0``."""
+    """``run``'s gradient-norm columns and final state, from steps on the bare ``problem.grad``."""
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
     x0 = problem.m_min.random_point(init_rng)
     y0 = problem.m_max.random_point(init_rng)
     st = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
     kind = SOLVER_KINDS[solver]
-    oracle = stochastic_oracle(problem, noise)[0] if kind.stochastic else None
+    oracle = stochastic_oracle(problem, noise) if kind.stochastic else None
     rows = [problem.grad_norms(st.x, st.y) + (None,)]
     for t in range(iters):
         if kind.extragradient:
