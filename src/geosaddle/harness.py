@@ -688,9 +688,11 @@ def _render_svg(series: Sequence[PlotSeries]) -> str:
             f'<line x1="{ml + pw - 150:.1f}" y1="{ly:.1f}" x2="{ml + pw - 120:.1f}" y2="{ly:.1f}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
+        # Escaped as xml.sax.saxutils.escape does, without the urllib imports that module pulls in.
+        label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{ml + pw - 114:.1f}" y="{ly + 4:.1f}" font-size="11" '
-            f'font-family="sans-serif">{s.label}</text>'
+            f'font-family="sans-serif">{label}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -32,6 +32,7 @@ choice is hard-coded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -60,6 +61,9 @@ _ORTHO_TOL = 1e-10
 _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
+# Base points whose SPD roots are memoized. A solver step with averaging has at most eight live at
+# once: the iterate, the half-iterate and the old and new running means, on each of the two sides.
+_ROOTS_MEMO_SIZE = 8
 
 
 class GeometryError(Exception):
@@ -462,6 +466,21 @@ def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
 
 
+@functools.lru_cache(maxsize=_ROOTS_MEMO_SIZE)
+def _memo_roots(shape: tuple[int, ...], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only X^1/2 and X^-1/2 of the payload with these shape, dtype and bytes.
+
+    Keyed on content, not identity, so a payload written in place never meets stale roots. A
+    non-PD payload raises, and ``lru_cache`` stores no failure, so it raises again on every call.
+    """
+    w, q = _eigh_checked(np.frombuffer(data, dtype=dtype).reshape(shape), "SPD point")
+    s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
+    roots = _sym((q * s) @ qt), _sym((q / s) @ qt)
+    for r in roots:
+        r.flags.writeable = False
+    return roots
+
+
 @dataclass(frozen=True)
 class Spd(Manifold):
     """SPD matrices with the affine-invariant metric.
@@ -473,7 +492,9 @@ class Spd(Manifold):
     Every matrix function is re-symmetrized to suppress roundoff drift.
 
     The payload kernels broadcast over (..., n, n) stacks in any argument,
-    giving each slice the same bits as a call on that slice alone.
+    giving each slice the same bits as a call on that slice alone. The roots
+    X^1/2, X^-1/2 of a base point (a matrix or a whole stack) are memoized by
+    content, so the kernels at one base point share one decomposition.
     """
 
     n: int
@@ -509,9 +530,8 @@ class Spd(Manifold):
         _require_symmetric(value, "SPD tangent")
 
     def _roots(self, x) -> tuple[np.ndarray, np.ndarray]:
-        w, q = _eigh_checked(x, "SPD point")
-        s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
-        return _sym((q * s) @ qt), _sym((q / s) @ qt)
+        """X^1/2 and X^-1/2, read-only; each of the last ``_ROOTS_MEMO_SIZE`` base points is decomposed once."""
+        return _memo_roots(x.shape, x.dtype.str, x.tobytes())
 
     def _whiten(self, x, y, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """X^1/2, X^-1/2 and the checked eigenpairs (w, q) of X^-1/2 Y X^-1/2.
@@ -552,7 +572,7 @@ class Spd(Manifold):
 
     def _inner(self, x, u, v):
         a = np.linalg.solve(x, u)
-        b = np.linalg.solve(x, v)
+        b = a if v is u else np.linalg.solve(x, v)  # a norm solves once
         return np.trace(a @ b, axis1=-2, axis2=-1)
 
     def _distance(self, x, y):

@@ -234,8 +234,11 @@ class KarcherInstance:
             raise ValueError("gamma must be positive")
         if len(self.anchors) != self.n_anchors:
             raise ValueError(f"expected {self.n_anchors} anchors, got {len(self.anchors)}")
-        object.__setattr__(self, "anchors", tuple(np.asarray(a, dtype=float) for a in self.anchors))
-        Product((Spd(self.d),) * self.n_anchors).point(self.anchors)
+        # The oracles read the validated (N, d, d) stack and the anchors are views into it, so the two
+        # never disagree. A private attribute, not a field, so the JSON form keeps its bytes.
+        stack = Product((Spd(self.d),) * self.n_anchors).point(self.anchors).value
+        object.__setattr__(self, "anchors", tuple(stack))
+        object.__setattr__(self, "_anchor_stack", stack)
 
     @classmethod
     def generate(cls, d: int, n_anchors: int, gamma: float, seed: int = 0) -> "KarcherInstance":
@@ -248,7 +251,7 @@ def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> flo
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     ys = ys_point.value
     to_x = spd._distance(x_point.value, ys)
-    to_anchor = spd._distance(ys, np.stack(inst.anchors))
+    to_anchor = spd._distance(ys, inst._anchor_stack)
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
 
 
@@ -262,7 +265,7 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     x, ys = x_point.value, ys_point.value
     gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
     # One log at the Y stack, toward X (slot 0) and toward the anchors (slot 1).
-    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), np.stack(inst.anchors))))
+    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst._anchor_stack)))
     gys = -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
     return Tangent(x_point, gx), Tangent(ys_point, gys)
 

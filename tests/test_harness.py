@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -551,6 +552,17 @@ def test_cli_plot_rejects_a_label_that_splits_the_csv_row(tmp_path):
     with pytest.raises(ConfigError, match="line break"):
         emit_plot_data([PlotSeries(label="a\nb", data_passes=(0.0,), values=(1.0,))], str(out))
     assert not out.exists()
+
+
+def test_cli_plot_escapes_svg_labels(tmp_path):
+    trace_path = tmp_path / "t.csv"
+    main(["run", "--problem", "bilinear", "--d", "2", "--solver", "rceg", "--eta", "0.2",
+          "--iters", "5", "--seed", "2", "--out", str(trace_path)])
+    svg = tmp_path / "p.svg"
+    assert main(["plot", "--series", f"{trace_path}:grad_norm:a<b&c", "--out", str(tmp_path / "p.csv"),
+                 "--svg", str(svg)]) == 0
+    texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a<b&c" in texts
 
 
 def test_cli_save_and_reload_instance(tmp_path):

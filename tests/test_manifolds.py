@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geosaddle.manifolds import (
+    _ROOTS_MEMO_SIZE,
     Euclidean,
     GeodesicNotUniqueError,
     NumericError,
@@ -16,12 +17,14 @@ from geosaddle.manifolds import (
     Spd,
     Sphere,
     Tangent,
+    _memo_roots,
     _sym,
     point_from_json,
     point_to_json,
     random_orthogonal,
 )
-from geosaddle.solvers import running_mean_update
+from geosaddle.problems import KarcherInstance, RpcaInstance, make_karcher, make_rpca
+from geosaddle.solvers import initial_state, rceg_step, running_mean_update
 
 
 def e_i(d, i):
@@ -337,13 +340,18 @@ def test_spd_power_draws_and_json_match_the_factor_payloads(seed, d, n):
     np.testing.assert_array_equal(point_from_json(m, data).value, x.value)
 
 
+def _count_eigh(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
 def test_spd_power_error_names_the_failing_factor(monkeypatch):
     m, rng = _spd_power(4, 6), np.random.default_rng(28)
     x = m.random_point(rng).value
     bad = x.copy()
     bad[4] = _thin(4, rng)
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    calls = _count_eigh(monkeypatch)
     with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
         m.point(bad)
     assert calls == [(6, 4, 4)]  # the whole stack in one decomposition call
@@ -364,6 +372,73 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
     v[2] = 800.0 * x[2]  # whitened sandwich 800 I, past exp's overflow
     with pytest.raises(NumericError, match="SPD exp: overflow in matrix exponential of slice 2$"):
         m._exp(x, v)
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [
+        # grad 4, exp at x_t 2, grad at the half-iterate 4, log and exp at the half-iterate 2 + 2
+        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), 14),
+        # grad 2, exp at M_t 1, grad at the half-iterate 2, log and exp at the half-iterate 1 + 1
+        (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), 7),
+    ],
+    ids=["karcher", "rpca"],
+)
+def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, calls):
+    p, rng = make(), np.random.default_rng(30)
+    state = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng), 0)
+    _memo_roots.cache_clear()
+    counted = _count_eigh(monkeypatch)
+    rceg_step(p, state, 0.05)
+    assert len(counted) == calls
+
+
+def test_spd_roots_memo_hit_is_bit_equal_to_a_fresh_decomposition(monkeypatch):
+    m, rng = Spd(4), np.random.default_rng(31)
+    x = np.stack([m._random_point(rng) for _ in range(5)])
+    _memo_roots.cache_clear()
+    first = m._roots(x)
+    counted = _count_eigh(monkeypatch)
+    hit = m._roots(x.copy())  # equal bytes, another array
+    assert counted == []
+    w, q = np.linalg.eigh(_sym(x))
+    s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
+    for got, kept, fresh in zip(hit, first, (_sym((q * s) @ qt), _sym((q / s) @ qt))):
+        assert got is kept and np.array_equal(got, fresh)
+
+
+def test_spd_roots_memo_follows_in_place_writes_and_stays_read_only():
+    m, rng = Spd(3), np.random.default_rng(32)
+    x = m._random_point(rng)
+    half, inv_half = m._roots(x)
+    for root in (half, inv_half):
+        with pytest.raises(ValueError, match="read-only"):
+            root[0, 0] = 0.0
+    x *= 4.0
+    half4, inv_half4 = m._roots(x)
+    np.testing.assert_allclose(half4, 2.0 * half, rtol=1e-12)
+    np.testing.assert_allclose(inv_half4, 0.5 * inv_half, rtol=1e-12)
+
+
+def test_spd_roots_memo_stores_no_failure_and_stays_bounded(monkeypatch):
+    m, rng = Spd(3), np.random.default_rng(33)
+    _memo_roots.cache_clear()
+    counted = _count_eigh(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NumericError, match="SPD point: eigenvalue .* below the PD threshold"):
+            m._roots(np.diag([1.0, 1.0, -1.0]))
+    assert len(counted) == 2 and _memo_roots.cache_info().currsize == 0
+    for _ in range(3 * _ROOTS_MEMO_SIZE):
+        m._roots(m._random_point(rng))
+        assert _memo_roots.cache_info().currsize <= _ROOTS_MEMO_SIZE
+    assert _memo_roots.cache_info().currsize == _ROOTS_MEMO_SIZE
+
+
+def test_spd_norm_matches_inner_with_an_equal_copy():
+    m, rng = Spd(4), np.random.default_rng(34)
+    x = m.random_point(rng)
+    v = m.random_tangent(x, rng, 2.5)
+    assert m.inner(v, v) == m.inner(v, Tangent(x, v.value.copy()))
 
 
 @pytest.mark.parametrize(

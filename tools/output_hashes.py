@@ -80,6 +80,13 @@ COMMANDS = (
         False,
     ),
     (
+        # Averaging from a random start keeps up to four SPD base points live per side.
+        "keg",
+        ["run", *_KARCHER, "--solver", "rceg", "--eta", "0.05", "--reference", "ref.json", "--out", "keg.csv"],
+        ["keg.csv"],
+        False,
+    ),
+    (
         "inst",
         ["run", *_RPCA, "--solver", "rgda", "--eta", "0.05", "--save-instance", "inst.json", "--out", "inst.csv"],
         ["inst.json", "inst.csv"],
