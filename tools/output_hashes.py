@@ -71,6 +71,19 @@ COMMANDS = (
     ),
     ("ref", ["reference", *_KARCHER, "--tol", "1e-8", "--out", "ref.json"], ["ref.json"], False),
     (
+        "ref_bilinear",
+        ["reference", *_BILINEAR, "--tol", "1e-8", "--out", "ref_bilinear.json"],
+        ["ref_bilinear.json"],
+        False,
+    ),
+    (
+        # Fails with a geometry error, so the witness is its exit code and the missing file.
+        "ref_rpca",
+        ["reference", *_RPCA, "--tol", "1e-8", "--out", "ref_rpca.json"],
+        ["ref_rpca.json"],
+        False,
+    ),
+    (
         "init",
         [
             "run", *_KARCHER, "--solver", "rceg", "--eta", "0.05",
