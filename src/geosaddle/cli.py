@@ -153,7 +153,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
         x, y, gn, iters = solve_reference(
             problem, tol=args.tol, max_iters=args.max_iters, seed=cfg.seed, eta=eta, x0=x0, y0=y0
         )
-    except (DivergenceError, RuntimeError) as e:
+    except RuntimeError as e:  # DivergenceError included
         logger.error("reference solve failed: %s", e)
         return 3
     write_reference(args.out, x, y, gn, iters)

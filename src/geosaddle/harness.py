@@ -4,8 +4,11 @@ Everything a benchmark run needs around the solvers: a flat config (JSON
 file mirrored by CLI flags), step-size schedules built from it,
 deterministic CSV traces with a metadata header, step-size grid search,
 reference-saddle computation and persistence, and long-format plot data
-with an optional SVG rendering. The gradient-norm and distance-gap metrics
-are methods of :class:`~geosaddle.solvers.SaddleProblem`.
+with an optional SVG rendering. Runs, grid candidates and reference solves
+all go through the one driver loop, :func:`~geosaddle.solvers.run`; a
+reference solve is rceg run to a gradient-norm tolerance. The
+gradient-norm and distance-gap metrics are methods of
+:class:`~geosaddle.solvers.SaddleProblem`.
 
 File formats:
 
@@ -49,15 +52,13 @@ from .problems import (
     make_rpca,
 )
 from .solvers import (
-    _DIVERGENCE_CAP,
     SOLVER_KINDS,
     DivergenceError,
     NoiseModel,
     SaddleProblem,
     Trace,
     TraceRow,
-    initial_state,
-    rceg_step,
+    _drive,
     run,
     schedule_practical,
     schedule_rgda_scsc,
@@ -83,8 +84,6 @@ logger = logging.getLogger("geosaddle")
 
 _SMOOTHNESS_SAMPLES = 64
 _MONOTONICITY_SAMPLES = 128
-# Iterations between the reference solve's gradient-norm checks.
-_REFERENCE_CHECK_EVERY = 25
 
 
 class ConfigError(ValueError):
@@ -343,42 +342,27 @@ def solve_reference(
 ) -> tuple[Point, Point, float, int]:
     """Drive the corrected extragradient to a high-accuracy saddle.
 
-    Returns (x*, y*, final combined gradient norm, iterations used). Raises
-    ``DivergenceError`` when the gradient norm blows past the divergence cap
-    (1e6) and ``RuntimeError`` when the budget ends above tolerance.
+    The loop of :func:`~geosaddle.solvers.run`, for rceg without averaging, from
+    (x0, y0) or from points drawn from the seed, stopped by ``tol``.
+    Returns (x*, y*, final combined gradient norm, iterations used). A
+    divergence or geometry failure raises ``run``'s ``DivergenceError``,
+    whose partial trace holds a row every 25 iterations; a budget that
+    ends above tolerance raises ``RuntimeError``.
     """
     if eta is None:
         eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
-    if x0 is None:
-        x0 = problem.m_min.random_point(rng)
-    if y0 is None:
-        y0 = problem.m_max.random_point(rng)
-    state = initial_state(problem, x0, y0, rng)
-    gn = problem.grad_norms(state.x, state.y)[0]
-    best = gn
-    for t in range(max_iters):
-        try:
-            state = rceg_step(problem, state, eta)
-        except GeometryError as e:
-            raise DivergenceError(
-                f"reference solve hit a geometry failure at iteration {t}: {e}", Trace(), state
-            ) from e
-        if (t + 1) % _REFERENCE_CHECK_EVERY == 0 or t == max_iters - 1:
-            gn = problem.grad_norms(state.x, state.y)[0]
-            best = min(best, gn)
-            if not math.isfinite(gn) or gn > _DIVERGENCE_CAP:
-                raise DivergenceError(
-                    f"reference solve diverged (gradient norm {gn!r} at iteration {t + 1})",
-                    Trace(),
-                    state,
-                )
-            if gn <= tol:
-                return state.x, state.y, gn, t + 1
-    raise RuntimeError(
-        f"reference solve stopped above tolerance: gradient norm {gn:.3e} > {tol:.1e} "
-        f"after {max_iters} iterations (best seen {best:.3e})"
-    )
+    x0 = problem.m_min.random_point(rng) if x0 is None else x0
+    y0 = problem.m_max.random_point(rng) if y0 is None else y0
+    trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, x0, y0,
+                          noise=None, reference=None, track_average=False, timing=False, tol=tol)
+    gn = trace.rows[-1].grad_norm
+    if gn > tol:
+        raise RuntimeError(
+            f"reference solve stopped above tolerance: gradient norm {gn:.3e} > {tol:.1e} "
+            f"after {max_iters} iterations (best seen {min(trace.column('grad_norm')):.3e})"
+        )
+    return state.x, state.y, gn, state.t
 
 
 def write_reference(path: str, x: Point, y: Point, grad_norm: float, iters: int) -> None:
@@ -559,12 +543,10 @@ def grid_search(
         )
 
     rows.sort(key=lambda r: (r["final_grad_norm"], r["eta0"]))
-    if all(not math.isfinite(r["final_grad_norm"]) for r in rows):
-        if out:
-            _write_ranking(out, rows)
-        raise DivergenceError("every grid candidate diverged", Trace(), None)  # type: ignore[arg-type]
     if out:
         _write_ranking(out, rows)
+    if all(not math.isfinite(r["final_grad_norm"]) for r in rows):
+        raise DivergenceError("every grid candidate diverged", Trace(), None)  # type: ignore[arg-type]
     return rows[0], rows
 
 

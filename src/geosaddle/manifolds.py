@@ -447,7 +447,7 @@ def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     lo = w[..., 0]
     bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
     if bad.any():
-        raise NumericError(f"{what}: eigenvalue {lo[bad].flat[0]!r}{_slice_name(bad)} below the PD threshold")
+        raise NumericError(f"{what}: eigenvalue {float(lo[bad].flat[0]):.3e}{_slice_name(bad)} below the PD threshold")
     return w, q
 
 

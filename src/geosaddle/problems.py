@@ -150,7 +150,8 @@ def rpca_grad(
     gx = sphere.project_tangent(x, ambient)
 
     # SPD side: affine-invariant gradient of the quadratic term ...
-    gm = -_sym(m @ np.outer(x, x) @ m)
+    with np.errstate(over="ignore"):  # a diverged M overflows here; its non-finite gradient fails downstream
+        gm = -_sym(m @ np.outer(x, x) @ m)
     # ... plus the distance attraction toward each (sampled) data matrix,
     # sum_i (weight/d_i) log_M(M_i) = half [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] half.
     targets = inst.data if batch is None else [inst.data[int(i)] for i in batch]

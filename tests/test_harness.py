@@ -17,6 +17,7 @@ from geosaddle.harness import (
     ConfigError,
     PlotSeries,
     RunConfig,
+    build_problem,
     emit_plot_data,
     execute_run,
     grid_search,
@@ -217,6 +218,22 @@ def test_solve_reference_rerun_refines(tmp_path):
     assert gn2 <= gn
 
 
+def test_solve_reference_karcher_bits_at_350_iterations():
+    inst = KarcherInstance.generate(d=3, n_anchors=20, gamma=3.0, seed=5)
+    _, _, gn, iters = solve_reference(make_karcher(inst), tol=1e-10, max_iters=2000, seed=5, eta=0.02)
+    assert iters == 350
+    assert gn == 6.331575725430216e-11
+
+
+def test_failed_reference_solve_carries_its_partial_trace():
+    p = build_problem(RunConfig(problem="rpca", d=5, n=8, alpha=3.0, seed=7))
+    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 25: ") as err:
+        solve_reference(p, tol=1e-8, seed=7)
+    rows = err.value.trace.rows
+    assert [r.iter for r in rows] == [0, 25]
+    assert all(math.isfinite(r.grad_norm) for r in rows)
+
+
 def test_solve_reference_budget_exhaustion_raises():
     p = make_bilinear(BilinearInstance(k=2))
     with pytest.raises(RuntimeError):
@@ -396,14 +413,24 @@ def test_cli_exp_overflow_exits_3_with_partial_trace(tmp_path):
     assert [r.iter for r in trace.rows] == [0]
 
 
-def test_cli_exp_overflow_prints_only_the_error_line(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "run", "--problem", "rpca", "--d", "3", "--n", "4", "--alpha", "1.0", "--solver", "rceg",
+            "--eta", "1e200", "--iters", "5", "--seed", "1", "--out", "t.csv",
+        ],
+        [
+            "run", "--problem", "rpca", "--d", "3", "--n", "5", "--solver", "rgda", "--seed", "1",
+            "--eta", "1000", "--out", "t.csv",
+        ],
+    ],
+    ids=["spd-exp", "rpca-grad"],
+)
+def test_cli_exp_overflow_prints_only_the_error_line(tmp_path, argv):
     # warnings are errors in the child, so any numpy RuntimeWarning on the way
     # to the NumericError would end it with exit 1 and a traceback
     env = dict(os.environ, PYTHONPATH=str(Path(geosaddle.__file__).resolve().parent.parent))
-    argv = [
-        "run", "--problem", "rpca", "--d", "3", "--n", "4", "--alpha", "1.0", "--solver", "rceg",
-        "--eta", "1e200", "--iters", "5", "--seed", "1", "--out", "t.csv",
-    ]
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "geosaddle", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=False,

@@ -280,7 +280,7 @@ def test_non_pd_point_message_names_no_slice():
     spd = Spd(4)
     thin = _thin(4, np.random.default_rng(27))
     for call in (lambda: spd._roots(thin), lambda: spd.point(thin)):
-        with pytest.raises(NumericError, match=r"^SPD point: eigenvalue \S+ below the PD threshold$") as err:
+        with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -?\d\.\d{3}e[+-]\d+ below the PD threshold$") as err:
             call()
         assert "slice" not in str(err.value)
 
@@ -470,7 +470,7 @@ def test_mixed_products_keep_the_per_factor_loop():
 
 def test_mixed_product_errors_name_the_factor():
     m = Product((Spd(2), Spd(3)))
-    with pytest.raises(NumericError, match=r"^SPD point: eigenvalue \S+ below the PD threshold of factor 1$"):
+    with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -?\d\.\d{3}e[+-]\d+ below the PD threshold of factor 1$"):
         m.point((np.eye(2), np.diag([1.0, 1.0, -1.0])))
     m = Product((Sphere(3), Spd(2)))
     x = m.point((np.array([1.0, 0.0, 0.0]), np.eye(2)))

@@ -568,6 +568,25 @@ def test_run_rejects_unknown_solver():
         run(p, "newton", lambda t: 0.1, 5, seed=1)
 
 
+def test_run_with_tol_records_every_25th_row_and_the_last():
+    p = bilinear_problem(k=2)
+    trace, state = run(p, "rceg", lambda t: 0.1, 60, seed=3, tol=1e-300)
+    assert [r.iter for r in trace.rows] == [0, 25, 50, 60]
+    assert state.t == 60
+    full, _ = run(p, "rceg", lambda t: 0.1, 60, seed=3)
+    assert trace.column("grad_norm") == [full.rows[i].grad_norm for i in (0, 25, 50, 60)]
+
+
+def test_run_with_tol_stops_at_the_first_recorded_row_below_it():
+    p = bilinear_problem(k=2)
+    full, _ = run(p, "rceg", lambda t: 0.1, 200, seed=3)
+    tol = full.rows[60].grad_norm  # reached between two checks, so the stop is at 75
+    trace, state = run(p, "rceg", lambda t: 0.1, 200, seed=3, tol=tol)
+    assert [r.iter for r in trace.rows] == [0, 25, 50, 75]
+    assert state.t == 75
+    assert trace.rows[-1].grad_norm == full.rows[75].grad_norm <= tol < full.rows[50].grad_norm
+
+
 def test_run_bilinear_rceg_contracts():
     p = bilinear_problem(k=2)
     trace, state = run(p, "rceg", lambda t: 0.1, 100, seed=3)
