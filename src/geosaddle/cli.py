@@ -25,10 +25,10 @@ from .harness import (
     execute_run,
     grid_search,
     load_config_file,
-    load_reference,
     read_trace_csv,
     series_from_trace,
     solve_reference,
+    start_points,
     write_reference,
 )
 from .manifolds import GeometryError
@@ -52,20 +52,27 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="run seed (required)")
     p.add_argument("--data-seed", type=int, help="instance seed (defaults to --seed)")
     p.add_argument("--instance", help="load a pinned instance JSON instead of generating")
-    p.add_argument("--save-instance", help="write the generated instance to this path")
+    p.add_argument("--init-from", help="JSON file with pinned initial points")
     p.add_argument("--config", help="JSON config file; explicit flags override it")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=tuple(SOLVER_KINDS))
-    p.add_argument("--eta", help="step size, or 'auto' for the benchmark default")
-    p.add_argument("--a", type=float, help="decay numerator of the practical schedule")
     p.add_argument("--sigma", type=float, help="additive gradient-noise bound")
     p.add_argument("--batch-size", type=int, help="rpca minibatch size")
     p.add_argument("--iters", type=int, help="iteration budget")
+
+
+def _add_eta_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta", help="step size, or 'auto' for the benchmark default")
+
+
+def _add_run_only_flags(p: argparse.ArgumentParser) -> None:
+    # Read by run alone: the srceg auto decay, the instance copy, and the trace header and metric columns.
+    p.add_argument("--a", type=float, help="srceg with --eta auto: decay numerator of the practical schedule")
+    p.add_argument("--save-instance", help="write the generated instance to this path")
     p.add_argument("--diameter", type=float, help="length at which curvature constants are reported")
     p.add_argument("--reference", help="reference saddle JSON for the distance-gap metric")
-    p.add_argument("--init-from", help="JSON file with pinned initial points")
     p.add_argument("--timing", action="store_true", default=None,
                    help="record wall time (breaks byte determinism)")
     p.add_argument("--no-average", action="store_true", default=None,
@@ -94,10 +101,11 @@ def _parse_grid(raw: str | None, flag: str) -> list[float] | None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = load_config_file(args.config) if args.config else {}
-    # Every RunConfig field has a flag of the same name except track_average,
-    # which is set by --no-average.
+    # A RunConfig field takes the flag of the same name, or --no-average for
+    # track_average, where the command registers one; the config file sets the rest.
     cli_map = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    cli_map["track_average"] = None if args.no_average is None else not args.no_average
+    no_average = getattr(args, "no_average", None)
+    cli_map["track_average"] = None if no_average is None else not no_average
     merged.update({k: v for k, v in cli_map.items() if v is not None})
     if merged.get("problem") is None:
         raise ConfigError("--problem is required (flag or config file)")
@@ -138,16 +146,14 @@ def _cmd_grid_search(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.solver != "rceg":
-        # solve_reference always runs the exact corrected extragradient.
-        raise ConfigError(f"reference solves with rceg only; --solver {cfg.solver} would be ignored")
+        # solve_reference always runs the exact corrected extragradient; only a config file can name another.
+        raise ConfigError(f"reference solves with rceg only; solver {cfg.solver} would be ignored")
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise ConfigError(f"tol must be positive and finite, got {args.tol!r}")
     if args.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     problem = build_problem(cfg)
-    x0 = y0 = None
-    if cfg.init_from:
-        x0, y0, _ = load_reference(cfg.init_from, problem.m_min, problem.m_max)
+    x0, y0 = start_points(cfg, problem)
     eta = None if isinstance(cfg.eta, str) else float(cfg.eta)
     try:
         x, y, gn, iters = solve_reference(
@@ -200,13 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one solver configuration and write a trace CSV")
     _add_problem_flags(p_run)
-    _add_solver_flags(p_run)
+    _add_oracle_flags(p_run)
+    _add_eta_flag(p_run)
+    _add_run_only_flags(p_run)
     p_run.add_argument("--out", required=True, help="trace CSV output path")
     p_run.set_defaults(fn=_cmd_run)
 
     p_grid = sub.add_parser("grid-search", help="rank step-size candidates on short runs")
     _add_problem_flags(p_grid)
-    _add_solver_flags(p_grid)
+    _add_oracle_flags(p_grid)
     p_grid.add_argument("--ell-grid", default=None, help="comma-separated smoothness candidates (eta = 1/(2 ell))")
     p_grid.add_argument("--a-grid", default=None, help="comma-separated decay numerators for the practical schedule")
     p_grid.add_argument("--out", default=None, help="ranking CSV output path")
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("reference", help="solve a high-accuracy reference saddle")
     _add_problem_flags(p_ref)
-    _add_solver_flags(p_ref)
+    _add_eta_flag(p_ref)
     p_ref.add_argument("--tol", type=float, default=1e-10, help="target combined gradient norm")
     p_ref.add_argument("--max-iters", type=int, default=200_000)
     p_ref.add_argument("--out", required=True, help="reference JSON output path")

@@ -1,14 +1,16 @@
 """Experiment harness: configs, trace files, grid search, references, plots.
 
-Everything a benchmark run needs around the solvers: a flat config (JSON
-file mirrored by CLI flags), step-size schedules built from it,
+Everything a benchmark run needs around the solvers: a flat config (one
+JSON file shared by the CLI commands, each of which mirrors as flags only
+the keys it reads), step-size schedules built from it,
 deterministic CSV traces with a metadata header, step-size grid search,
 reference-saddle computation and persistence, and long-format plot data
 with an optional SVG rendering. Runs, grid candidates and reference solves
-all go through the one driver loop, :func:`~geosaddle.solvers.run`; a
-reference solve is rceg run to a gradient-norm tolerance. The
-gradient-norm and distance-gap metrics are methods of
-:class:`~geosaddle.solvers.SaddleProblem`.
+all go through the one driver loop, :func:`~geosaddle.solvers.run`. A grid
+candidate is a bare driver call: no running mean, trace file or metadata,
+since its ranking reads only the last row. A reference solve is rceg run
+to a gradient-norm tolerance. The gradient-norm and distance-gap metrics
+are methods of :class:`~geosaddle.solvers.SaddleProblem`.
 
 File formats:
 
@@ -29,7 +31,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -104,7 +106,7 @@ class RunConfig:
     gamma: float = 2.0
     n_anchors: int = 3
     eta: object = "auto"  # positive float or the string "auto"
-    a: float = 1.0
+    a: Optional[float] = None  # read by the srceg auto schedule only; None there means 1.0
     sigma: Optional[float] = None
     batch_size: Optional[int] = None
     data_seed: Optional[int] = None
@@ -160,8 +162,13 @@ class RunConfig:
                 raise ConfigError(f"eta must be a positive number or 'auto', got {self.eta!r}")
         elif not _positive_finite(float(self.eta)):
             raise ConfigError("eta must be positive and finite")
-        if not _positive_finite(self.a):
-            raise ConfigError("a must be positive and finite")
+        if self.a is not None:
+            kind = SOLVER_KINDS[self.solver]
+            if not (kind.extragradient and kind.stochastic and self.eta == "auto"):
+                # Like --sigma on rceg: the header would record a decay that never ran.
+                raise ConfigError("--a sets the decay of the srceg auto schedule; no other schedule reads it")
+            if not _positive_finite(self.a):
+                raise ConfigError("a must be positive and finite")
         if self.diameter is not None and not _positive_finite(self.diameter):
             raise ConfigError("diameter must be positive and finite")
 
@@ -239,13 +246,11 @@ def build_schedule(cfg: RunConfig, problem: SaddleProblem) -> tuple[Callable[[in
     kind = SOLVER_KINDS[cfg.solver]
     if kind.extragradient:
         ell_hat = _estimated_smoothness(problem, cfg.seed)
-        if not ell_hat > 0:
-            raise ConfigError("smoothness estimate collapsed to zero; pass an explicit eta")
         if not kind.stochastic:
             eta = 1.0 / (2.0 * ell_hat)
             return (lambda t: eta), {"kind": "constant", "eta": eta, "ell_hat": ell_hat}
-        meta = {"kind": "practical", "ell_hat": ell_hat, "a": cfg.a}
-        return (lambda t: schedule_practical(ell_hat, cfg.a, t)), meta
+        a = 1.0 if cfg.a is None else cfg.a
+        return (lambda t: schedule_practical(ell_hat, a, t)), {"kind": "practical", "ell_hat": ell_hat, "a": a}
     mu_hat = estimate_strong_monotonicity(problem, _MONOTONICITY_SAMPLES, _estimation_rng(cfg.seed))
     if mu_hat <= 0:
         raise ConfigError(
@@ -262,7 +267,10 @@ def _estimation_rng(seed: int) -> np.random.Generator:
 
 
 def _estimated_smoothness(problem: SaddleProblem, seed: int) -> float:
-    return estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, _estimation_rng(seed))
+    ell_hat = estimate_smoothness(problem, _SMOOTHNESS_SAMPLES, _estimation_rng(seed))
+    if not ell_hat > 0:
+        raise ConfigError("smoothness estimate collapsed to zero; pass an explicit eta")
+    return ell_hat
 
 
 # -- trace files ---------------------------------------------------------------
@@ -387,6 +395,20 @@ def load_reference(path: str, m_min: Manifold, m_max: Manifold) -> tuple[Point, 
 # -- run execution ---------------------------------------------------------------
 
 
+def start_points(cfg: RunConfig, problem: SaddleProblem) -> tuple[Optional[Point], Optional[Point]]:
+    """The ``--init-from`` pair, or (None, None) for a start drawn from the seed."""
+    if not cfg.init_from:
+        return None, None
+    x0, y0, _ = load_reference(cfg.init_from, problem.m_min, problem.m_max)
+    return x0, y0
+
+
+def noise_model(cfg: RunConfig) -> Optional[NoiseModel]:
+    """A fresh ``--sigma`` noise model, or None; its streams advance as a run draws from them."""
+    # validate() admits sigma only on the stochastic solvers.
+    return None if cfg.sigma is None else NoiseModel(cfg.sigma, seed=cfg.seed)
+
+
 def _curvature_meta(m: Manifold, c: Optional[float]) -> Optional[dict]:
     at_c = m.diameter_bound if c is None else c
     if not math.isfinite(at_c):
@@ -405,14 +427,14 @@ def _curvature_meta(m: Manifold, c: Optional[float]) -> Optional[dict]:
     }
 
 
-def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
+def execute_run(cfg: RunConfig) -> tuple[Trace, dict]:
     """Run one configured experiment and (when ``cfg.out`` is set) write the trace.
 
     On divergence the partial trace is flushed to ``cfg.out`` before the
     exception propagates, so a failed run still leaves its evidence behind.
     """
     cfg.validate()
-    inst = build_instance(cfg) if inst is None else inst
+    inst = build_instance(cfg)
     problem = build_problem(cfg, inst)
     schedule, sched_meta = build_schedule(cfg, problem)
 
@@ -420,10 +442,6 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
         Path(cfg.save_instance).write_text(
             json.dumps(instance_to_json(inst), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
         )
-
-    noise = None
-    if SOLVER_KINDS[cfg.solver].stochastic and cfg.sigma is not None:
-        noise = NoiseModel(cfg.sigma, seed=cfg.seed)
 
     reference = None
     if cfg.reference:
@@ -433,9 +451,7 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
         else:
             logger.warning("reference file %s missing; distance-gap metric omitted", cfg.reference)
 
-    x0 = y0 = None
-    if cfg.init_from:
-        x0, y0, _ = load_reference(cfg.init_from, problem.m_min, problem.m_max)
+    x0, y0 = start_points(cfg, problem)
 
     meta = {
         "version": __version__,
@@ -461,7 +477,7 @@ def execute_run(cfg: RunConfig, inst=None) -> tuple[Trace, dict]:
             cfg.seed,
             x0=x0,
             y0=y0,
-            noise=noise,
+            noise=noise_model(cfg),
             reference=reference,
             track_average=cfg.track_average,
             timing=cfg.timing,
@@ -493,7 +509,12 @@ def grid_search(
 
     Exactly one of ``ell_grid`` (constant steps 1/(2 ell)) or ``a_grid``
     (practical decay around an estimated smoothness cap; srceg only) must
-    be given.
+    be given. Each candidate is one call of the run driver on a fresh
+    problem (a minibatch oracle keeps its epoch position) with the
+    config's noise and start, and without a running mean, which the
+    ranking does not read. The instance, the ``--init-from`` pair and the
+    smoothness estimate are built once. A candidate therefore ranks by its
+    last iterate even where the running mean would hit a geometry failure.
     Diverged candidates rank last; ties break toward the smaller step.
     Returns (best row, all rows ranked); optionally writes a ranking CSV.
     """
@@ -511,22 +532,24 @@ def grid_search(
 
     inst = build_instance(cfg)
     problem = build_problem(cfg, inst)
-    ell_hat = None
-    if a_grid is not None:
-        ell_hat = _estimated_smoothness(problem, cfg.seed)
+    x0, y0 = start_points(cfg, problem)
+    ell_hat = None if a_grid is None else _estimated_smoothness(problem, cfg.seed)
 
     rows = []
     for g in grid:
         if ell_grid is not None:
-            candidate = replace(cfg, eta=1.0 / (2.0 * g))
-            eta0 = float(candidate.eta)
-            param_name, param = "ell", g
+            eta0 = 1.0 / (2.0 * g)
+            schedule = lambda t, eta=eta0: eta
+            param_name = "ell"
         else:
-            candidate = replace(cfg, eta="auto", a=g)
             eta0 = min(1.0 / (2.0 * ell_hat), g)  # step actually taken at t = 1
-            param_name, param = "a", g
+            schedule = lambda t, a=g: schedule_practical(ell_hat, a, t)
+            param_name = "a"
         try:
-            trace, _ = execute_run(replace(candidate, out=None, save_instance=None), inst=inst)
+            trace, _ = run(
+                build_problem(cfg, inst), cfg.solver, schedule, cfg.iters, cfg.seed,
+                x0=x0, y0=y0, noise=noise_model(cfg), track_average=False,
+            )
             final = trace.rows[-1].grad_norm
             status = "ok"
         except DivergenceError:
@@ -535,7 +558,7 @@ def grid_search(
         rows.append(
             {
                 "param_name": param_name,
-                "param": param,
+                "param": g,
                 "eta0": eta0,
                 "final_grad_norm": final,
                 "status": status,

@@ -314,8 +314,7 @@ def make_bilinear(inst: BilinearInstance) -> SaddleProblem:
     def grad(x: Point, y: Point) -> tuple[Tangent, Tangent]:
         return Tangent(x, b @ y.value), Tangent(y, b.T @ x.value)
 
-    ell = float(np.linalg.norm(b, 2))
-    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad, ell=ell)
+    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad)
 
 
 # -- empirical constants -------------------------------------------------------

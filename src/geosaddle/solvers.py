@@ -111,8 +111,7 @@ class SaddleProblem:
     second; ``grad`` returns the pair of Riemannian gradients (ascent
     direction in both slots -- the solvers flip the sign on the min side).
     ``stochastic_grad(x, y, rng)``, when present, is an unbiased noisy
-    oracle. ``ell``, when known in closed form, is the gradient Lipschitz
-    modulus.
+    oracle.
 
     The run driver, which is also the reference solve, reads its metrics
     through :meth:`grad_norms` and :meth:`distance_gap`.
@@ -123,7 +122,6 @@ class SaddleProblem:
     value: Callable[[Point, Point], float]
     grad: GradFn
     stochastic_grad: Optional[StochasticGradFn] = None
-    ell: Optional[float] = None
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import geosaddle
-from geosaddle.cli import main
+from geosaddle import harness, solvers
+from geosaddle.cli import build_parser, main
 from geosaddle.harness import (
     ConfigError,
     PlotSeries,
@@ -35,7 +37,8 @@ from geosaddle.problems import (
     make_bilinear,
     make_karcher,
 )
-from geosaddle.solvers import DivergenceError
+from geosaddle.manifolds import Euclidean, Sphere, Tangent
+from geosaddle.solvers import DivergenceError, SaddleProblem
 
 
 # -- config validation -------------------------------------------------------------
@@ -293,6 +296,44 @@ def test_grid_search_a_grid_needs_srceg(solver):
         grid_search(cfg, a_grid=[0.1, 1.0])
 
 
+def test_grid_candidate_ranks_by_last_iterate_when_the_mean_fails(monkeypatch):
+    # On the circle, grad_x = -(4 pi/3) J x turns x by 2 pi/3 per rgda step at eta = 1/2, so at
+    # t = 2 the running mean of x0 and x1 is antipodal to x2. Candidates keep no running mean.
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def grad(x, y):
+        return Tangent(x, (-4.0 * math.pi / 3.0) * (turn @ x.value)), Tangent(y, np.zeros(1))
+
+    problem = SaddleProblem(m_min=Sphere(2), m_max=Euclidean(1), value=lambda x, y: 0.0, grad=grad)
+    monkeypatch.setattr(harness, "build_problem", lambda cfg, inst=None: problem)
+    cfg = RunConfig(problem="bilinear", solver="rgda", seed=3, iters=6, d=1)
+    best, _rows = grid_search(cfg, ell_grid=[1.0])
+    assert best["status"] == "ok"
+    assert best["final_grad_norm"] == 4.1887902047863905
+
+
+def test_grid_ranking_equals_each_candidate_run_alone():
+    # 7 srceg steps draw 14 minibatches of 2 from n = 5, ending mid-epoch: candidates that
+    # shared one problem would start later ones part-way through an epoch.
+    cfg = RunConfig(problem="rpca", solver="srceg", seed=4, iters=7, d=3, n=5, alpha=3.0, batch_size=2)
+    _best, rows = grid_search(cfg, ell_grid=[8.0, 16.0, 32.0])
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    for r in rows:
+        alone, _ = execute_run(replace(cfg, eta=1.0 / (2.0 * r["param"])))
+        assert r["final_grad_norm"] == alone.rows[-1].grad_norm
+
+
+def test_grid_search_estimates_once_and_never_averages(monkeypatch):
+    calls = []
+    estimate = harness.estimate_smoothness
+    monkeypatch.setattr(harness, "estimate_smoothness", lambda *a: calls.append(1) or estimate(*a))
+    monkeypatch.setattr(harness, "execute_run", None)
+    monkeypatch.setattr(solvers, "running_mean_update", None)
+    cfg = RunConfig(problem="bilinear", solver="srceg", seed=2, iters=10, d=2, sigma=0.1)
+    _best, rows = grid_search(cfg, a_grid=[0.25, 0.5, 1.0])
+    assert len(rows) == 3 and len(calls) == 1
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 
@@ -322,7 +363,9 @@ def test_cli_rejects_invalid_flag_combination(tmp_path):
     assert not out.exists()
 
 
-_SMALL_RPCA = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1", "--iters", "5"]
+# Problem flags only, for `reference`, which takes no --iters.
+_SMALL_RPCA_PROBLEM = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1"]
+_SMALL_RPCA = [*_SMALL_RPCA_PROBLEM, "--iters", "5"]
 _NOT_PD = [[1.0, 0.0], [0.0, -1.0]]
 
 
@@ -335,7 +378,12 @@ def _bad_input_files(tmp_path) -> dict:
         "instance_not_pd": tmp_path / "inst.json",
         "init_not_pd": tmp_path / "init.json",
         "ref4": tmp_path / "ref4.json",
+        "config_rgda": tmp_path / "rgda.json",
+        "zero_coupling": tmp_path / "zero.json",
     }
+    files["config_rgda"].write_text(json.dumps({"solver": "rgda"}))
+    # zero gradients everywhere, so the sampled smoothness is 0
+    files["zero_coupling"].write_text(json.dumps({"problem": "bilinear", "k": 2, "coupling": [[0, 0], [0, 0]]}))
     files["instance_not_pd"].write_text(json.dumps(inst))
     init = {"x": {"kind": "sphere", "payload": [1.0, 0.0]}, "y": {"kind": "spd", "payload": _NOT_PD}}
     files["init_not_pd"].write_text(json.dumps(init))
@@ -355,14 +403,14 @@ def _bad_input_files(tmp_path) -> dict:
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,x"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{missing}"],
-        ["reference", *_SMALL_RPCA, "--init-from", "{missing}"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--init-from", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--sigma", "0.1", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "rgda", "--sigma", "0.1", "--eta", "0.05"],
-        ["reference", *_SMALL_RPCA, "--solver", "rgda"],
-        ["reference", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1"],
-        ["reference", *_SMALL_RPCA, "--solver", "srgda", "--sigma", "0.5"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "rgda"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "srceg", "--sigma", "0.1"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "srgda", "--sigma", "0.5"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance_not_pd}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{init_not_pd}"],
         [
@@ -371,13 +419,27 @@ def _bad_input_files(tmp_path) -> dict:
         ],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--seed", "-1"],
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--seed", "-1"],
-        ["reference", *_SMALL_RPCA, "--seed", "-1"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--seed", "-1"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--data-seed", "-2"],
-        ["reference", *_SMALL_RPCA, "--tol", "nan"],
-        ["reference", *_SMALL_RPCA, "--tol", "-1"],
-        ["reference", *_SMALL_RPCA, "--max-iters", "0"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--tol", "nan"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--tol", "-1"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--max-iters", "0"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "nan"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "inf"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--config", "{config_rgda}"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--a", "9"],
+        ["run", *_SMALL_RPCA, "--solver", "srceg", "--batch-size", "2", "--eta", "0.1", "--a", "2"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "auto", "--a", "2"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--save-instance", "{missing}"],
+        ["reference", *_SMALL_RPCA_PROBLEM, "--iters", "5"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--save-instance", "{missing}"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--reference", "{missing}"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--eta", "0.1"],
+        [
+            "grid-search", "--problem", "bilinear", "--d", "2", "--seed", "1", "--instance", "{zero_coupling}",
+            "--solver", "srceg", "--sigma", "0.1", "--a-grid", "0.5,1",
+        ],
+        ["reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--instance", "{zero_coupling}"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
@@ -389,6 +451,9 @@ def _bad_input_files(tmp_path) -> dict:
         "run-seed-negative", "grid-seed-negative", "reference-seed-negative", "data-seed-negative",
         "reference-tol-nan", "reference-tol-negative", "reference-max-iters-zero",
         "diameter-nan", "diameter-inf",
+        "reference-config-rgda", "a-rceg", "a-explicit-eta", "a-rceg-auto",
+        "reference-save-instance", "reference-iters", "grid-save-instance", "grid-reference", "grid-eta",
+        "grid-a-smoothness-zero", "reference-smoothness-zero",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -397,6 +462,23 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     argv = [a.format(**files) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+    assert not files["missing"].exists()
+
+
+def test_cli_commands_register_only_the_flags_they_read():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {
+        name: {a.option_strings[-1] for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in commands.items()
+    }
+    assert [len(flags[c]) for c in ("run", "grid-search", "reference")] == [23, 18, 15]
+    assert flags["run"] - flags["grid-search"] == {
+        "--save-instance", "--eta", "--a", "--diameter", "--reference", "--timing", "--no-average",
+    }
+    assert flags["run"] - flags["reference"] == {
+        "--save-instance", "--solver", "--a", "--sigma", "--batch-size", "--iters",
+        "--diameter", "--reference", "--timing", "--no-average",
+    }
 
 
 def test_cli_exp_overflow_exits_3_with_partial_trace(tmp_path):

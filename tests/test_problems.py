@@ -409,7 +409,6 @@ def test_bilinear_value_and_grad():
     gx, gy = p.grad(x, y)
     assert np.allclose(gx.value, inst.coupling @ y.value)
     assert np.allclose(gy.value, inst.coupling.T @ x.value)
-    assert p.ell == pytest.approx(np.linalg.norm(inst.coupling, 2))
 
 
 # -- empirical constants ----------------------------------------------------------------

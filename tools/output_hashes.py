@@ -27,45 +27,55 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_RPCA = ["--problem", "rpca", "--d", "5", "--n", "8", "--alpha", "3.0", "--seed", "7", "--iters", "40"]
-_KARCHER = ["--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "5", "--iters", "40"]
-_BILINEAR = ["--problem", "bilinear", "--d", "3", "--seed", "3", "--iters", "40"]
+# Problem flags only: ``reference`` takes no ``--iters``, so run and grid-search add it.
+_RPCA = ["--problem", "rpca", "--d", "5", "--n", "8", "--alpha", "3.0", "--seed", "7"]
+_KARCHER = ["--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "5"]
+_BILINEAR = ["--problem", "bilinear", "--d", "3", "--seed", "3"]
+_ITERS = ["--iters", "40"]
 
 # (name, argv, output files, whether stdout is an output)
 COMMANDS = (
-    ("eg", ["run", *_RPCA, "--solver", "rceg", "--eta", "0.1", "--out", "eg.csv"], ["eg.csv"], False),
+    ("eg", ["run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.1", "--out", "eg.csv"], ["eg.csv"], False),
     (
         "eg_noavg",
-        ["run", *_RPCA, "--solver", "rceg", "--eta", "0.1", "--no-average", "--out", "eg_noavg.csv"],
+        ["run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.1", "--no-average", "--out", "eg_noavg.csv"],
         ["eg_noavg.csv"],
         False,
     ),
     (
         "mb",
-        ["run", *_RPCA, "--solver", "srceg", "--batch-size", "2", "--eta", "auto", "--a", "1.0", "--out", "mb.csv"],
+        [
+            "run", *_RPCA, *_ITERS, "--solver", "srceg", "--batch-size", "2", "--eta", "auto", "--a", "1.0",
+            "--out", "mb.csv",
+        ],
         ["mb.csv"],
         False,
     ),
     (
         "noise",
-        ["run", *_RPCA, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--out", "noise.csv"],
+        ["run", *_RPCA, *_ITERS, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--out", "noise.csv"],
         ["noise.csv"],
         False,
     ),
     (
         "noise_noavg",
         [
-            "run", *_RPCA, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--no-average",
+            "run", *_RPCA, *_ITERS, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--no-average",
             "--out", "noise_noavg.csv",
         ],
         ["noise_noavg.csv"],
         False,
     ),
-    ("gda", ["run", *_KARCHER, "--solver", "rgda", "--eta", "0.05", "--out", "gda.csv"], ["gda.csv"], False),
-    ("scsc", ["run", *_KARCHER, "--solver", "rgda", "--eta", "auto", "--out", "scsc.csv"], ["scsc.csv"], False),
+    ("gda", ["run", *_KARCHER, *_ITERS, "--solver", "rgda", "--eta", "0.05", "--out", "gda.csv"], ["gda.csv"], False),
+    (
+        "scsc",
+        ["run", *_KARCHER, *_ITERS, "--solver", "rgda", "--eta", "auto", "--out", "scsc.csv"],
+        ["scsc.csv"],
+        False,
+    ),
     (
         "sgda",
-        ["run", *_BILINEAR, "--solver", "srgda", "--sigma", "0.2", "--eta", "0.05", "--out", "sgda.csv"],
+        ["run", *_BILINEAR, *_ITERS, "--solver", "srgda", "--sigma", "0.2", "--eta", "0.05", "--out", "sgda.csv"],
         ["sgda.csv"],
         False,
     ),
@@ -86,7 +96,7 @@ COMMANDS = (
     (
         "init",
         [
-            "run", *_KARCHER, "--solver", "rceg", "--eta", "0.05",
+            "run", *_KARCHER, *_ITERS, "--solver", "rceg", "--eta", "0.05",
             "--init-from", "ref.json", "--reference", "ref.json", "--out", "init.csv",
         ],
         ["init.csv"],
@@ -95,19 +105,25 @@ COMMANDS = (
     (
         # Averaging from a random start keeps up to four SPD base points live per side.
         "keg",
-        ["run", *_KARCHER, "--solver", "rceg", "--eta", "0.05", "--reference", "ref.json", "--out", "keg.csv"],
+        ["run", *_KARCHER, *_ITERS, "--solver", "rceg", "--eta", "0.05", "--reference", "ref.json", "--out", "keg.csv"],
         ["keg.csv"],
         False,
     ),
     (
         "inst",
-        ["run", *_RPCA, "--solver", "rgda", "--eta", "0.05", "--save-instance", "inst.json", "--out", "inst.csv"],
+        [
+            "run", *_RPCA, *_ITERS, "--solver", "rgda", "--eta", "0.05", "--save-instance", "inst.json",
+            "--out", "inst.csv",
+        ],
         ["inst.json", "inst.csv"],
         False,
     ),
     (
         "inst_load",
-        ["run", *_RPCA, "--solver", "rceg", "--eta", "0.05", "--instance", "inst.json", "--out", "inst_load.csv"],
+        [
+            "run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.05", "--instance", "inst.json",
+            "--out", "inst_load.csv",
+        ],
         ["inst_load.csv"],
         False,
     ),
@@ -119,14 +135,35 @@ COMMANDS = (
     ),
     (
         "rank_ell",
-        ["grid-search", *_RPCA, "--solver", "rceg", "--ell-grid", "1,2,4", "--out", "rank_ell.csv"],
+        ["grid-search", *_RPCA, *_ITERS, "--solver", "rceg", "--ell-grid", "1,2,4", "--out", "rank_ell.csv"],
         ["rank_ell.csv"],
         True,
     ),
     (
         "rank_a",
-        ["grid-search", *_RPCA, "--solver", "srceg", "--batch-size", "2", "--a-grid", "0.5,1", "--out", "rank_a.csv"],
+        [
+            "grid-search", *_RPCA, *_ITERS, "--solver", "srceg", "--batch-size", "2", "--a-grid", "0.5,1",
+            "--out", "rank_a.csv",
+        ],
         ["rank_a.csv"],
+        True,
+    ),
+    (
+        "rank_sgda",
+        [
+            "grid-search", *_BILINEAR, *_ITERS, "--solver", "srgda", "--sigma", "0.2", "--ell-grid", "1,2,4",
+            "--out", "rank_sgda.csv",
+        ],
+        ["rank_sgda.csv"],
+        True,
+    ),
+    (
+        "rank_init",
+        [
+            "grid-search", *_KARCHER, *_ITERS, "--solver", "rgda", "--ell-grid", "5,10,20",
+            "--init-from", "ref.json", "--out", "rank_init.csv",
+        ],
+        ["rank_init.csv"],
         True,
     ),
     (
