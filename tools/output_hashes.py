@@ -43,6 +43,13 @@ COMMANDS = (
         False,
     ),
     (
+        # The only witnesses of a non-null curvature block in the trace header.
+        "eg_diam",
+        ["run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.1", "--diameter", "1.5", "--out", "eg_diam.csv"],
+        ["eg_diam.csv"],
+        False,
+    ),
+    (
         "mb",
         [
             "run", *_RPCA, *_ITERS, "--solver", "srceg", "--batch-size", "2", "--eta", "auto", "--a", "1.0",
@@ -107,6 +114,12 @@ COMMANDS = (
         "keg",
         ["run", *_KARCHER, *_ITERS, "--solver", "rceg", "--eta", "0.05", "--reference", "ref.json", "--out", "keg.csv"],
         ["keg.csv"],
+        False,
+    ),
+    (
+        "keg_diam",
+        ["run", *_KARCHER, *_ITERS, "--solver", "rceg", "--eta", "0.05", "--diameter", "2.0", "--out", "keg_diam.csv"],
+        ["keg_diam.csv"],
         False,
     ),
     (
