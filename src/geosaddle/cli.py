@@ -100,12 +100,16 @@ def _parse_grid(raw: str | None, flag: str) -> list[float] | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # A RunConfig field takes the flag of the same name, or --no-average for track_average.
+    # The config file may set only the fields whose flag the command registers.
+    dests = {f.name: f.name for f in fields(RunConfig)} | {"track_average": "no_average"}
+    cli_map = {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
+    if cli_map.get("track_average") is not None:
+        cli_map["track_average"] = not cli_map["track_average"]
     merged = load_config_file(args.config) if args.config else {}
-    # A RunConfig field takes the flag of the same name, or --no-average for
-    # track_average, where the command registers one; the config file sets the rest.
-    cli_map = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    no_average = getattr(args, "no_average", None)
-    cli_map["track_average"] = None if no_average is None else not no_average
+    unread = sorted(set(merged) - set(cli_map))
+    if unread:
+        raise ConfigError(f"{args.command} does not read config keys {unread}")
     merged.update({k: v for k, v in cli_map.items() if v is not None})
     if merged.get("problem") is None:
         raise ConfigError("--problem is required (flag or config file)")
@@ -133,11 +137,7 @@ def _cmd_grid_search(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     ell_grid = _parse_grid(args.ell_grid, "--ell-grid")
     a_grid = _parse_grid(args.a_grid, "--a-grid")
-    try:
-        best, _rows = grid_search(cfg, ell_grid=ell_grid, a_grid=a_grid, out=args.out)
-    except DivergenceError as e:
-        logger.error("numeric failure: %s", e)
-        return 3
+    best, _rows = grid_search(cfg, ell_grid=ell_grid, a_grid=a_grid, out=cfg.out)
     logger.info("best candidate: %(param_name)s=%(param)s (final grad norm %(final_grad_norm).3e)", best)
     print(json.dumps(best, sort_keys=True))
     return 0
@@ -145,9 +145,6 @@ def _cmd_grid_search(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if cfg.solver != "rceg":
-        # solve_reference always runs the exact corrected extragradient; only a config file can name another.
-        raise ConfigError(f"reference solves with rceg only; solver {cfg.solver} would be ignored")
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise ConfigError(f"tol must be positive and finite, got {args.tol!r}")
     if args.max_iters < 1:

@@ -410,11 +410,11 @@ def noise_model(cfg: RunConfig) -> Optional[NoiseModel]:
 
 
 def _curvature_meta(m: Manifold, c: Optional[float]) -> Optional[dict]:
-    at_c = m.diameter_bound if c is None else c
-    if not math.isfinite(at_c):
+    """The curvature constants at the run's ``--diameter`` ``c``; None without one or at/past pi/sqrt(kappa_max)."""
+    if c is None:
         return None
     try:
-        k = constants_at(m.kappa_min, m.kappa_max, at_c)
+        k = constants_at(m.kappa_min, m.kappa_max, c)
     except ValueError:
         return None
     return {

@@ -27,7 +27,8 @@ kernel call rather than a loop over the N factors.
 Curvature bounds are carried on the descriptor. For SPD matrices they are
 configurable: the affine-invariant metric is nonpositively curved, but some
 benchmark setups model the curvature interval as [-1/2, 1], so neither
-choice is hard-coded.
+choice is hard-coded. The length at which the curvature constants are
+evaluated is a run setting (``--diameter``), not a descriptor field.
 """
 
 from __future__ import annotations
@@ -310,7 +311,6 @@ class Euclidean(Manifold):
     """Flat R^d. Exp/log are vector addition/subtraction, transport is identity."""
 
     d: int
-    diameter_bound: float = math.inf
     kind: str = field(default="euclidean", init=False)
     kappa_min: float = field(default=0.0, init=False)
     kappa_max: float = field(default=0.0, init=False)
@@ -351,12 +351,11 @@ class Sphere(Manifold):
     """Unit sphere {x in R^d : |x| = 1}; ``d`` is the ambient dimension.
 
     Sectional curvature is identically +1, so the descriptor carries the
-    interval [0, 1] (a lower bound need not be tight, only valid) and the
-    diameter pi. Antipodal pairs have no unique geodesic and are rejected.
+    interval [0, 1] (a lower bound need not be tight, only valid). Antipodal
+    pairs have no unique geodesic and are rejected.
     """
 
     d: int
-    diameter_bound: float = math.pi
     kind: str = field(default="sphere", init=False)
     kappa_min: float = field(default=0.0, init=False)
     kappa_max: float = field(default=1.0, init=False)
@@ -364,8 +363,6 @@ class Sphere(Manifold):
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("ambient dimension must be >= 2")
-        if self.diameter_bound > math.pi:
-            raise ValueError("sphere diameter bound cannot exceed pi")
 
     @property
     def dim(self) -> int:
@@ -500,7 +497,6 @@ class Spd(Manifold):
     n: int
     kappa_min: float = -0.5
     kappa_max: float = 1.0
-    diameter_bound: float | None = None
     kind: str = field(default="spd", init=False)
 
     def __post_init__(self):
@@ -508,11 +504,6 @@ class Spd(Manifold):
             raise ValueError("matrix dimension must be >= 1")
         if self.kappa_min > 0 or self.kappa_min > self.kappa_max:
             raise ValueError("need kappa_min <= 0 and kappa_min <= kappa_max")
-        if self.diameter_bound is None:
-            default = math.pi / math.sqrt(self.kappa_max) if self.kappa_max > 0 else math.inf
-            object.__setattr__(self, "diameter_bound", default)
-        if self.kappa_max > 0 and self.diameter_bound > math.pi / math.sqrt(self.kappa_max):
-            raise ValueError("diameter bound must not exceed pi/sqrt(kappa_max)")
 
     @property
     def dim(self) -> int:
@@ -553,12 +544,13 @@ class Spd(Manifold):
         finite = np.isfinite(w).all(axis=-1)
         if not finite.all():
             raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(~finite)}")
-        with np.errstate(over="ignore"):
-            ew = np.exp(w)
-        finite = np.isfinite(ew).all(axis=-1)
+        # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _sym(half @ _spectral(q, np.exp(w)) @ half)
+        finite = np.isfinite(out).all(axis=(-2, -1))
         if not finite.all():
             raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(~finite)}")
-        return _sym(half @ _spectral(q, ew) @ half)
+        return out
 
     def _log(self, x, y):
         half, _, w, q = self._whiten(x, y, "SPD log")
@@ -608,9 +600,7 @@ class Product(Manifold):
     """Product of factor manifolds; payloads are tuples of factor payloads.
 
     The metric is the sum over factors, so squared distances add. The
-    curvature interval is the hull of the factor intervals; the diameter
-    bound combines factor bounds in quadrature, clamped to pi/sqrt(kappa_max)
-    when some factor is positively curved so the descriptor invariant holds.
+    curvature interval is the hull of the factor intervals.
 
     When every factor is the same ``Spd`` descriptor (SPD^N), the payload is
     one (N, n, n) array instead, and exp, log, transport, inner and distance
@@ -647,13 +637,6 @@ class Product(Manifold):
     @property
     def kappa_max(self) -> float:
         return max(f.kappa_max for f in self.factors)
-
-    @property
-    def diameter_bound(self) -> float:
-        d = math.sqrt(sum(f.diameter_bound**2 for f in self.factors))
-        if self.kappa_max > 0:
-            d = min(d, math.pi / math.sqrt(self.kappa_max))
-        return d
 
     @property
     def _shape(self) -> tuple[int, ...]:

@@ -379,9 +379,15 @@ def _bad_input_files(tmp_path) -> dict:
         "init_not_pd": tmp_path / "init.json",
         "ref4": tmp_path / "ref4.json",
         "config_rgda": tmp_path / "rgda.json",
+        "config_run_only": tmp_path / "run_only.json",
+        "config_not_grid": tmp_path / "not_grid.json",
         "zero_coupling": tmp_path / "zero.json",
     }
     files["config_rgda"].write_text(json.dumps({"solver": "rgda"}))
+    # keys of RunConfig fields whose flags the command does not register
+    run_only = {"save_instance": str(files["missing"]), "iters": 7, "timing": True}
+    files["config_run_only"].write_text(json.dumps(run_only))
+    files["config_not_grid"].write_text(json.dumps({"reference": "nope.json", "diameter": 3.0, "eta": 0.5}))
     # zero gradients everywhere, so the sampled smoothness is 0
     files["zero_coupling"].write_text(json.dumps({"problem": "bilinear", "k": 2, "coupling": [[0, 0], [0, 0]]}))
     files["instance_not_pd"].write_text(json.dumps(inst))
@@ -427,6 +433,14 @@ def _bad_input_files(tmp_path) -> dict:
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "nan"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--diameter", "inf"],
         ["reference", *_SMALL_RPCA_PROBLEM, "--config", "{config_rgda}"],
+        [
+            "reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--tol", "1e-8",
+            "--config", "{config_run_only}",
+        ],
+        [
+            "grid-search", "--problem", "bilinear", "--d", "2", "--seed", "1", "--solver", "rceg", "--iters", "5",
+            "--ell-grid", "1,2", "--config", "{config_not_grid}",
+        ],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--a", "9"],
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--batch-size", "2", "--eta", "0.1", "--a", "2"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "auto", "--a", "2"],
@@ -451,7 +465,8 @@ def _bad_input_files(tmp_path) -> dict:
         "run-seed-negative", "grid-seed-negative", "reference-seed-negative", "data-seed-negative",
         "reference-tol-nan", "reference-tol-negative", "reference-max-iters-zero",
         "diameter-nan", "diameter-inf",
-        "reference-config-rgda", "a-rceg", "a-explicit-eta", "a-rceg-auto",
+        "reference-config-rgda", "reference-config-unread", "grid-config-unread",
+        "a-rceg", "a-explicit-eta", "a-rceg-auto",
         "reference-save-instance", "reference-iters", "grid-save-instance", "grid-reference", "grid-eta",
         "grid-a-smoothness-zero", "reference-smoothness-zero",
     ],
@@ -569,6 +584,14 @@ def test_cli_config_file_with_override(tmp_path):
     assert code == 0
     _, trace = read_trace_csv(str(out))
     assert len(trace.rows) == 5  # CLI --iters 4 overrides the file's 8
+
+
+def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):
+    rank = tmp_path / "rank.csv"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"problem": "bilinear", "d": 2, "seed": 1, "solver": "rceg", "out": str(rank)}))
+    assert main(["grid-search", "--config", str(cfg_file), "--iters", "5", "--ell-grid", "1,2"]) == 0
+    assert rank.read_text().startswith("rank,param_name,")
 
 
 def test_cli_reference_and_gap_metric(tmp_path):

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from geosaddle.curvature import constants_at
 from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
@@ -26,6 +28,7 @@ from geosaddle.problems import (
 )
 from geosaddle.solvers import (
     SOLVER_KINDS,
+    DivergenceError,
     NoiseModel,
     SaddleProblem,
     initial_state,
@@ -629,6 +632,38 @@ def test_run_averages_half_iterates_for_eg_and_iterates_for_gda():
         st = rgda_step(p, st, 0.1)
         iters.append(st.x.value[0])
     assert abs(state.x_bar.value[0] - np.mean(iters)) < 1e-12
+
+
+# Small instances of each problem; rpca's stochastic solvers draw minibatches of 2, the others add noise.
+_FUZZ_PROBLEMS = {
+    "rpca": make_rpca(RpcaInstance.generate(d=3, n=5, alpha=1.0, seed=1), batch_size=2),
+    "karcher": make_karcher(KarcherInstance.generate(d=2, n_anchors=3, gamma=2.0, seed=1)),
+    "bilinear": bilinear_problem(k=2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=hst.sampled_from(sorted(_FUZZ_PROBLEMS)),
+    solver=hst.sampled_from(sorted(SOLVER_KINDS)),
+    eta=hst.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    seed=hst.integers(0, 2**16),
+)
+def test_run_returns_finite_rows_or_diverges_with_finite_rows(name, solver, eta, seed):
+    problem = _FUZZ_PROBLEMS[name]
+    noise = NoiseModel(0.1, seed=seed) if SOLVER_KINDS[solver].stochastic and name != "rpca" else None
+    try:
+        trace, _ = run(problem, solver, lambda t: eta, 20, seed, noise=noise)
+    except DivergenceError as e:
+        trace = e.trace
+    values = [
+        v
+        for r in trace.rows
+        for v in (r.data_passes, r.eta, r.grad_norm, r.grad_norm_x, r.grad_norm_y, r.grad_norm_avg)
+        if v is not None
+    ]
+    assert trace.rows and all(math.isfinite(v) for v in values)
 
 
 def state_x0(problem, seed):
