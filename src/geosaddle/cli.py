@@ -37,6 +37,9 @@ from .solvers import SOLVER_KINDS, DivergenceError
 
 logger = logging.getLogger("geosaddle")
 
+# Instance settings that only one problem reads, mapped to that problem.
+_PROBLEM_OF_KEY = {"n": "rpca", "alpha": "rpca", "gamma": "karcher", "n_anchors": "karcher"}
+
 
 # Flags default to None (absent) so that the merge precedence is exact:
 # RunConfig defaults < config file < explicitly passed flags.
@@ -115,6 +118,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--problem is required (flag or config file)")
     if merged.get("seed") is None:
         raise ConfigError("--seed is required (flag or config file)")
+    # An --instance file replaces every generation setting; only a generated instance is checked here.
+    if merged.get("instance") is None:
+        foreign = [k for k, owner in _PROBLEM_OF_KEY.items() if k in merged and owner != merged["problem"]]
+        if foreign:
+            flags = ", ".join("--" + k.replace("_", "-") for k in sorted(foreign))
+            raise ConfigError(f"problem {merged['problem']} does not read {flags} (flag or config key)")
     if "eta" in merged:
         merged["eta"] = _parse_eta(merged["eta"])
     return RunConfig.from_dict(merged)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -81,8 +80,6 @@ __all__ = [
     "emit_plot_data",
     "PlotSeries",
 ]
-
-logger = logging.getLogger("geosaddle")
 
 _SMOOTHNESS_SAMPLES = 64
 _MONOTONICITY_SAMPLES = 128
@@ -437,21 +434,14 @@ def execute_run(cfg: RunConfig) -> tuple[Trace, dict]:
     inst = build_instance(cfg)
     problem = build_problem(cfg, inst)
     schedule, sched_meta = build_schedule(cfg, problem)
+    reference = load_reference(cfg.reference, problem.m_min, problem.m_max)[:2] if cfg.reference else None
+    x0, y0 = start_points(cfg, problem)
 
+    # Written only once every input file has loaded, so a config error (exit 2) leaves no output.
     if cfg.save_instance:
         Path(cfg.save_instance).write_text(
             json.dumps(instance_to_json(inst), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
         )
-
-    reference = None
-    if cfg.reference:
-        if Path(cfg.reference).exists():
-            rx, ry, _ = load_reference(cfg.reference, problem.m_min, problem.m_max)
-            reference = (rx, ry)
-        else:
-            logger.warning("reference file %s missing; distance-gap metric omitted", cfg.reference)
-
-    x0, y0 = start_points(cfg, problem)
 
     meta = {
         "version": __version__,

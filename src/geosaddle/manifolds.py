@@ -131,9 +131,6 @@ class Tangent:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return self.manifold.norm(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tangent(base={self.base!r}, {self.value!r})"
 

@@ -15,6 +15,12 @@ Three problem families:
 - A flat bilinear coupling ``x^T B y`` used as the exactness oracle for
   the solver reductions.
 
+Every value and gradient function takes the problem's slot order, the
+instance first and then (min point, max point), and a gradient returns
+(g_min, g_max); ``make_rpca`` and ``make_karcher`` bind the instance with
+``functools.partial``. The robust PCA minibatch sampler is the problem's
+``stochastic_grad(x, M, rng)``; the run's oracle holds the generator.
+
 Riemannian gradients are hand-derived and are only ever trusted through the
 finite-difference directional-derivative check in the test suite. The SPD
 gradients use the affine-invariant conversion grad = M sym(euclidean) M and
@@ -37,6 +43,7 @@ side are each one stacked kernel call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -120,7 +127,7 @@ class RpcaInstance:
         return cls(d=d, n=n, alpha=alpha, data=tuple(gen_spd_data(d, n, seed=seed)))
 
 
-def rpca_value(inst: RpcaInstance, m_point: Point, x_point: Point) -> float:
+def rpca_value(inst: RpcaInstance, x_point: Point, m_point: Point) -> float:
     """Objective -x^T M x - (alpha/n) sum_i d(M, M_i)."""
     spd = m_point.manifold
     if not isinstance(spd, Spd) or spd.n != inst.d:
@@ -133,9 +140,9 @@ def rpca_value(inst: RpcaInstance, m_point: Point, x_point: Point) -> float:
 
 
 def rpca_grad(
-    inst: RpcaInstance, m_point: Point, x_point: Point, batch: Optional[np.ndarray] = None
+    inst: RpcaInstance, x_point: Point, m_point: Point, batch: Optional[np.ndarray] = None
 ) -> tuple[Tangent, Tangent]:
-    """Riemannian gradients (at M, at x) of the robust PCA objective.
+    """Riemannian gradients (at x, at M) of the robust PCA objective.
 
     ``batch`` restricts the distance terms to the given indices with the
     unbiased n/batch_size scaling. Terms with d(M, M_i) below tolerance
@@ -168,23 +175,18 @@ def rpca_grad(
     qcat = q.transpose(1, 0, 2).reshape(len(m), -1)
     inner = (qcat * (coef[:, None] * lw).ravel()) @ qcat.T
     gm = gm + _sym(half @ _sym(inner) @ half)
-    return Tangent(m_point, gm), Tangent(x_point, gx)
+    return Tangent(x_point, gx), Tangent(m_point, gm)
 
 
 def make_rpca(inst: RpcaInstance, batch_size: Optional[int] = None) -> SaddleProblem:
     """Saddle problem with x on the sphere (min side) and M on SPD (max side)."""
-    sphere = Sphere(inst.d)
-    spd = Spd(inst.d)
-    oracle = MinibatchOracle(inst, batch_size) if batch_size is not None else None
-
-    def value(x: Point, m: Point) -> float:
-        return rpca_value(inst, m, x)
-
-    def grad(x: Point, m: Point) -> tuple[Tangent, Tangent]:
-        gm, gx = rpca_grad(inst, m, x)
-        return gx, gm
-
-    return SaddleProblem(m_min=sphere, m_max=spd, value=value, grad=grad, stochastic_grad=oracle)
+    return SaddleProblem(
+        m_min=Sphere(inst.d),
+        m_max=Spd(inst.d),
+        value=functools.partial(rpca_value, inst),
+        grad=functools.partial(rpca_grad, inst),
+        stochastic_grad=MinibatchOracle(inst, batch_size) if batch_size is not None else None,
+    )
 
 
 class MinibatchOracle:
@@ -216,9 +218,7 @@ class MinibatchOracle:
         return np.asarray(batch, dtype=int)
 
     def __call__(self, x: Point, m: Point, rng: np.random.Generator) -> tuple[Tangent, Tangent]:
-        batch = self._next_batch(rng)
-        gm, gx = rpca_grad(self.inst, m, x, batch=batch)
-        return gx, gm
+        return rpca_grad(self.inst, x, m, batch=self._next_batch(rng))
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,12 @@ def make_karcher(inst: KarcherInstance) -> SaddleProblem:
     The max side is a ``Product`` of N equal ``Spd`` factors, so its payloads are (N, d, d) arrays.
     """
     spd = Spd(inst.d, kappa_min=-0.5, kappa_max=0.0)
-    prod = Product(tuple(spd for _ in range(inst.n_anchors)))
-
-    def value(x: Point, ys: Point) -> float:
-        return karcher_value(inst, x, ys)
-
-    def grad(x: Point, ys: Point) -> tuple[Tangent, Tangent]:
-        return karcher_grad(inst, x, ys)
-
-    return SaddleProblem(m_min=spd, m_max=prod, value=value, grad=grad)
+    return SaddleProblem(
+        m_min=spd,
+        m_max=Product((spd,) * inst.n_anchors),
+        value=functools.partial(karcher_value, inst),
+        grad=functools.partial(karcher_grad, inst),
+    )
 
 
 @dataclass(frozen=True)
@@ -320,11 +317,18 @@ def make_bilinear(inst: BilinearInstance) -> SaddleProblem:
 # -- empirical constants -------------------------------------------------------
 
 
-def _sample_pair(problem: SaddleProblem, rng: np.random.Generator) -> tuple[Point, Point]:
-    return problem.m_min.random_point(rng), problem.m_max.random_point(rng)
+def _sampled_pairs(problem: SaddleProblem, samples: int, rng: np.random.Generator):
+    """``samples`` random point pairs (x1, y1, x2, y2) with their distances d(x1, x2) and d(y1, y2)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    mx, my = problem.m_min, problem.m_max
+    for _ in range(samples):
+        x1, y1 = mx.random_point(rng), my.random_point(rng)
+        x2, y2 = mx.random_point(rng), my.random_point(rng)
+        yield x1, y1, x2, y2, mx.distance(x1, x2), my.distance(y1, y2)
 
 
-def estimate_smoothness(problem: SaddleProblem, samples: int, rng) -> float:
+def estimate_smoothness(problem: SaddleProblem, samples: int, rng: np.random.Generator) -> float:
     """Empirical gradient-Lipschitz modulus: max transported-difference ratio.
 
     Draws pairs of random points and returns the largest ratio between the
@@ -332,15 +336,9 @@ def estimate_smoothness(problem: SaddleProblem, samples: int, rng) -> float:
     distances, over both gradient blocks. Nondecreasing in ``samples`` for
     a fixed seed; a lower bound on the true modulus.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     best = 0.0
-    for _ in range(samples):
-        x1, y1 = _sample_pair(problem, rng)
-        x2, y2 = _sample_pair(problem, rng)
-        dist = problem.m_min.distance(x1, x2) + problem.m_max.distance(y1, y2)
+    for x1, y1, x2, y2, dx, dy in _sampled_pairs(problem, samples, rng):
+        dist = dx + dy
         if dist < 1e-12:
             continue
         gx1, gy1 = problem.grad(x1, y1)
@@ -351,7 +349,7 @@ def estimate_smoothness(problem: SaddleProblem, samples: int, rng) -> float:
     return best
 
 
-def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng) -> float:
+def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng: np.random.Generator) -> float:
     """Empirical modulus of the saddle field (grad_x, -grad_y).
 
     Returns the smallest sampled value of the two-point monotonicity
@@ -359,15 +357,9 @@ def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng) -> f
     sampled region, nonpositive values flag that the instance is not
     strongly monotone there.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     worst = math.inf
-    for _ in range(samples):
-        x1, y1 = _sample_pair(problem, rng)
-        x2, y2 = _sample_pair(problem, rng)
-        d2 = problem.m_min.distance(x1, x2) ** 2 + problem.m_max.distance(y1, y2) ** 2
+    for x1, y1, x2, y2, dx, dy in _sampled_pairs(problem, samples, rng):
+        d2 = dx**2 + dy**2
         if d2 < 1e-12:
             continue
         gx1, gy1 = problem.grad(x1, y1)

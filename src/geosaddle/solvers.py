@@ -1,7 +1,7 @@
 """Saddle-point solvers: corrected extragradient and gradient descent-ascent.
 
 Two steps over a pair of manifolds (descend the first slot, ascend the
-second), each taking a gradient oracle:
+second), each taking one gradient oracle ``oracle(x, y, stream)``:
 
 - ``rceg_step``: corrected extragradient. Half-step to (x^, y^) along the
   oracle's gradient, then a full step from the half-point with the
@@ -13,7 +13,10 @@ The four solvers are these two steps with two oracles. ``rceg`` and
 ``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
 ``srgda`` use the stochastic oracle :func:`stochastic_oracle` builds once
 per run: the exact gradient plus :class:`NoiseModel` noise, or the
-problem's own ``stochastic_grad`` (e.g. a minibatch sampler).
+problem's own ``stochastic_grad`` (e.g. a minibatch sampler) drawing from
+the run's generator, which the oracle holds. ``stream`` is 0 for the query
+at the iterate and 1 for the one at the half-iterate. :class:`SolverState`
+holds only iterates.
 
 Each extragradient step consumes exactly two oracle evaluations, each
 descent-ascent step exactly one, and the ``data_passes`` trace column
@@ -94,8 +97,8 @@ SOLVER_KINDS = {
 GradPair = tuple[Tangent, Tangent]
 GradFn = Callable[[Point, Point], GradPair]
 StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
-# oracle(x, y, stream, rng)
-Oracle = Callable[[Point, Point, int, np.random.Generator], GradPair]
+# oracle(x, y, stream)
+Oracle = Callable[[Point, Point, int], GradPair]
 
 # Gradient norm beyond which a run counts as diverged.
 _DIVERGENCE_CAP = 1e6
@@ -141,25 +144,21 @@ class SolverState:
 
     ``x_half``/``y_half`` are populated by the extragradient solvers only;
     ``x_bar``/``y_bar`` exist once the first averaging input arrived (t >= 1).
-    The generator advances as the stochastic solvers consume it, so
-    reproducibility is anchored at the seed used by :func:`initial_state`.
     """
 
     x: Point
     y: Point
     t: int
-    rng: np.random.Generator
     x_half: Optional[Point] = None
     y_half: Optional[Point] = None
     x_bar: Optional[Point] = None
     y_bar: Optional[Point] = None
 
 
-def initial_state(problem: SaddleProblem, x0: Point, y0: Point, seed_or_rng) -> SolverState:
+def initial_state(problem: SaddleProblem, x0: Point, y0: Point) -> SolverState:
     problem.m_min._require_mine(x0)
     problem.m_max._require_mine(y0)
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    return SolverState(x=x0, y=y0, t=0, rng=rng)
+    return SolverState(x=x0, y=y0, t=0)
 
 
 class NoiseModel:
@@ -187,36 +186,27 @@ class NoiseModel:
         return gx * sx, gy * sy
 
 
-def _eta_positive(eta: float) -> None:
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ValueError(f"step size must be positive and finite, got {eta!r}")
-
-
-def stochastic_oracle(problem: SaddleProblem, noise: Optional[NoiseModel] = None) -> Oracle:
+def stochastic_oracle(
+    problem: SaddleProblem, noise: Optional[NoiseModel] = None, rng: Optional[np.random.Generator] = None
+) -> Oracle:
     """The oracle of srceg and srgda.
 
     With a :class:`NoiseModel` it is ``problem.grad`` plus noise drawn from
     the query's stream (0 at the iterate, 1 at the half-iterate). Without
-    one it is the problem's ``stochastic_grad`` on the state's generator.
+    one it is the problem's ``stochastic_grad`` drawing from ``rng``.
     """
     if noise is not None:
 
-        def noisy(x: Point, y: Point, stream: int, rng: np.random.Generator) -> GradPair:
+        def noisy(x: Point, y: Point, stream: int) -> GradPair:
             gx, gy = problem.grad(x, y)
             nx, ny = noise.draw(problem, x, y, stream)
             return gx + nx, gy + ny
 
         return noisy
     sample = problem.stochastic_grad
-    if sample is None:
-        raise ValueError("stochastic solver needs a NoiseModel or a problem stochastic_grad oracle")
-    return lambda x, y, stream, rng: sample(x, y, rng)
-
-
-def _query(
-    problem: SaddleProblem, state: SolverState, oracle: Optional[Oracle], x: Point, y: Point, stream: int
-) -> GradPair:
-    return problem.grad(x, y) if oracle is None else oracle(x, y, stream, state.rng)
+    if sample is None or rng is None:
+        raise ValueError("stochastic solver needs a NoiseModel, or a problem stochastic_grad oracle and a generator")
+    return lambda x, y, stream: sample(x, y, rng)
 
 
 def rceg_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Optional[Oracle] = None) -> SolverState:
@@ -225,12 +215,13 @@ def rceg_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Op
     ``oracle=None`` is the exact ``problem.grad``; srceg passes an oracle
     from :func:`stochastic_oracle`.
     """
-    _eta_positive(eta)
+    _positive(eta=eta)
+    oracle = oracle or (lambda x, y, stream: problem.grad(x, y))
     mx, my = problem.m_min, problem.m_max
-    gx, gy = _query(problem, state, oracle, state.x, state.y, 0)
+    gx, gy = oracle(state.x, state.y, 0)
     x_half = mx.exp(state.x, (-eta) * gx)
     y_half = my.exp(state.y, eta * gy)
-    gx_h, gy_h = _query(problem, state, oracle, x_half, y_half, 1)
+    gx_h, gy_h = oracle(x_half, y_half, 1)
     x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, state.x))
     y_next = my.exp(y_half, eta * gy_h + my.log(y_half, state.y))
     return replace(state, x=x_next, y=y_next, x_half=x_half, y_half=y_half, t=state.t + 1)
@@ -241,8 +232,9 @@ def rgda_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Op
 
     Half-iterates are untouched.
     """
-    _eta_positive(eta)
-    gx, gy = _query(problem, state, oracle, state.x, state.y, 0)
+    _positive(eta=eta)
+    oracle = oracle or (lambda x, y, stream: problem.grad(x, y))
+    gx, gy = oracle(state.x, state.y, 0)
     x_next = problem.m_min.exp(state.x, (-eta) * gx)
     y_next = problem.m_max.exp(state.y, eta * gy)
     return replace(state, x=x_next, y=y_next, t=state.t + 1)
@@ -460,19 +452,19 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference
     if iters < 1:
         raise ValueError("iters must be >= 1")
     problem = replace(problem, grad=_reuse_last(problem.grad))
-    oracle = stochastic_oracle(problem, noise) if kind.stochastic else None
+    init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
+    oracle = stochastic_oracle(problem, noise, np.random.default_rng(stream_ss)) if kind.stochastic else None
     # Only the problem's own sampler reads part of the data per call.
     sampled = kind.stochastic and noise is None
     passes_per_call = getattr(problem.stochastic_grad, "passes_per_call", 1.0) if sampled else 1.0
     step = rceg_step if kind.extragradient else rgda_step
 
-    init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
     if x0 is None:
         x0 = problem.m_min.random_point(init_rng)
     if y0 is None:
         y0 = problem.m_max.random_point(init_rng)
-    state = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
+    state = initial_state(problem, x0, y0)
 
     calls = 2 if kind.extragradient else 1
     trace = Trace()

@@ -199,7 +199,7 @@ def test_criterion_04_euclidean_equivalence():
     x0, y0 = rng.standard_normal(3), rng.standard_normal(3)
     eta = 0.06
 
-    st = initial_state(p, p.m_min.point(x0), p.m_max.point(y0), 0)
+    st = initial_state(p, p.m_min.point(x0), p.m_max.point(y0))
     fx, fy = x0.copy(), y0.copy()
     worst_eg = 0.0
     for _ in range(100):
@@ -210,7 +210,7 @@ def test_criterion_04_euclidean_equivalence():
         fy = fy + eta * (b.T @ xh)
         worst_eg = max(worst_eg, np.max(np.abs(st.x.value - fx)), np.max(np.abs(st.y.value - fy)))
 
-    st = initial_state(p, p.m_min.point(x0), p.m_max.point(y0), 0)
+    st = initial_state(p, p.m_min.point(x0), p.m_max.point(y0))
     gx, gy = x0.copy(), y0.copy()
     worst_gda = 0.0
     for _ in range(100):
@@ -219,8 +219,8 @@ def test_criterion_04_euclidean_equivalence():
         worst_gda = max(worst_gda, np.max(np.abs(st.x.value - gx)), np.max(np.abs(st.y.value - gy)))
 
     pid = make_bilinear(BilinearInstance(k=1))
-    s_g = initial_state(pid, pid.m_min.point([1.0]), pid.m_max.point([1.0]), 0)
-    s_e = initial_state(pid, pid.m_min.point([1.0]), pid.m_max.point([1.0]), 0)
+    s_g = initial_state(pid, pid.m_min.point([1.0]), pid.m_max.point([1.0]))
+    s_e = initial_state(pid, pid.m_min.point([1.0]), pid.m_max.point([1.0]))
     d_g = [math.sqrt(2.0)]
     d_e = [math.sqrt(2.0)]
     for _ in range(100):
@@ -271,7 +271,7 @@ def test_criterion_05_theorem1_contraction_on_pinned_instance(pinned_karcher):
     k = constants_at(prob.m_min.kappa_min, prob.m_min.kappa_max, 3.0)
     eta = schedule_rceg_scsc(ell, mu, k.tau0, k.xi_lower0)
     rng = np.random.default_rng(123)
-    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
+    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng))
     gaps = [prob.distance_gap(st.x, st.y, ref)]
     for _ in range(300):
         st = rceg_step(prob, st, eta)
@@ -293,7 +293,7 @@ def test_criterion_06_rgda_envelope_on_pinned_instance(pinned_karcher):
         report(6, False, f"estimated strong-monotonicity modulus {mu:.3e} is not positive")
         return
     rng = np.random.default_rng(5)
-    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
+    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng))
     gaps = [prob.distance_gap(st.x, st.y, ref)]
     for t in range(2000):
         st = rgda_step(prob, st, schedule_rgda_scsc(mu, t))

@@ -144,18 +144,6 @@ def test_run_header_records_constants_and_seed(tmp_path):
     assert meta["empirical_d_max_from_init"] > 0.0
 
 
-def test_missing_reference_warns_and_omits_gap(tmp_path, caplog):
-    out = tmp_path / "t.csv"
-    cfg = RunConfig(
-        problem="bilinear", solver="rceg", seed=3, iters=5, d=2, eta=0.1,
-        out=str(out), reference=str(tmp_path / "absent.json"),
-    )
-    with caplog.at_level("WARNING", logger="geosaddle"):
-        trace, _ = execute_run(cfg)
-    assert any("reference" in r.message for r in caplog.records)
-    assert all(r.dist_gap is None for r in trace.rows)
-
-
 def test_divergence_flushes_partial_trace(tmp_path):
     out = tmp_path / "t.csv"
     cfg = RunConfig(problem="bilinear", solver="rgda", seed=3, iters=4000, d=2, eta=0.9, out=str(out))
@@ -382,12 +370,14 @@ def _bad_input_files(tmp_path) -> dict:
         "config_run_only": tmp_path / "run_only.json",
         "config_not_grid": tmp_path / "not_grid.json",
         "zero_coupling": tmp_path / "zero.json",
+        "config_anchors": tmp_path / "anchors.json",
     }
     files["config_rgda"].write_text(json.dumps({"solver": "rgda"}))
     # keys of RunConfig fields whose flags the command does not register
     run_only = {"save_instance": str(files["missing"]), "iters": 7, "timing": True}
     files["config_run_only"].write_text(json.dumps(run_only))
     files["config_not_grid"].write_text(json.dumps({"reference": "nope.json", "diameter": 3.0, "eta": 0.5}))
+    files["config_anchors"].write_text(json.dumps({"n_anchors": 3}))
     # zero gradients everywhere, so the sampled smoothness is 0
     files["zero_coupling"].write_text(json.dumps({"problem": "bilinear", "k": 2, "coupling": [[0, 0], [0, 0]]}))
     files["instance_not_pd"].write_text(json.dumps(inst))
@@ -410,6 +400,11 @@ def _bad_input_files(tmp_path) -> dict:
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{missing}"],
         ["reference", *_SMALL_RPCA_PROBLEM, "--init-from", "{missing}"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--reference", "{missing}"],
+        [
+            "run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{init_not_pd}",
+            "--save-instance", "{missing}",
+        ],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "0.1", "--batch-size", "2", "--eta", "0.05"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--sigma", "0.1", "--eta", "0.05"],
@@ -454,10 +449,18 @@ def _bad_input_files(tmp_path) -> dict:
             "--solver", "srceg", "--sigma", "0.1", "--a-grid", "0.5,1",
         ],
         ["reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--instance", "{zero_coupling}"],
+        [
+            "run", "--problem", "karcher", "--d", "2", "--n-anchors", "3", "--seed", "1", "--iters", "5",
+            "--solver", "rceg", "--eta", "0.05", "--alpha", "9", "--n", "77",
+        ],
+        ["reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--gamma", "2.0"],
+        ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--n-anchors", "3"],
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--config", "{config_anchors}"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
-        "instance-missing", "init-missing", "reference-init-missing",
+        "instance-missing", "init-missing", "reference-init-missing", "reference-file-missing",
+        "init-not-pd-save-instance",
         "batch-size-exact-solver", "sigma-with-batch-size",
         "sigma-rceg", "sigma-rgda",
         "reference-rgda", "reference-srceg", "reference-srgda",
@@ -469,6 +472,7 @@ def _bad_input_files(tmp_path) -> dict:
         "a-rceg", "a-explicit-eta", "a-rceg-auto",
         "reference-save-instance", "reference-iters", "grid-save-instance", "grid-reference", "grid-eta",
         "grid-a-smoothness-zero", "reference-smoothness-zero",
+        "karcher-rpca-flags", "bilinear-gamma", "rpca-n-anchors", "rpca-config-n-anchors",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

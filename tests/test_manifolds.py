@@ -386,7 +386,7 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
 )
 def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, calls):
     p, rng = make(), np.random.default_rng(30)
-    state = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng), 0)
+    state = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng))
     _memo_roots.cache_clear()
     counted = _count_eigh(monkeypatch)
     rceg_step(p, state, 0.05)

@@ -71,7 +71,7 @@ def test_rpca_value_identity_data():
     inst = RpcaInstance(d=d, n=n, alpha=1.0, data=tuple(np.eye(d) for _ in range(n)))
     spd, sph = Spd(d), Sphere(d)
     x = sph.random_point(np.random.default_rng(0))
-    assert abs(rpca_value(inst, spd.point(np.eye(d)), x) - (-1.0)) < 1e-12
+    assert abs(rpca_value(inst, x, spd.point(np.eye(d))) - (-1.0)) < 1e-12
 
 
 def test_rpca_value_scalar_case():
@@ -82,7 +82,7 @@ def test_rpca_value_scalar_case():
     want = -math.exp(2.0) - 2.0
     for sign in (1.0, -1.0):
         x = Euclidean(1).point([sign])
-        assert abs(rpca_value(inst, m, x) - want) < 1e-12
+        assert abs(rpca_value(inst, x, m) - want) < 1e-12
 
 
 def test_rpca_alpha_scales_penalty_linearly():
@@ -91,8 +91,8 @@ def test_rpca_alpha_scales_penalty_linearly():
     sph, spd = Sphere(d), Spd(d)
     rng = np.random.default_rng(2)
     m, x = spd.random_point(rng), sph.random_point(rng)
-    v1 = rpca_value(RpcaInstance(d=d, n=n, alpha=1.0, data=data), m, x)
-    v2 = rpca_value(RpcaInstance(d=d, n=n, alpha=2.0, data=data), m, x)
+    v1 = rpca_value(RpcaInstance(d=d, n=n, alpha=1.0, data=data), x, m)
+    v2 = rpca_value(RpcaInstance(d=d, n=n, alpha=2.0, data=data), x, m)
     quad = -float(x.value @ m.value @ x.value)
     assert abs((v2 - quad) - 2.0 * (v1 - quad)) < 1e-10
 
@@ -103,7 +103,7 @@ def test_rpca_sphere_gradient_is_tangent():
     rng = np.random.default_rng(4)
     for _ in range(20):
         m, x = spd.random_point(rng), sph.random_point(rng)
-        _, gx = rpca_grad(inst, m, x)
+        gx, _ = rpca_grad(inst, x, m)
         assert abs(float(np.dot(x.value, gx.value))) < 1e-10
 
 
@@ -113,13 +113,13 @@ def test_rpca_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     for _ in range(100):
         m, x = spd.random_point(rng), sph.random_point(rng)
-        gm, gx = rpca_grad(inst, m, x)
+        gx, gm = rpca_grad(inst, x, m)
         v = spd.random_tangent(m, rng, scale=1.0)
-        fd = fd_directional(lambda p: rpca_value(inst, p, x), spd, m, v)
+        fd = fd_directional(lambda p: rpca_value(inst, x, p), spd, m, v)
         an = spd.inner(gm, v)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd))
         w = sph.random_tangent(x, rng, scale=1.0)
-        fd = fd_directional(lambda p: rpca_value(inst, m, p), sph, x, w)
+        fd = fd_directional(lambda p: rpca_value(inst, p, m), sph, x, w)
         an = sph.inner(gx, w)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd))
 
@@ -131,16 +131,16 @@ def test_rpca_subgradient_zero_at_data_point():
     sph = Sphere(3)
     x = sph.random_point(np.random.default_rng(8))
     m = spd.point(data[0])
-    gm, _ = rpca_grad(inst, m, x)  # distance term for i=0 takes the 0 subgradient
+    _, gm = rpca_grad(inst, x, m)  # distance term for i=0 takes the 0 subgradient
     inst_rest = RpcaInstance(d=3, n=2, alpha=2.0 / 3.0, data=data[1:])  # same weight per term
-    gm_rest, _ = rpca_grad(inst_rest, m, x)
+    _, gm_rest = rpca_grad(inst_rest, x, m)
     assert np.allclose(gm.value, gm_rest.value, atol=1e-12)
 
 
 # -- the stacked distance kernel against the per-term loop ----------------------------
 
 
-def rpca_grad_per_term(inst, m_point, x_point, batch=None):
+def rpca_grad_per_term(inst, x_point, m_point, batch=None):
     """Reference: one SPD log, one distance and one sandwich per data matrix."""
     spd, sph = m_point.manifold, x_point.manifold
     m, x = m_point.value, x_point.value
@@ -152,12 +152,12 @@ def rpca_grad_per_term(inst, m_point, x_point, batch=None):
         di = spd._distance(m, inst.data[i])
         if di > _SUBGRAD_TOL:
             gm = gm + (weight / di) * spd._log(m, inst.data[i])
-    return gm, gx
+    return gx, gm
 
 
 def assert_matches_per_term(inst, m, x, batch=None):
-    gm, gx = rpca_grad(inst, m, x, batch=batch)
-    ref_gm, ref_gx = rpca_grad_per_term(inst, m, x, batch=batch)
+    gx, gm = rpca_grad(inst, x, m, batch=batch)
+    ref_gx, ref_gm = rpca_grad_per_term(inst, x, m, batch=batch)
     np.testing.assert_allclose(gm.value, ref_gm, rtol=1e-10, atol=1e-10 * np.abs(ref_gm).max())
     np.testing.assert_allclose(gx.value, ref_gx, rtol=1e-10, atol=1e-10 * np.abs(ref_gx).max())
 
@@ -198,14 +198,14 @@ def test_rpca_kernel_rejects_near_singular_slice():
     m = Spd(d).point(_sym((q * np.array([1.0, 1.0, 1.0, 20.0])) @ q.T))
     x = Sphere(d).random_point(np.random.default_rng(23))
     with pytest.raises(NumericError, match="slice 3"):
-        rpca_grad(inst, m, x)
+        rpca_grad(inst, x, m)
     with pytest.raises(NumericError):
-        rpca_value(inst, m, x)
+        rpca_value(inst, x, m)
     with pytest.raises(NumericError, match="slice 1"):
-        rpca_grad(inst, m, x, batch=np.array([0, 3]))
-    rpca_grad(inst, m, x, batch=np.array([0, 1, 2]))  # the batch that skips it is fine
+        rpca_grad(inst, x, m, batch=np.array([0, 3]))
+    rpca_grad(inst, x, m, batch=np.array([0, 1, 2]))  # the batch that skips it is fine
     with pytest.raises(NumericError):
-        rpca_grad_per_term(inst, m, x)  # the per-term loop rejects it too
+        rpca_grad_per_term(inst, x, m)  # the per-term loop rejects it too
 
 
 def test_make_rpca_orientation():
@@ -214,7 +214,7 @@ def test_make_rpca_orientation():
     assert isinstance(p.m_min, Sphere) and isinstance(p.m_max, Spd)
     rng = np.random.default_rng(10)
     x, m = p.m_min.random_point(rng), p.m_max.random_point(rng)
-    assert abs(p.value(x, m) - rpca_value(inst, m, x)) < 1e-12
+    assert abs(p.value(x, m) - rpca_value(inst, x, m)) < 1e-12
     gx, gm = p.grad(x, m)
     assert gx.base is x and gm.base is m
 
@@ -390,7 +390,7 @@ def test_rpca_rest_point_is_eigenvector_configuration():
     inst = RpcaInstance.generate(d=4, n=6, alpha=3.0, seed=21)
     p = make_rpca(inst)
     x, m, gn, _ = solve_reference(p, tol=1e-8, max_iters=20_000, seed=2, eta=0.15)
-    gm, gx = rpca_grad(inst, m, x)
+    gx, gm = rpca_grad(inst, x, m)
     assert p.m_min.norm(gx) <= 1e-6
     rayleigh = float(x.value @ m.value @ x.value)
     eigs = np.linalg.eigvalsh(m.value)

@@ -51,9 +51,9 @@ def bilinear_problem(k=1, coupling=None):
     return make_bilinear(BilinearInstance(k=k, coupling=coupling))
 
 
-def euclid_state(problem, x, y, seed=0):
+def euclid_state(problem, x, y):
     m = problem.m_min
-    return initial_state(problem, m.point(np.atleast_1d(x)), m.point(np.atleast_1d(y)), seed)
+    return initial_state(problem, m.point(np.atleast_1d(x)), m.point(np.atleast_1d(y)))
 
 
 # -- flat-space reference implementations (independent oracles) -----------------
@@ -301,7 +301,7 @@ def test_geometry_errors_propagate_through_steps():
         return gx, Tangent(y, np.zeros(1))
 
     p = SaddleProblem(m_min=sphere, m_max=flat, value=lambda x, y: 0.0, grad=grad)
-    st = initial_state(p, sphere.point([1.0, 0.0, 0.0]), flat.point([0.0]), 0)
+    st = initial_state(p, sphere.point([1.0, 0.0, 0.0]), flat.point([0.0]))
     with pytest.raises(GeodesicNotUniqueError):
         rceg_step(p, st, 1.0)
 
@@ -513,9 +513,9 @@ def hand_loop_rows(problem, solver, eta, iters, seed, noise):
     init_rng = np.random.default_rng(init_ss)
     x0 = problem.m_min.random_point(init_rng)
     y0 = problem.m_max.random_point(init_rng)
-    st = initial_state(problem, x0, y0, np.random.default_rng(stream_ss))
+    st = initial_state(problem, x0, y0)
     kind = SOLVER_KINDS[solver]
-    oracle = stochastic_oracle(problem, noise) if kind.stochastic else None
+    oracle = stochastic_oracle(problem, noise, np.random.default_rng(stream_ss)) if kind.stochastic else None
     rows = [problem.grad_norms(st.x, st.y) + (None,)]
     for t in range(iters):
         if kind.extragradient:
@@ -692,7 +692,7 @@ def test_rceg_contraction_on_karcher(karcher_setup):
     k = constants_at(prob.m_min.kappa_min, prob.m_min.kappa_max, 3.0)
     eta = schedule_rceg_scsc(ell, mu, k.tau0, k.xi_lower0)
     rng = np.random.default_rng(123)
-    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
+    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng))
     gaps = [prob.distance_gap(st.x, st.y, ref)]
     for _ in range(300):
         st = rceg_step(prob, st, eta)
@@ -710,7 +710,7 @@ def test_rceg_contraction_on_karcher(karcher_setup):
 def test_rgda_one_over_t_envelope_on_karcher(karcher_setup):
     prob, ref, _ell, mu = karcher_setup
     rng = np.random.default_rng(5)
-    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng), rng)
+    st = initial_state(prob, prob.m_min.random_point(rng), prob.m_max.random_point(rng))
     gaps = [prob.distance_gap(st.x, st.y, ref)]
     for t in range(2000):
         st = rgda_step(prob, st, schedule_rgda_scsc(mu, t))

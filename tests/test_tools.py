@@ -1,18 +1,31 @@
 """Guards for the developer tools next to the package."""
 
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from geosaddle import cli
 
-_HASHES = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_HASHES = _ROOT / "tools" / "output_hashes.py"
+_TRACING = _ROOT / "bench" / "tracing.py"
+
+# Span names of steps and metrics that the planned benchmark revision drops.
+_DROPPED_SPANS = {
+    "solvers.srceg_step", "solvers.srgda_step", "harness.metric_gradient_norm", "harness.metric_distance_gap",
+}
 
 
-def _load_output_hashes():
-    spec = importlib.util.spec_from_file_location("output_hashes", _HASHES)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_output_hashes():
+    return _load("output_hashes", _HASHES)
 
 
 def test_output_hashes_commands_pass_validation():
@@ -24,3 +37,18 @@ def test_output_hashes_commands_pass_validation():
             cli._config_from_args(parser.parse_args(argv)).validate()
             checked.add(argv[0])
     assert checked == {"run", "grid-search", "reference"}
+
+
+def test_bench_span_names_are_public_functions_and_methods():
+    # The tracer wraps functions and methods by name; a renamed one would zero its metric or fail a traced sample.
+    tracing = _load("tracing", _TRACING)
+    names = {*tracing.STEPS, *tracing.FULL_ORACLES, *tracing.DRIVERS, *tracing.SETUP, *tracing.WRITES}
+    names |= {"solvers.running_mean_update", "problems.estimate_smoothness", "cli.main"}
+    for name in sorted(names - _DROPPED_SPANS):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"geosaddle.{layer}")
+        fn = vars(module).get(attr)
+        assert not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+    for layer, cls_name, attr, _span in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"geosaddle.{layer}"), cls_name)
+        assert attr in cls.__dict__, (cls_name, attr)
