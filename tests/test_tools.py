@@ -3,12 +3,15 @@
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 from geosaddle import cli
 
 _ROOT = Path(__file__).resolve().parent.parent
 _HASHES = _ROOT / "tools" / "output_hashes.py"
+_PINNED_HASHES = _ROOT / "tools" / "output_hashes.txt"
 _TRACING = _ROOT / "bench" / "tracing.py"
 
 # Span names of steps and metrics that the planned benchmark revision drops.
@@ -37,6 +40,12 @@ def test_output_hashes_commands_pass_validation():
             cli._config_from_args(parser.parse_args(argv)).validate()
             checked.add(argv[0])
     assert checked == {"run", "grid-search", "reference"}
+
+
+def test_output_hashes_match_the_pinned_printout():
+    # Every fixed-seed output keeps its bytes unless output_hashes.txt changes with it.
+    proc = subprocess.run([sys.executable, str(_HASHES)], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == _PINNED_HASHES.read_text(encoding="utf-8").splitlines()
 
 
 def test_bench_span_names_are_public_functions_and_methods():

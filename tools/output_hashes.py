@@ -12,8 +12,11 @@ to this script, in order, in one temporary directory, with BLAS pinned to one
 thread. Later commands read earlier outputs (``--init-from``, ``--instance``,
 ``plot``). Output lines are ``<sha256>  <file>``, with ``<file>.stdout`` for a
 command whose standard output is an output, plus ``exit <code>  <name>`` for
-every command that does not exit 0. No hash is pinned here. Uses only the
-standard library.
+every command that does not exit 0. The printout of this tree is pinned in
+``output_hashes.txt`` next to this script, and ``tests/test_tools.py``
+compares a fresh printout with it; a change that moves bytes updates that
+file in the same commit, so the file's diff lists the outputs it moved.
+Uses only the standard library.
 """
 
 from __future__ import annotations
