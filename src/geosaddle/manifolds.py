@@ -522,10 +522,7 @@ class Spd(Manifold):
         return _memo_roots(x.shape, x.dtype.str, x.tobytes())
 
     def _whiten(self, x, y, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """X^1/2, X^-1/2 and the checked eigenpairs (w, q) of X^-1/2 Y X^-1/2.
-
-        ``y`` is a matrix, a stack, or a sequence of matrices that the first product stacks.
-        """
+        """X^1/2, X^-1/2 and the checked eigenpairs (w, q) of X^-1/2 Y X^-1/2 for a matrix or stack ``y``."""
         half, inv_half = self._roots(x)
         w, q = _eigh_checked(inv_half @ y @ inv_half, what)
         return half, inv_half, w, q

@@ -28,7 +28,10 @@ the geodesic-distance gradients -2 log_X(Y) (squared) and -log_X(Y)/d
 (plain).
 
 Both SPD oracles run on the stacked SPD kernels, which take (..., d, d)
-payloads. The robust PCA oracle evaluates its k distance terms (k = n, or
+payloads. Each instance holds its matrices as one (k, d, d) float array,
+validated once when the instance is made (``RpcaInstance.data``,
+``KarcherInstance.anchors``), and the oracles read that array as is; a
+robust PCA minibatch indexes it. The robust PCA oracle evaluates its k distance terms (k = n, or
 the batch size) through one whitening: one root factorization of M, one
 (k, d, d) congruence M^-1/2 M_i M^-1/2, one batched eigendecomposition
 with the SPD threshold checked on every slice, then the weighted inner logs
@@ -112,19 +115,18 @@ class RpcaInstance:
     d: int
     n: int
     alpha: float
-    data: tuple[np.ndarray, ...]
+    data: np.ndarray  # the validated (n, d, d) SPD stack
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if len(self.data) != self.n:
             raise ValueError(f"expected {self.n} data matrices, got {len(self.data)}")
-        object.__setattr__(self, "data", tuple(np.asarray(m, dtype=float) for m in self.data))
-        Product((Spd(self.d),) * self.n).point(self.data)
+        object.__setattr__(self, "data", Product((Spd(self.d),) * self.n).point(self.data).value)
 
     @classmethod
     def generate(cls, d: int, n: int, alpha: float, seed: int = 0) -> "RpcaInstance":
-        return cls(d=d, n=n, alpha=alpha, data=tuple(gen_spd_data(d, n, seed=seed)))
+        return cls(d=d, n=n, alpha=alpha, data=gen_spd_data(d, n, seed=seed))
 
 
 def rpca_value(inst: RpcaInstance, x_point: Point, m_point: Point) -> float:
@@ -161,10 +163,8 @@ def rpca_grad(
         gm = -_sym(m @ np.outer(x, x) @ m)
     # ... plus the distance attraction toward each (sampled) data matrix,
     # sum_i (weight/d_i) log_M(M_i) = half [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] half.
-    targets = inst.data if batch is None else [inst.data[int(i)] for i in batch]
+    targets = inst.data if batch is None else inst.data[batch]
     weight = inst.alpha / len(targets)
-    # The matrices go in unstacked: the (k, d, d) copy then dies inside the first product instead of
-    # living through the eigh, which measured twice the page faults per call at d=25, n=40.
     half, _, w, q = spd._whiten(m, targets, "SPD log")
     lw = np.log(w)
     dists = np.linalg.norm(lw, axis=1)
@@ -228,23 +228,19 @@ class KarcherInstance:
     d: int
     n_anchors: int
     gamma: float
-    anchors: tuple[np.ndarray, ...]
+    anchors: np.ndarray  # the validated (n_anchors, d, d) SPD stack
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if len(self.anchors) != self.n_anchors:
             raise ValueError(f"expected {self.n_anchors} anchors, got {len(self.anchors)}")
-        # The oracles read the validated (N, d, d) stack and the anchors are views into it, so the two
-        # never disagree. A private attribute, not a field, so the JSON form keeps its bytes.
-        stack = Product((Spd(self.d),) * self.n_anchors).point(self.anchors).value
-        object.__setattr__(self, "anchors", tuple(stack))
-        object.__setattr__(self, "_anchor_stack", stack)
+        object.__setattr__(self, "anchors", Product((Spd(self.d),) * self.n_anchors).point(self.anchors).value)
 
     @classmethod
     def generate(cls, d: int, n_anchors: int, gamma: float, seed: int = 0) -> "KarcherInstance":
         data = gen_spd_data(d, n_anchors, eig_lo=0.5, eig_hi=2.0, seed=seed)
-        return cls(d=d, n_anchors=n_anchors, gamma=gamma, anchors=tuple(data))
+        return cls(d=d, n_anchors=n_anchors, gamma=gamma, anchors=data)
 
 
 def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> float:
@@ -252,7 +248,7 @@ def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> flo
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     ys = ys_point.value
     to_x = spd._distance(x_point.value, ys)
-    to_anchor = spd._distance(ys, inst._anchor_stack)
+    to_anchor = spd._distance(ys, inst.anchors)
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
 
 
@@ -266,7 +262,7 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     x, ys = x_point.value, ys_point.value
     gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
     # One log at the Y stack, toward X (slot 0) and toward the anchors (slot 1).
-    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst._anchor_stack)))
+    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst.anchors)))
     gys = -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
     return Tangent(x_point, gx), Tangent(ys_point, gys)
 

@@ -371,19 +371,6 @@ class Trace:
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.rows]
 
-    def validate(self) -> None:
-        iters = self.column("iter")
-        if iters != sorted(set(iters)):
-            raise ValueError("iteration numbers must be strictly increasing")
-        passes = self.column("data_passes")
-        if any(b < a for a, b in zip(passes, passes[1:])):
-            raise ValueError("data passes must be nondecreasing")
-        for r in self.rows:
-            for name in ("data_passes", "eta", "grad_norm", "grad_norm_x", "grad_norm_y", "elapsed_ms"):
-                v = getattr(r, name)
-                if not math.isfinite(v):
-                    raise ValueError(f"non-finite {name} at iteration {r.iter}")
-
 
 class DivergenceError(RuntimeError):
     """Raised when a run blows past the divergence cap; carries the partial trace."""
@@ -525,6 +512,4 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference
             # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
             # failure; the partial trace is part of the result.
             raise DivergenceError(f"geometry kernel failed at iteration {t}: {e}", trace, state) from e
-
-    trace.validate()
     return trace, state
