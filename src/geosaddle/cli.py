@@ -118,12 +118,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--problem is required (flag or config file)")
     if merged.get("seed") is None:
         raise ConfigError("--seed is required (flag or config file)")
-    # An --instance file replaces every generation setting; only a generated instance is checked here.
-    if merged.get("instance") is None:
-        foreign = [k for k, owner in _PROBLEM_OF_KEY.items() if k in merged and owner != merged["problem"]]
-        if foreign:
-            flags = ", ".join("--" + k.replace("_", "-") for k in sorted(foreign))
-            raise ConfigError(f"problem {merged['problem']} does not read {flags} (flag or config key)")
+    # An --instance file replaces every generation setting, so it takes none of them.
+    if merged.get("instance") is not None:
+        ignored = [k for k in ("d", "data_seed", *_PROBLEM_OF_KEY) if k in merged]
+        reason = "--instance loads the instance and takes no"
+    else:
+        ignored = [k for k, owner in _PROBLEM_OF_KEY.items() if k in merged and owner != merged["problem"]]
+        reason = f"problem {merged['problem']} does not read"
+    if ignored:
+        flags = ", ".join("--" + k.replace("_", "-") for k in sorted(ignored))
+        raise ConfigError(f"{reason} {flags} (flag or config key)")
     if "eta" in merged:
         merged["eta"] = _parse_eta(merged["eta"])
     return RunConfig.from_dict(merged)

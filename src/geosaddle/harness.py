@@ -150,7 +150,8 @@ class RunConfig:
         elif self.sigma is not None:
             # The noise model is built only for stochastic solvers; the header would record noise that never ran.
             raise ConfigError(f"--sigma sets the noise of a stochastic oracle, which {self.solver} does not use")
-        if self.batch_size is not None and self.problem == "rpca" and not (1 <= self.batch_size <= self.n):
+        # Only rpca gets this far with a batch size; a loaded instance's n is checked by build_problem.
+        if self.batch_size is not None and self.instance is None and not (1 <= self.batch_size <= self.n):
             raise ConfigError(f"batch_size must be in [1, {self.n}]")
         if self.sigma is not None and not (self.sigma >= 0 and math.isfinite(self.sigma)):
             raise ConfigError("sigma must be nonnegative and finite")
@@ -223,7 +224,10 @@ def build_instance(cfg: RunConfig):
 def build_problem(cfg: RunConfig, inst=None) -> SaddleProblem:
     inst = build_instance(cfg) if inst is None else inst
     if cfg.problem == "rpca":
-        return make_rpca(inst, batch_size=cfg.batch_size)
+        try:
+            return make_rpca(inst, batch_size=cfg.batch_size)
+        except ValueError as e:  # the sphere needs d >= 2, and a minibatch at most the instance's n matrices
+            raise ConfigError(f"rpca instance with d={inst.d}, n={inst.n}: {e}") from e
     if cfg.problem == "karcher":
         return make_karcher(inst)
     return make_bilinear(inst)

@@ -354,15 +354,19 @@ def test_cli_rejects_invalid_flag_combination(tmp_path):
 # Problem flags only, for `reference`, which takes no --iters.
 _SMALL_RPCA_PROBLEM = ["--problem", "rpca", "--d", "2", "--n", "4", "--seed", "1"]
 _SMALL_RPCA = [*_SMALL_RPCA_PROBLEM, "--iters", "5"]
+# The same with the instance from an --instance file, which takes no generation flags.
+_LOADED_RPCA = ["--problem", "rpca", "--seed", "1", "--iters", "5"]
+# x would live on the sphere S^0, which holds two points and no geodesics.
+_RPCA_D1 = ["--problem", "rpca", "--d", "1", "--n", "3", "--seed", "1"]
 _NOT_PD = [[1.0, 0.0], [0.0, -1.0]]
 
 
 def _bad_input_files(tmp_path) -> dict:
     """Input files that parse as JSON but hold payloads the problem must reject."""
     inst = instance_to_json(RpcaInstance.generate(d=2, n=4, alpha=1.0, seed=1))
-    inst["data"][1] = _NOT_PD
     files = {
         "missing": tmp_path / "missing.json",
+        "instance4": tmp_path / "inst4.json",
         "instance_not_pd": tmp_path / "inst.json",
         "init_not_pd": tmp_path / "init.json",
         "ref4": tmp_path / "ref4.json",
@@ -371,13 +375,17 @@ def _bad_input_files(tmp_path) -> dict:
         "config_not_grid": tmp_path / "not_grid.json",
         "zero_coupling": tmp_path / "zero.json",
         "config_anchors": tmp_path / "anchors.json",
+        "config_data_seed": tmp_path / "data_seed.json",
     }
+    files["instance4"].write_text(json.dumps(inst))
+    inst["data"][1] = _NOT_PD
     files["config_rgda"].write_text(json.dumps({"solver": "rgda"}))
     # keys of RunConfig fields whose flags the command does not register
     run_only = {"save_instance": str(files["missing"]), "iters": 7, "timing": True}
     files["config_run_only"].write_text(json.dumps(run_only))
     files["config_not_grid"].write_text(json.dumps({"reference": "nope.json", "diameter": 3.0, "eta": 0.5}))
     files["config_anchors"].write_text(json.dumps({"n_anchors": 3}))
+    files["config_data_seed"].write_text(json.dumps({"data_seed": 2}))
     # zero gradients everywhere, so the sampled smoothness is 0
     files["zero_coupling"].write_text(json.dumps({"problem": "bilinear", "k": 2, "coupling": [[0, 0], [0, 0]]}))
     files["instance_not_pd"].write_text(json.dumps(inst))
@@ -397,7 +405,7 @@ def _bad_input_files(tmp_path) -> dict:
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--batch-size", "2", "--eta", "auto", "--a", "inf"],
         ["run", *_SMALL_RPCA, "--solver", "srceg", "--sigma", "nan", "--eta", "0.1"],
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,x"],
-        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
+        ["run", *_LOADED_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{missing}"],
         ["reference", *_SMALL_RPCA_PROBLEM, "--init-from", "{missing}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--reference", "{missing}"],
@@ -412,7 +420,7 @@ def _bad_input_files(tmp_path) -> dict:
         ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "rgda"],
         ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "srceg", "--sigma", "0.1"],
         ["reference", *_SMALL_RPCA_PROBLEM, "--solver", "srgda", "--sigma", "0.5"],
-        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance_not_pd}"],
+        ["run", *_LOADED_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance_not_pd}"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--init-from", "{init_not_pd}"],
         [
             "reference", "--problem", "karcher", "--d", "2", "--n-anchors", "3", "--gamma", "3.0",
@@ -445,10 +453,10 @@ def _bad_input_files(tmp_path) -> dict:
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--reference", "{missing}"],
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--eta", "0.1"],
         [
-            "grid-search", "--problem", "bilinear", "--d", "2", "--seed", "1", "--instance", "{zero_coupling}",
+            "grid-search", "--problem", "bilinear", "--seed", "1", "--iters", "5", "--instance", "{zero_coupling}",
             "--solver", "srceg", "--sigma", "0.1", "--a-grid", "0.5,1",
         ],
-        ["reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--instance", "{zero_coupling}"],
+        ["reference", "--problem", "bilinear", "--seed", "1", "--instance", "{zero_coupling}"],
         [
             "run", "--problem", "karcher", "--d", "2", "--n-anchors", "3", "--seed", "1", "--iters", "5",
             "--solver", "rceg", "--eta", "0.05", "--alpha", "9", "--n", "77",
@@ -456,6 +464,19 @@ def _bad_input_files(tmp_path) -> dict:
         ["reference", "--problem", "bilinear", "--d", "2", "--seed", "1", "--gamma", "2.0"],
         ["grid-search", *_SMALL_RPCA, "--solver", "rceg", "--ell-grid", "1,2", "--n-anchors", "3"],
         ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1", "--config", "{config_anchors}"],
+        [
+            "run", *_LOADED_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance4}",
+            "--n", "77", "--alpha", "9",
+        ],
+        ["run", *_LOADED_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance4}", "--d", "7"],
+        [
+            "run", *_LOADED_RPCA, "--solver", "rceg", "--eta", "0.1", "--instance", "{instance4}",
+            "--config", "{config_data_seed}",
+        ],
+        ["run", *_LOADED_RPCA, "--solver", "srceg", "--batch-size", "8", "--eta", "0.1", "--instance", "{instance4}"],
+        ["run", *_RPCA_D1, "--iters", "5", "--solver", "rceg", "--eta", "0.1"],
+        ["grid-search", *_RPCA_D1, "--iters", "5", "--solver", "rceg", "--ell-grid", "1,2"],
+        ["reference", *_RPCA_D1, "--eta", "0.1"],
     ],
     ids=[
         "eta-inf", "a-inf", "sigma-nan", "grid-value",
@@ -473,6 +494,8 @@ def _bad_input_files(tmp_path) -> dict:
         "reference-save-instance", "reference-iters", "grid-save-instance", "grid-reference", "grid-eta",
         "grid-a-smoothness-zero", "reference-smoothness-zero",
         "karcher-rpca-flags", "bilinear-gamma", "rpca-n-anchors", "rpca-config-n-anchors",
+        "instance-n-alpha", "instance-d", "instance-config-data-seed", "instance-batch-size-over-n",
+        "rpca-d1-run", "rpca-d1-grid", "rpca-d1-reference",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -710,8 +733,21 @@ def test_cli_save_and_reload_instance(tmp_path):
          "--save-instance", str(inst_path)]
     ) == 0
     assert main(
-        ["run", "--problem", "rpca", "--d", "3", "--n", "4", "--solver", "rceg",
+        ["run", "--problem", "rpca", "--solver", "rceg",
          "--eta", "0.1", "--iters", "6", "--seed", "13", "--out", str(out2),
          "--instance", str(inst_path)]
     ) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_batch_size_is_checked_against_the_loaded_instance(tmp_path):
+    # 11 is above the --n default of 10, and within the 12 matrices of the loaded instance.
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance_to_json(RpcaInstance.generate(d=2, n=12, alpha=3.0, seed=1))))
+    out = tmp_path / "t.csv"
+    argv = [
+        "run", *_LOADED_RPCA, "--solver", "srceg", "--batch-size", "11", "--eta", "0.1",
+        "--instance", str(inst_path), "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert read_trace_csv(str(out))[1].rows[-1].data_passes == pytest.approx(5 * 2 * 11 / 12)

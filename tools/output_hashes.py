@@ -135,10 +135,11 @@ COMMANDS = (
         False,
     ),
     (
+        # The file sets d, n and alpha, so only the problem and the run seed are given.
         "inst_load",
         [
-            "run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.05", "--instance", "inst.json",
-            "--out", "inst_load.csv",
+            "run", "--problem", "rpca", "--seed", "7", *_ITERS, "--solver", "rceg", "--eta", "0.05",
+            "--instance", "inst.json", "--out", "inst_load.csv",
         ],
         ["inst_load.csv"],
         False,
