@@ -107,11 +107,9 @@ def test_rpca_sphere_gradient_is_tangent():
         assert abs(float(np.dot(x.value, gx.value))) < 1e-10
 
 
-def test_rpca_gradient_matches_finite_differences():
-    inst = RpcaInstance.generate(d=3, n=4, alpha=1.3, seed=5)
-    sph, spd = Sphere(3), Spd(3)
-    rng = np.random.default_rng(6)
-    for _ in range(100):
+def assert_rpca_gradient_matches_finite_differences(inst, rng, samples):
+    sph, spd = Sphere(inst.d), Spd(inst.d)
+    for _ in range(samples):
         m, x = spd.random_point(rng), sph.random_point(rng)
         gx, gm = rpca_grad(inst, x, m)
         v = spd.random_tangent(m, rng, scale=1.0)
@@ -122,6 +120,17 @@ def test_rpca_gradient_matches_finite_differences():
         fd = fd_directional(lambda p: rpca_value(inst, p, m), sph, x, w)
         an = sph.inner(gx, w)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_rpca_gradient_matches_finite_differences():
+    inst = RpcaInstance.generate(d=3, n=4, alpha=1.3, seed=5)
+    assert_rpca_gradient_matches_finite_differences(inst, np.random.default_rng(6), 100)
+
+
+def test_rpca_gradient_matches_finite_differences_at_benchmark_size():
+    # The instance of the rpca-eg and rpca-minibatch benchmark workloads.
+    inst = RpcaInstance.generate(d=25, n=40, alpha=6.0, seed=7)
+    assert_rpca_gradient_matches_finite_differences(inst, np.random.default_rng(8), 20)
 
 
 def test_rpca_subgradient_zero_at_data_point():
@@ -300,11 +309,9 @@ def test_karcher_value_scalar_case():
     assert abs(karcher_value(inst, x, ys) - 4.0) < 1e-12
 
 
-def test_karcher_gradient_matches_finite_differences():
-    inst = KarcherInstance.generate(d=2, n_anchors=3, gamma=1.7, seed=20)
+def assert_karcher_gradient_matches_finite_differences(inst, rng, samples):
     p = make_karcher(inst)
-    rng = np.random.default_rng(21)
-    for _ in range(50):
+    for _ in range(samples):
         x = p.m_min.random_point(rng)
         ys = p.m_max.random_point(rng)
         gx, gys = karcher_grad(inst, x, ys)
@@ -314,6 +321,17 @@ def test_karcher_gradient_matches_finite_differences():
         w = p.m_max.random_tangent(ys, rng, scale=1.0)
         fd = fd_directional(lambda q: karcher_value(inst, x, q), p.m_max, ys, w)
         assert abs(fd - p.m_max.inner(gys, w)) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_karcher_gradient_matches_finite_differences():
+    inst = KarcherInstance.generate(d=2, n_anchors=3, gamma=1.7, seed=20)
+    assert_karcher_gradient_matches_finite_differences(inst, np.random.default_rng(21), 50)
+
+
+def test_karcher_gradient_matches_finite_differences_at_benchmark_size():
+    # The instance of the karcher-ref benchmark workload.
+    inst = KarcherInstance.generate(d=3, n_anchors=20, gamma=3.0, seed=5)
+    assert_karcher_gradient_matches_finite_differences(inst, np.random.default_rng(22), 50)
 
 
 def karcher_grad_per_factor(inst, x_point, ys_point):
@@ -465,14 +483,15 @@ def test_instance_json_roundtrip_bit_exact():
     rp = RpcaInstance.generate(d=3, n=4, alpha=1.5, seed=28)
     back = instance_from_json(instance_to_json(rp))
     assert back.alpha == rp.alpha
-    for a, b in zip(rp.data, back.data):
-        assert np.array_equal(a, b)
+    # Each instance holds its matrices as one float (k, d, d) stack, and so does its reload.
+    assert rp.data.dtype == back.data.dtype == float and rp.data.shape == back.data.shape == (4, 3, 3)
+    assert np.array_equal(rp.data, back.data)
 
     ka = KarcherInstance.generate(d=2, n_anchors=3, gamma=0.9, seed=29)
     back = instance_from_json(instance_to_json(ka))
     assert back.gamma == ka.gamma
-    for a, b in zip(ka.anchors, back.anchors):
-        assert np.array_equal(a, b)
+    assert ka.anchors.dtype == back.anchors.dtype == float and ka.anchors.shape == back.anchors.shape == (3, 2, 2)
+    assert np.array_equal(ka.anchors, back.anchors)
 
     bi = BilinearInstance(k=2, coupling=np.array([[0.0, 1.0], [2.0, 3.0]]))
     back = instance_from_json(instance_to_json(bi))
