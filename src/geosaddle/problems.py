@@ -31,17 +31,17 @@ Both SPD oracles run on the stacked SPD kernels, which take (..., d, d)
 payloads. Each instance holds its matrices as one (k, d, d) float array,
 validated once when the instance is made (``RpcaInstance.data``,
 ``KarcherInstance.anchors``), and the oracles read that array as is; a
-robust PCA minibatch indexes it. The robust PCA oracle evaluates its k distance terms (k = n, or
-the batch size) through one whitening: one root factorization of M, one
-(k, d, d) congruence M^-1/2 M_i M^-1/2, one batched eigendecomposition
-with the SPD threshold checked on every slice, then the weighted inner logs
-are summed and sandwiched by M^1/2 once, since log_M(M_i) = M^1/2
-log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner log. The robust mean
-oracle makes two stacked log calls: log_X over the Y stack, and one log at
-the Y stack toward X and toward the anchors. Its max side SPD^N keeps the Y
-block as one (N, d, d) array, so the oracle reads and returns that payload
-as is, and the solver's exp, log, transport, inner and distance on that
-side are each one stacked kernel call.
+robust PCA minibatch indexes it. The robust PCA oracle evaluates its k
+distance terms (k = n, or the batch size) through one whitening: one root
+factorization of M, one (k, d, d) congruence M^-1/2 M_i M^-1/2, one
+batched eigendecomposition with the SPD threshold checked on every slice,
+then the weighted inner logs are summed and sandwiched by M^1/2 once, since
+log_M(M_i) = M^1/2 log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner
+log. The robust mean oracle makes two stacked log calls: log_X over the Y
+stack, and one log at the Y stack toward X and toward the anchors. Its max
+side SPD^N keeps the Y block as one (N, d, d) array, so the oracle reads
+and returns that payload as is, and the solver's exp, log, transport, inner
+and distance on that side are each one stacked kernel call.
 """
 
 from __future__ import annotations
