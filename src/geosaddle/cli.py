@@ -1,9 +1,10 @@
 """Command-line front end: run, grid-search, reference, plot.
 
 Exit codes: 0 on success, 2 on configuration errors (including argparse
-failures), 3 on numeric failures (divergence, reference solves that do not
-reach tolerance). Numeric failures still flush whatever partial output
-exists, since a divergent run is itself a reportable result.
+failures), 3 on numeric failures (divergence, geometry-kernel failures,
+reference solves that do not reach tolerance). Numeric failures still flush
+whatever partial output exists, since a divergent run is itself a
+reportable result.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _add_run_only_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reference", help="reference saddle JSON for the distance-gap metric")
     p.add_argument("--timing", action="store_true", default=None,
                    help="record wall time (breaks byte determinism)")
-    p.add_argument("--no-average", action="store_true", default=None,
+    p.add_argument("--no-average", dest="track_average", action="store_false", default=None,
                    help="skip running-mean upkeep and metrics")
 
 
@@ -103,12 +104,9 @@ def _parse_grid(raw: str | None, flag: str) -> list[float] | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # A RunConfig field takes the flag of the same name, or --no-average for track_average.
+    # A RunConfig field takes the flag whose dest is its name (--no-average sets track_average).
     # The config file may set only the fields whose flag the command registers.
-    dests = {f.name: f.name for f in fields(RunConfig)} | {"track_average": "no_average"}
-    cli_map = {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
-    if cli_map.get("track_average") is not None:
-        cli_map["track_average"] = not cli_map["track_average"]
+    cli_map = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     merged = load_config_file(args.config) if args.config else {}
     unread = sorted(set(merged) - set(cli_map))
     if unread:
@@ -137,11 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if not cfg.out:
         raise ConfigError("--out is required for run")
-    try:
-        trace, meta = execute_run(cfg)
-    except DivergenceError as e:
-        logger.error("numeric failure: %s (partial trace flushed to %s)", e, cfg.out)
-        return 3
+    trace, _meta = execute_run(cfg)
     logger.info("wrote %d rows to %s", len(trace.rows), cfg.out)
     return 0
 
@@ -165,13 +159,9 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     problem = build_problem(cfg)
     x0, y0 = start_points(cfg, problem)
     eta = None if isinstance(cfg.eta, str) else float(cfg.eta)
-    try:
-        x, y, gn, iters = solve_reference(
-            problem, tol=args.tol, max_iters=args.max_iters, seed=cfg.seed, eta=eta, x0=x0, y0=y0
-        )
-    except RuntimeError as e:  # DivergenceError included
-        logger.error("reference solve failed: %s", e)
-        return 3
+    x, y, gn, iters = solve_reference(
+        problem, tol=args.tol, max_iters=args.max_iters, seed=cfg.seed, eta=eta, x0=x0, y0=y0
+    )
     write_reference(args.out, x, y, gn, iters)
     logger.info("reference saddle written to %s (grad norm %.3e, %d iterations)", args.out, gn, iters)
     return 0
@@ -211,7 +201,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="geosaddle", description=__doc__)
     parser.add_argument("--version", action="version", version=f"geosaddle {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one solver configuration and write a trace CSV")
@@ -254,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(e.code or 0)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
@@ -263,17 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         logger.error("config error: %s", e)
         return 2
-    except DivergenceError as e:
+    except (DivergenceError, GeometryError) as e:
+        # Partial output (a run's trace, a grid's ranking) is written before the error gets here.
         logger.error("numeric failure: %s", e)
-        return 3
-    except GeometryError as e:
-        logger.error("numeric failure in a geometry kernel: %s", e)
         return 3
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

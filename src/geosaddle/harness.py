@@ -354,9 +354,9 @@ def solve_reference(
     The loop of :func:`~geosaddle.solvers.run`, for rceg without averaging, from
     (x0, y0) or from points drawn from the seed, stopped by ``tol``.
     Returns (x*, y*, final combined gradient norm, iterations used). A
-    divergence or geometry failure raises ``run``'s ``DivergenceError``,
-    whose partial trace holds a row every 25 iterations; a budget that
-    ends above tolerance raises ``RuntimeError``.
+    divergence, a geometry failure or a budget that ends above tolerance
+    raises ``DivergenceError``, whose partial trace holds a row every 25
+    iterations and after the last one.
     """
     if eta is None:
         eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
@@ -367,9 +367,11 @@ def solve_reference(
                           noise=None, reference=None, track_average=False, timing=False, tol=tol)
     gn = trace.rows[-1].grad_norm
     if gn > tol:
-        raise RuntimeError(
+        raise DivergenceError(
             f"reference solve stopped above tolerance: gradient norm {gn:.3e} > {tol:.1e} "
-            f"after {max_iters} iterations (best seen {min(trace.column('grad_norm')):.3e})"
+            f"after {max_iters} iterations (best seen {min(trace.column('grad_norm')):.3e})",
+            trace,
+            state,
         )
     return state.x, state.y, gn, state.t
 
@@ -530,6 +532,7 @@ def grid_search(
     ell_hat = None if a_grid is None else _estimated_smoothness(problem, cfg.seed)
 
     rows = []
+    failure = None
     for g in grid:
         if ell_grid is not None:
             eta0 = 1.0 / (2.0 * g)
@@ -546,7 +549,8 @@ def grid_search(
             )
             final = trace.rows[-1].grad_norm
             status = "ok"
-        except DivergenceError:
+        except DivergenceError as e:
+            failure = e
             final = math.inf
             status = "diverged"
         rows.append(
@@ -562,8 +566,9 @@ def grid_search(
     rows.sort(key=lambda r: (r["final_grad_norm"], r["eta0"]))
     if out:
         _write_ranking(out, rows)
-    if all(not math.isfinite(r["final_grad_norm"]) for r in rows):
-        raise DivergenceError("every grid candidate diverged", Trace(), None)  # type: ignore[arg-type]
+    if all(r["status"] == "diverged" for r in rows):
+        # The last candidate's partial run stands for the grid.
+        raise DivergenceError("every grid candidate diverged", failure.trace, failure.state) from failure
     return rows[0], rows
 
 

@@ -373,7 +373,8 @@ class Trace:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a run blows past the divergence cap; carries the partial trace."""
+    """A run that failed numerically: past the divergence cap, in a geometry kernel, or above its
+    tolerance at the end of its budget; carries the partial trace and last state."""
 
     def __init__(self, message: str, trace: Trace, state: SolverState):
         super().__init__(message)

@@ -227,8 +227,16 @@ def test_failed_reference_solve_carries_its_partial_trace():
 
 def test_solve_reference_budget_exhaustion_raises():
     p = make_bilinear(BilinearInstance(k=2))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(DivergenceError, match="^reference solve stopped above tolerance"):
         solve_reference(p, tol=1e-300, max_iters=50, seed=8)
+
+
+def test_reference_budget_exhaustion_carries_its_partial_run():
+    inst = KarcherInstance.generate(d=3, n_anchors=4, gamma=3.0, seed=5)
+    with pytest.raises(DivergenceError, match="^reference solve stopped above tolerance") as err:
+        solve_reference(make_karcher(inst), tol=1e-12, max_iters=5, seed=5)
+    assert [r.iter for r in err.value.trace.rows] == [0, 5]
+    assert err.value.state.t == 5
 
 
 # -- grid search ---------------------------------------------------------------------
@@ -264,6 +272,19 @@ def test_grid_search_all_divergent_raises():
     cfg = RunConfig(problem="bilinear", solver="rceg", seed=11, iters=60, d=2, eta=0.1)
     with pytest.raises(DivergenceError):
         grid_search(cfg, ell_grid=[0.01, 0.02])
+
+
+def test_grid_search_all_divergent_carries_the_last_candidates_run():
+    cfg = RunConfig(problem="bilinear", solver="rgda", seed=3, iters=200, d=2)
+    with pytest.raises(DivergenceError, match="^every grid candidate diverged$") as err:
+        grid_search(cfg, ell_grid=[0.2, 0.3])
+    rows = err.value.trace.rows
+    assert rows and rows[-1].grad_norm > 1e6
+    assert err.value.state.t == rows[-1].iter
+    # the last candidate (ell = 0.3) run alone fails with the same trace
+    with pytest.raises(DivergenceError) as alone:
+        solvers.run(build_problem(cfg), "rgda", lambda t: 1.0 / 0.6, 200, 3, track_average=False)
+    assert alone.value.trace.rows == rows
 
 
 def test_grid_search_requires_exactly_one_grid():
@@ -567,6 +588,74 @@ def test_cli_exp_overflow_prints_only_the_error_line(tmp_path, argv):
 def test_cli_unknown_flag_exits_2(capsys):
     assert main(["run", "--bogus", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_has_no_verbose_flag(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["run", "--problem", "bilinear", "--d", "2", "--solver", "rceg", "--eta", "0.1", "--iters", "3",
+            "--seed", "1", "--out", str(out)]
+    assert main(["-v", *argv]) == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (
+            [
+                "reference", "--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0",
+                "--seed", "5", "--tol", "1e-12", "--max-iters", "5", "--out", "r.json",
+            ],
+            [],
+        ),
+        (
+            [
+                "grid-search", "--problem", "bilinear", "--d", "2", "--seed", "3", "--solver", "rgda",
+                "--iters", "200", "--ell-grid", "0.2,0.3",
+            ],
+            [],
+        ),
+        (
+            [
+                "run", "--problem", "bilinear", "--d", "2", "--solver", "rgda", "--eta", "0.9",
+                "--iters", "4000", "--seed", "3", "--out", "t.csv",
+            ],
+            ["t.csv"],
+        ),
+    ],
+    ids=["reference-above-tol", "grid-all-diverged", "run-diverged"],
+)
+def test_cli_numeric_failure_prints_one_error_line(tmp_path, argv, written):
+    env = dict(os.environ, PYTHONPATH=str(Path(geosaddle.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geosaddle", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR geosaddle: numeric failure: "), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+def test_cli_track_average_is_one_setting_from_flag_or_config(tmp_path):
+    argv = ["run", "--problem", "bilinear", "--d", "2", "--solver", "rceg", "--eta", "0.2", "--iters", "10",
+            "--seed", "2"]
+    off, on = tmp_path / "off.json", tmp_path / "on.json"
+    off.write_text(json.dumps({"track_average": False}))
+    on.write_text(json.dumps({"track_average": True}))
+    variants = {
+        "flag": ["--no-average"],
+        "config": ["--config", str(off)],
+        "flag-over-config": ["--config", str(on), "--no-average"],
+        "averaged": ["--config", str(on)],
+    }
+    traces = {}
+    for name, extra in variants.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, *extra, "--out", str(out)]) == 0
+        traces[name] = out.read_bytes()
+    assert traces["flag"] == traces["config"] == traces["flag-over-config"] != traces["averaged"]
+    assert all(r.grad_norm_avg is None for r in read_trace_csv(str(tmp_path / "flag.csv"))[1].rows)
 
 
 def test_cli_numeric_failure_exits_3(tmp_path):
