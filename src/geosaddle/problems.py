@@ -28,9 +28,9 @@ the geodesic-distance gradients -2 log_X(Y) (squared) and -log_X(Y)/d
 (plain).
 
 Both SPD oracles run on the stacked SPD kernels, which take (..., d, d)
-payloads. Each instance holds its matrices as one (k, d, d) float array,
-validated once when the instance is made (``RpcaInstance.data``,
-``KarcherInstance.anchors``), and the oracles read that array as is; a
+payloads. Each instance holds its matrices as one read-only (k, d, d) float
+array, a copy validated once when the instance is made (``RpcaInstance.data``,
+``KarcherInstance.anchors``); the oracles read that array as is, and a
 robust PCA minibatch indexes it. The robust PCA oracle evaluates its k
 distance terms (k = n, or the batch size) through one whitening: one root
 factorization of M, one (k, d, d) congruence M^-1/2 M_i M^-1/2, one
@@ -108,6 +108,13 @@ def gen_spd_data(
     return out
 
 
+def _frozen_spd_stack(d: int, matrices) -> np.ndarray:
+    """A validated read-only copy of ``matrices`` as a float (k, d, d) SPD stack."""
+    stack = Product((Spd(d),) * len(matrices)).point(np.array(matrices, dtype=float)).value
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class RpcaInstance:
     """Dataset and penalty weight for the robust PCA saddle problem."""
@@ -122,7 +129,7 @@ class RpcaInstance:
             raise ValueError("alpha must be positive")
         if len(self.data) != self.n:
             raise ValueError(f"expected {self.n} data matrices, got {len(self.data)}")
-        object.__setattr__(self, "data", Product((Spd(self.d),) * self.n).point(self.data).value)
+        object.__setattr__(self, "data", _frozen_spd_stack(self.d, self.data))
 
     @classmethod
     def generate(cls, d: int, n: int, alpha: float, seed: int = 0) -> "RpcaInstance":
@@ -235,7 +242,7 @@ class KarcherInstance:
             raise ValueError("gamma must be positive")
         if len(self.anchors) != self.n_anchors:
             raise ValueError(f"expected {self.n_anchors} anchors, got {len(self.anchors)}")
-        object.__setattr__(self, "anchors", Product((Spd(self.d),) * self.n_anchors).point(self.anchors).value)
+        object.__setattr__(self, "anchors", _frozen_spd_stack(self.d, self.anchors))
 
     @classmethod
     def generate(cls, d: int, n_anchors: int, gamma: float, seed: int = 0) -> "KarcherInstance":

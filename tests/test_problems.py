@@ -498,6 +498,18 @@ def test_instance_json_roundtrip_bit_exact():
     assert np.array_equal(back.coupling, bi.coupling)
 
 
+def test_instances_keep_a_read_only_copy_of_their_matrices():
+    a = np.stack([np.eye(2)] * 3)
+    rp = RpcaInstance(d=2, n=3, alpha=1.0, data=a)
+    ka = KarcherInstance(d=2, n_anchors=3, gamma=1.0, anchors=a)
+    a[1] = [[1.0, 0.0], [0.0, -1.0]]  # a later write by the caller reaches neither instance
+    assert np.array_equal(rp.data, np.stack([np.eye(2)] * 3))
+    assert np.array_equal(ka.anchors, np.stack([np.eye(2)] * 3))
+    for stack in (rp.data, ka.anchors):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[1] = [[1.0, 0.0], [0.0, -1.0]]
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         RpcaInstance(d=2, n=1, alpha=-1.0, data=(np.eye(2),))
