@@ -10,7 +10,9 @@ parallel transport along geodesics, the Riemannian metric, and distance:
   affine-invariant metric ``<U, V>_X = tr(X^-1 U X^-1 V)``.
 - ``Product``: a tuple of factor manifolds with the metric summed over
   factors. A power of one ``Spd`` descriptor (SPD^N) keeps its payload as
-  one (N, n, n) array.
+  one (N, n, n) array. The solvers move a saddle pair (x, y) as one point
+  of a product: SPD^(N+1) when x is one SPD matrix and y a block of N on
+  the same descriptor, else the two-factor product of the sides.
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
@@ -62,8 +64,10 @@ _ORTHO_TOL = 1e-10
 _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
-# Base points whose SPD roots are memoized. A solver step with averaging has at most eight live at
-# once: the iterate, the half-iterate and the old and new running means, on each of the two sides.
+# Base points whose SPD roots are memoized. A solver step with averaging has four live at once: the
+# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(N+1)
+# stack (X, then the Y block); a recorded row adds the two sides of the iterate, whose distances it
+# reads. A mixed joint point keeps one base point per SPD side.
 _ROOTS_MEMO_SIZE = 8
 
 
@@ -81,7 +85,9 @@ class NumericError(GeometryError):
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize (each slice of a stack); applied after every SPD matrix function to kill drift."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    out = a + a.swapaxes(-1, -2)
+    out *= 0.5  # in place: one (..., n, n) temporary fewer, and 0.5 * s is exact in either order
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,14 +441,15 @@ def _slice_name(bad: np.ndarray) -> str:
 def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
     w, q = np.linalg.eigh(_sym(a))
+    lo = w[..., 0]
+    # One mask for the hot path: the floor is >= 0, so passing it also means lo > 0.
+    ok = lo > _PD_RTOL * np.maximum(w[..., -1], 0.0)
+    if np.isfinite(w).all() and ok.all():
+        return w, q
     finite = np.isfinite(w).all(axis=-1)
     if not finite.all():
         raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
-    lo = w[..., 0]
-    bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
-    if bad.any():
-        raise NumericError(f"{what}: eigenvalue {float(lo[bad].flat[0]):.3e}{_slice_name(bad)} below the PD threshold")
-    return w, q
+    raise NumericError(f"{what}: eigenvalue {float(lo[~ok].flat[0]):.3e}{_slice_name(~ok)} below the PD threshold")
 
 
 def _require_symmetric(a: np.ndarray, what: str) -> None:
@@ -531,19 +538,18 @@ class Spd(Manifold):
         half, inv_half = self._roots(x)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
             m = _sym(inv_half @ v @ inv_half)
-        try:
-            w, q = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
-            raise NumericError(f"SPD exp: {e}") from e
-        finite = np.isfinite(w).all(axis=-1)
-        if not finite.all():
-            raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(~finite)}")
-        # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
-        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w, q = np.linalg.eigh(m)
+            except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
+                raise NumericError(f"SPD exp: {e}") from e
+            if not np.isfinite(w).all():
+                bad = ~np.isfinite(w).all(axis=-1)
+                raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(bad)}")
+            # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
             out = _sym(half @ _spectral(q, np.exp(w)) @ half)
-        finite = np.isfinite(out).all(axis=(-2, -1))
-        if not finite.all():
-            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(~finite)}")
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out).all(axis=(-2, -1))
+            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(bad)}")
         return out
 
     def _log(self, x, y):
@@ -605,6 +611,10 @@ class Product(Manifold):
     one stacked ``Spd`` check naming a bad slice; a mixed product checks the
     factor count, then lets each factor validate its entry and adds the
     factor's index to its error.
+
+    A saddle problem's joint point is such a product (``SaddleProblem.joint``).
+    On the robust mean problem it is SPD^(N+1) with X as slice 0 and Y_k as
+    slice k+1, so a kernel failure in a solver step names the joint slice.
     """
 
     factors: tuple[Manifold, ...]

@@ -37,11 +37,13 @@ factorization of M, one (k, d, d) congruence M^-1/2 M_i M^-1/2, one
 batched eigendecomposition with the SPD threshold checked on every slice,
 then the weighted inner logs are summed and sandwiched by M^1/2 once, since
 log_M(M_i) = M^1/2 log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner
-log. The robust mean oracle makes two stacked log calls: log_X over the Y
-stack, and one log at the Y stack toward X and toward the anchors. Its max
-side SPD^N keeps the Y block as one (N, d, d) array, so the oracle reads
-and returns that payload as is, and the solver's exp, log, transport, inner
-and distance on that side are each one stacked kernel call.
+log. The robust mean oracle takes the roots of the joint (N+1, d, d) stack
+(X, then the Y block), which is the problem's ``joint`` point, so the
+solver step's exp and log at the same pair share them through the roots
+memo. It then makes one whitening of 3N slices (X^-1/2 Y_i X^-1/2, then
+Y_i^-1/2 X Y_i^-1/2, then Y_i^-1/2 A_i Y_i^-1/2), each slice with the bits
+of a per-side log. Its max side SPD^N keeps the Y block as one (N, d, d)
+array, so the oracle reads and returns that payload as is.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .manifolds import (
     Spd,
     Sphere,
     Tangent,
+    _eigh_checked,
     _payload_to_list,
     _spectral,
     _sym,
@@ -263,14 +266,25 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     """Riemannian gradients (at X, at the anchor block) of the robust mean objective.
 
     grad_X = -2 sum_i log_X(Y_i); per block grad_{Y_i} = -2 log_{Y_i}(X)
-    + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block.
+    + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block. The
+    roots come from the joint stack (X, then the Y block), the base point of
+    a solver step, and the 3N logs share one whitening. Its slice j is
+    X^-1/2 Y_j X^-1/2 for j < N, Y_i^-1/2 X Y_i^-1/2 for j = N + i and
+    Y_i^-1/2 A_i Y_i^-1/2 for j = 2N + i; a failure names j.
     """
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     x, ys = x_point.value, ys_point.value
-    gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
-    # One log at the Y stack, toward X (slot 0) and toward the anchors (slot 1).
-    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst.anchors)))
-    gys = -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
+    n = len(ys)
+    half, inv_half = spd._roots(np.concatenate((x[None], ys)))
+    # Joint slice of each log's base point: X for the first N, then Y_i twice.
+    at = np.arange(3 * n) % n + 1
+    at[:n] = 0
+    toward = np.concatenate((ys, x[None].repeat(n, axis=0), inst.anchors))
+    half, inv_half = half[at], inv_half[at]
+    w, q = _eigh_checked(inv_half @ toward @ inv_half, "SPD log")
+    logs = _sym(half @ _spectral(q, np.log(w)) @ half)
+    gx = (-2.0 * logs[:n]).sum(axis=0)
+    gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)
 
 

@@ -9,6 +9,15 @@ second), each taking one gradient oracle ``oracle(x, y, stream)``:
   exponential map.
 - ``rgda_step``: simultaneous exponential-map gradient descent-ascent.
 
+Both steps move the pair as one point of ``SaddleProblem.joint``: they join
+the two sides' payloads, make one exp (and for rceg one log) call per move,
+and split the result back into per-side points. On the robust mean problem
+the joint manifold is SPD^(N+1) (X, then the Y block), so each of those
+calls is one stacked kernel call, and a kernel failure names the joint
+slice: X is slice 0 and Y_k is slice k+1. On the other problems it is the
+product of the two sides, which runs the same per-side kernels. Either
+way each side keeps the bits of a per-side call.
+
 The four solvers are these two steps with two oracles. ``rceg`` and
 ``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
 ``srgda`` use the stochastic oracle :func:`stochastic_oracle` builds once
@@ -36,10 +45,11 @@ callers branch on: extragradient (two oracle calls per step, averages the
 half-iterates) or descent-ascent, and exact or stochastic oracle.
 
 Averaging: the running (Karcher) mean of iterates is maintained through the
-recursion mean <- exp_mean(log_mean(z) / (t+1)). Extragradient solvers
-average their half-iterates, descent-ascent solvers the pre-step iterates.
-The recursion starts from the first averaged input, which on flat space
-reproduces the arithmetic mean exactly.
+recursion mean <- exp_mean(log_mean(z) / (t+1)), which the driver runs once
+on the joint point. Extragradient solvers average their half-iterates,
+descent-ascent solvers the pre-step iterates. The recursion starts from the
+first averaged input, which on flat space reproduces the arithmetic mean
+exactly.
 
 The noise model injects isotropic Gaussian tangent noise with per-block
 second moment sigma^2/2, so E[|xi_x|^2 + |xi_y|^2] = sigma^2 holds with
@@ -56,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .manifolds import GeometryError, Manifold, Point, Tangent
+from .manifolds import GeometryError, Manifold, Point, Product, Spd, Tangent, _require_same_base
 
 __all__ = [
     "SaddleProblem",
@@ -118,6 +128,13 @@ class SaddleProblem:
 
     The run driver, which is also the reference solve, reads its metrics
     through :meth:`grad_norms` and :meth:`distance_gap`.
+
+    ``joint`` is derived from the two sides: the manifold the steps move the
+    pair on as one point (:meth:`join`, :meth:`split`). When the min side is
+    one ``Spd`` and the max side a power of that same descriptor, it is
+    SPD^(N+1) and its payload is the stack of x and the N y matrices, so the
+    kernels at a pair make one stacked call. Otherwise it is the product of
+    the two sides, whose payload is the tuple (x, y).
     """
 
     m_min: Manifold
@@ -125,6 +142,28 @@ class SaddleProblem:
     value: Callable[[Point, Point], float]
     grad: GradFn
     stochastic_grad: Optional[StochasticGradFn] = None
+    joint: Product = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m_min, m_max = self.m_min, self.m_max
+        if isinstance(m_min, Spd) and isinstance(m_max, Product) and m_max._power == m_min:
+            joint = Product((m_min,) * (1 + len(m_max.factors)))
+        else:
+            joint = Product((m_min, m_max))
+        object.__setattr__(self, "joint", joint)
+
+    def _join(self, a, b):
+        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(N+1) stack)."""
+        return (a, b) if self.joint._power is None else np.concatenate((a[None], b))
+
+    def join(self, x: Point, y: Point) -> Point:
+        """The pair (x, y) as one point of ``joint``."""
+        return Point(self.joint, self._join(x.value, y.value))
+
+    def split(self, z: Point) -> tuple[Point, Point]:
+        """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and slices 1 to N."""
+        a, b = z.value if self.joint._power is None else (z.value[0], z.value[1:])
+        return Point(self.m_min, a), Point(self.m_max, b)
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""
@@ -209,21 +248,28 @@ def stochastic_oracle(
     return lambda x, y, stream: sample(x, y, rng)
 
 
+def _direction(problem: SaddleProblem, z: Point, x: Point, y: Point, g: GradPair, eta: float) -> Tangent:
+    """The step (-eta g_x, eta g_y) of the oracle pair ``g`` at (x, y), as one tangent at their join ``z``."""
+    gx, gy = g
+    _require_same_base(gx.base, x)
+    _require_same_base(gy.base, y)
+    return Tangent(z, problem._join(((-eta) * gx).value, (eta * gy).value))
+
+
 def rceg_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Optional[Oracle] = None) -> SolverState:
     """One corrected-extragradient step (2 oracle calls).
 
     ``oracle=None`` is the exact ``problem.grad``; srceg passes an oracle
-    from :func:`stochastic_oracle`.
+    from :func:`stochastic_oracle`. Each exp and log runs once on the
+    ``problem.joint`` point, which gives each side the bits of a per-side call.
     """
     _positive(eta=eta)
     oracle = oracle or (lambda x, y, stream: problem.grad(x, y))
-    mx, my = problem.m_min, problem.m_max
-    gx, gy = oracle(state.x, state.y, 0)
-    x_half = mx.exp(state.x, (-eta) * gx)
-    y_half = my.exp(state.y, eta * gy)
-    gx_h, gy_h = oracle(x_half, y_half, 1)
-    x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, state.x))
-    y_next = my.exp(y_half, eta * gy_h + my.log(y_half, state.y))
+    m, z = problem.joint, problem.join(state.x, state.y)
+    z_half = m.exp(z, _direction(problem, z, state.x, state.y, oracle(state.x, state.y, 0), eta))
+    x_half, y_half = problem.split(z_half)
+    v = _direction(problem, z_half, x_half, y_half, oracle(x_half, y_half, 1), eta)
+    x_next, y_next = problem.split(m.exp(z_half, v + m.log(z_half, z)))
     return replace(state, x=x_next, y=y_next, x_half=x_half, y_half=y_half, t=state.t + 1)
 
 
@@ -234,9 +280,9 @@ def rgda_step(problem: SaddleProblem, state: SolverState, eta: float, oracle: Op
     """
     _positive(eta=eta)
     oracle = oracle or (lambda x, y, stream: problem.grad(x, y))
-    gx, gy = oracle(state.x, state.y, 0)
-    x_next = problem.m_min.exp(state.x, (-eta) * gx)
-    y_next = problem.m_max.exp(state.y, eta * gy)
+    z = problem.join(state.x, state.y)
+    v = _direction(problem, z, state.x, state.y, oracle(state.x, state.y, 0), eta)
+    x_next, y_next = problem.split(problem.joint.exp(z, v))
     return replace(state, x=x_next, y=y_next, t=state.t + 1)
 
 
@@ -500,11 +546,10 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference
                 if state.x_bar is None:
                     state = replace(state, x_bar=avg_in_x, y_bar=avg_in_y)
                 else:
-                    state = replace(
-                        state,
-                        x_bar=running_mean_update(problem.m_min, state.x_bar, avg_in_x, t),
-                        y_bar=running_mean_update(problem.m_max, state.y_bar, avg_in_y, t),
-                    )
+                    z_bar = problem.join(state.x_bar, state.y_bar)
+                    z_bar = running_mean_update(problem.joint, z_bar, problem.join(avg_in_x, avg_in_y), t)
+                    x_bar, y_bar = problem.split(z_bar)
+                    state = replace(state, x_bar=x_bar, y_bar=y_bar)
             if tol is None or state.t % _CHECK_EVERY == 0 or state.t == iters:
                 record(state, eta)
                 if tol is not None and trace.rows[-1].grad_norm <= tol:

@@ -377,8 +377,9 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
 @pytest.mark.parametrize(
     "make, calls",
     [
-        # grad 4, exp at x_t 2, grad at the half-iterate 4, log and exp at the half-iterate 2 + 2
-        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), 14),
+        # One joint SPD^21 stack per base point: roots(z) 1, grad whitening 1, exp 1, roots(z_half) 1,
+        # grad whitening 1, log 1, exp 1
+        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), 7),
         # grad 2, exp at M_t 1, grad at the half-iterate 2, log and exp at the half-iterate 1 + 1
         (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), 7),
     ],

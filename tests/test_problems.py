@@ -377,6 +377,27 @@ def test_karcher_oracle_matches_per_factor_loop(seed, d, n):
     assert_karcher_matches_per_factor(inst, p.m_min.point(inst.anchors[int(rng.integers(n))]), ys)
 
 
+def karcher_grad_two_logs(inst, x_point, ys_point):
+    """Reference: the two stacked log calls, log_X over the Y stack and one log at the Y stack."""
+    spd, x, ys = x_point.manifold, x_point.value, ys_point.value
+    gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
+    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst.anchors)))
+    return gx, -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), n=st.integers(1, 25))
+def test_karcher_grad_on_the_joint_stack_keeps_the_bits_of_two_logs(seed, d, n):
+    rng = np.random.default_rng(seed)
+    inst = KarcherInstance.generate(d=d, n_anchors=n, gamma=float(rng.uniform(0.5, 4.0)), seed=seed % 10_000)
+    p = make_karcher(inst)
+    x, ys = p.m_min.random_point(rng), p.m_max.random_point(rng)
+    gx, gys = karcher_grad(inst, x, ys)
+    ref_gx, ref_gys = karcher_grad_two_logs(inst, x, ys)
+    np.testing.assert_array_equal(gx.value, ref_gx)
+    np.testing.assert_array_equal(gys.value, ref_gys)
+
+
 def test_make_karcher_shape():
     inst = KarcherInstance.generate(d=2, n_anchors=4, gamma=2.0, seed=22)
     p = make_karcher(inst)

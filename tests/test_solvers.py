@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 
 from geosaddle.curvature import constants_at
 from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
-from geosaddle.manifolds import Euclidean, Sphere
+from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Sphere
 from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
@@ -304,6 +304,84 @@ def test_geometry_errors_propagate_through_steps():
     st = initial_state(p, sphere.point([1.0, 0.0, 0.0]), flat.point([0.0]))
     with pytest.raises(GeodesicNotUniqueError):
         rceg_step(p, st, 1.0)
+
+
+# -- the joint point -------------------------------------------------------------------
+
+_JOINT_PROBLEMS = {
+    "karcher": lambda: make_karcher(KarcherInstance.generate(d=3, n_anchors=5, gamma=3.0, seed=2)),
+    "rpca": lambda: make_rpca(RpcaInstance.generate(d=4, n=6, alpha=3.0, seed=2)),
+    "bilinear": lambda: bilinear_problem(k=3, coupling=np.random.default_rng(2).standard_normal((3, 3))),
+}
+
+
+def _joint_start(p, seed):
+    rng = np.random.default_rng(seed)
+    return initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng))
+
+
+def _oracle(p, sigma):
+    return None if sigma is None else stochastic_oracle(p, NoiseModel(sigma, seed=6))
+
+
+def _assert_points_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.manifold == b.manifold
+        np.testing.assert_array_equal(a.value, b.value)
+
+
+def test_joint_manifold_stacks_the_robust_mean_pair_and_pairs_the_others():
+    karcher, rpca = _JOINT_PROBLEMS["karcher"](), _JOINT_PROBLEMS["rpca"]()
+    assert karcher.joint == Product((karcher.m_min,) * 6) and karcher.joint._power == karcher.m_min
+    assert rpca.joint == Product((rpca.m_min, rpca.m_max)) and rpca.joint._power is None
+    st = _joint_start(karcher, 3)
+    z = karcher.join(st.x, st.y)
+    np.testing.assert_array_equal(z.value, np.concatenate((st.x.value[None], st.y.value)))
+    x, y = karcher.split(z)
+    assert x.value.base is z.value and y.value.base is z.value  # views of the joint stack
+    _assert_points_equal((x, y), (st.x, st.y))
+    st = _joint_start(rpca, 3)
+    a, b = rpca.join(st.x, st.y).value
+    assert a is st.x.value and b is st.y.value
+
+
+@pytest.mark.parametrize("sigma", [None, 0.3], ids=["exact", "noise"])
+@pytest.mark.parametrize("which", list(_JOINT_PROBLEMS))
+def test_joint_steps_keep_the_bits_of_per_side_steps(which, sigma):
+    p, eta = _JOINT_PROBLEMS[which](), 0.05
+    st = _joint_start(p, 4)
+    mx, my = p.m_min, p.m_max
+
+    oracle = _oracle(p, sigma) or (lambda x, y, stream: p.grad(x, y))
+    gx, gy = oracle(st.x, st.y, 0)
+    x_half, y_half = mx.exp(st.x, (-eta) * gx), my.exp(st.y, eta * gy)
+    gx_h, gy_h = oracle(x_half, y_half, 1)
+    x_next = mx.exp(x_half, (-eta) * gx_h + mx.log(x_half, st.x))
+    y_next = my.exp(y_half, eta * gy_h + my.log(y_half, st.y))
+    got = rceg_step(p, st, eta, _oracle(p, sigma))
+    _assert_points_equal((got.x_half, got.y_half, got.x, got.y), (x_half, y_half, x_next, y_next))
+
+    oracle = _oracle(p, sigma) or (lambda x, y, stream: p.grad(x, y))
+    gx, gy = oracle(st.x, st.y, 0)
+    got = rgda_step(p, st, eta, _oracle(p, sigma))
+    _assert_points_equal((got.x, got.y), (mx.exp(st.x, (-eta) * gx), my.exp(st.y, eta * gy)))
+
+    new = rceg_step(p, got, eta)
+    for t in (1, 4):
+        x_bar, y_bar = p.split(running_mean_update(p.joint, p.join(got.x, got.y), p.join(new.x, new.y), t))
+        want = running_mean_update(mx, got.x, new.x, t), running_mean_update(my, got.y, new.y, t)
+        _assert_points_equal((x_bar, y_bar), want)
+
+
+def test_joint_step_failure_names_the_joint_slice():
+    # X is slice 0 of the joint stack and Y_k is slice k+1.
+    p = _JOINT_PROBLEMS["karcher"]()
+    st = _joint_start(p, 5)
+    ys = st.y.value.copy()
+    ys[3] = np.diag([1.0, 1.0, -1.0])
+    bad = replace(st, y=Point(p.m_max, ys))
+    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
+        rceg_step(p, bad, 0.05)
 
 
 # -- running mean ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 _HASHES = _ROOT / "tools" / "output_hashes.py"
 _PINNED_HASHES = _ROOT / "tools" / "output_hashes.txt"
 _TRACING = _ROOT / "bench" / "tracing.py"
+_AB = _ROOT / "tools" / "ab.py"
 
 # Span names of steps and metrics that the planned benchmark revision drops.
 _DROPPED_SPANS = {
@@ -61,3 +62,18 @@ def test_bench_span_names_are_public_functions_and_methods():
     for layer, cls_name, attr, _span in tracing.METHODS:
         cls = getattr(importlib.import_module(f"geosaddle.{layer}"), cls_name)
         assert attr in cls.__dict__, (cls_name, attr)
+
+
+def test_ab_compares_a_checkout_with_itself():
+    ab = _load("ab", _AB)
+    wl = ab.workloads()["karcher-ref"]
+    report = ab.compare(_ROOT, _ROOT, wl.argv(wl.pinned_seed, tiny=True), pairs=1, repeats=1)
+    (pair,) = report["pairs"]
+    assert pair["base_s"] > 0 and pair["change_s"] > 0 and pair["ratio"] == pair["change_s"] / pair["base_s"]
+    assert report["ratio"]["median"] == pair["ratio"]
+    counts = report["counts"]
+    assert counts["base"] == counts["change"]
+    assert counts["base"]["steps"] > 0 and counts["base"]["eigh_calls"] > 0
+    assert counts["base"]["decompositions"] >= counts["base"]["eigh_calls"]
+    lines = ab.report_lines(report)
+    assert lines[-2].startswith("change: ") and "eigh calls" in lines[-2]

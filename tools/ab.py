@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of one benchmark workload on two checkouts.
+
+Run from the repository root:
+
+    python3 tools/ab.py BASE CHANGE --workload karcher-ref [--pairs 10 --repeats 5]
+
+BASE and CHANGE are checkout roots, each with a ``src/geosaddle`` package.
+The workload's argv is read from ``bench/run.py``'s ``WORKLOADS`` next to
+this script, at the workload's pinned seed. Each pair runs one fresh child
+process per checkout, alternating which side goes first, so drift on a
+shared machine falls on both sides. A child imports geosaddle from its
+checkout's ``src`` with BLAS pinned to one thread and calls
+``geosaddle.cli.main(argv)`` K times in a fresh temporary directory. It
+times the solve in process: the outermost call of the run driver
+(``solvers.run``) or the reference solve (``harness.solve_reference``),
+with the SPD roots memo emptied before each call. The child's time is the
+minimum over its K repeats. One more call, untimed, counts solver steps,
+``np.linalg.eigh`` calls and decompositions (the product of each call's
+leading dimensions).
+
+The report gives per pair both times and the ratio CHANGE / BASE, then the
+median ratio with its quartiles, then each side's ``eigh`` calls and
+decompositions per solver step. The last line is one JSON object with the
+same figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
+CHILD_TIMEOUT_S = 600
+
+
+def workloads() -> dict:
+    """``bench/run.py``'s workloads by name, read without running the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through sys.modules
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _child() -> int:
+    """One child process: ``python -c`` entry, args REPORT_JSON REPEATS -- GEOSADDLE_ARGV..."""
+    import time
+
+    import numpy as np
+
+    import geosaddle.cli
+    import geosaddle.harness as harness
+    import geosaddle.manifolds as manifolds
+    import geosaddle.solvers as solvers
+
+    from tracing import rebind
+
+    report_path, repeats, argv = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
+    memo = getattr(manifolds, "_memo_roots", None)
+    times: list[float] = []
+    depth = [0]
+
+    def timed(fn):
+        def call(*args, **kwargs):
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                if depth[0] == 0:
+                    times.append(time.perf_counter() - t0)
+
+        return call
+
+    for fn in (solvers.run, harness.solve_reference):
+        rebind(fn, timed(fn))
+
+    def solve() -> None:
+        if memo is not None:
+            memo.cache_clear()
+        rc = geosaddle.cli.main(argv)
+        if rc != 0:
+            raise SystemExit(f"geosaddle exited {rc}")
+
+    for _ in range(repeats):
+        solve()
+    if len(times) != repeats:
+        raise SystemExit(f"expected one timed solve per repeat, got {len(times)} in {repeats}")
+
+    counts = {"steps": 0, "eigh_calls": 0, "decompositions": 0}
+
+    def counted_step(fn):
+        def call(*args, **kwargs):
+            counts["steps"] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def counted_eigh(a, *args, **kwargs):
+        counts["eigh_calls"] += 1
+        counts["decompositions"] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    for fn in (solvers.rceg_step, solvers.rgda_step):
+        rebind(fn, counted_step(fn))
+    eigh = np.linalg.eigh
+    np.linalg.eigh = counted_eigh
+    solve()
+    with open(report_path, "w", encoding="utf-8") as fh:
+        json.dump({"solve_s": min(times), "counts": counts}, fh)
+    return 0
+
+
+def _run_child(checkout: Path, argv: list[str], repeats: int) -> dict:
+    env = dict(os.environ)
+    paths = (str(checkout / "src"), str(TOOLS), str(ROOT / "bench"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    work = Path(tempfile.mkdtemp(prefix="geosaddle-ab-"))
+    try:
+        report = work / "report.json"
+        code = "import sys, ab; raise SystemExit(ab._child())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(report), str(repeats), "--", *argv],
+            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=CHILD_TIMEOUT_S,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(f"child on {checkout} exited {proc.returncode}: {proc.stderr.strip()[-400:]}")
+        return json.loads(report.read_text(encoding="utf-8"))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": 1}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int) -> dict:
+    """Alternating child pairs of ``argv`` on the two checkouts; the report that :func:`main` prints."""
+    if pairs < 1 or repeats < 1:
+        raise ValueError("pairs and repeats must be >= 1")
+    rows = []
+    sides: dict[str, dict] = {}
+    for i in range(pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        got = {side: _run_child(base if side == "base" else change, argv, repeats) for side in order}
+        for side, rep in got.items():
+            if sides.setdefault(side, rep["counts"]) != rep["counts"]:
+                raise RuntimeError(f"{side} counts differ between children: {rep['counts']} vs {sides[side]}")
+        b, c = got["base"]["solve_s"], got["change"]["solve_s"]
+        rows.append({"first": order[0], "base_s": b, "change_s": c, "ratio": c / b})
+    counts = {}
+    for side, c in sides.items():
+        steps = max(c["steps"], 1)
+        counts[side] = {
+            **c, "eigh_per_step": c["eigh_calls"] / steps, "decompositions_per_step": c["decompositions"] / steps
+        }
+    ratio = _spread([r["ratio"] for r in rows])
+    return {"argv": argv, "repeats": repeats, "pairs": rows, "ratio": ratio, "counts": counts}
+
+
+def report_lines(report: dict) -> list[str]:
+    lines = [f"argv: {' '.join(report['argv'])}"]
+    for i, r in enumerate(report["pairs"], start=1):
+        lines.append(
+            f"pair {i:2d} ({r['first']} first): base {r['base_s']:.4f} s, change {r['change_s']:.4f} s,"
+            f" ratio {r['ratio']:.3f}"
+        )
+    s = report["ratio"]
+    lines.append(
+        f"ratio change/base: median {s['median']:.3f} (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, n={s['n']} pairs,"
+        f" min of {report['repeats']} solves per child)"
+    )
+    for side in ("base", "change"):
+        c = report["counts"][side]
+        lines.append(
+            f"{side}: {c['eigh_per_step']:.2f} eigh calls and {c['decompositions_per_step']:.1f} decompositions"
+            f" per step ({c['steps']} steps)"
+        )
+    return lines + [json.dumps(report, sort_keys=True)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    wls = workloads()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout root of the base side")
+    parser.add_argument("change", type=Path, help="checkout root of the change side")
+    parser.add_argument("--workload", required=True, choices=sorted(wls))
+    parser.add_argument("--pairs", type=int, default=10, help="alternating child pairs (default 10)")
+    parser.add_argument("--repeats", type=int, default=5, help="timed solves per child, minimum taken (default 5)")
+    args = parser.parse_args(argv)
+    wl = wls[args.workload]
+    workload_argv = wl.argv(wl.pinned_seed, False)
+    report = compare(args.base.resolve(), args.change.resolve(), workload_argv, args.pairs, args.repeats)
+    for line in report_lines(report):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
