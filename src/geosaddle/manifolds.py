@@ -11,8 +11,9 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 - ``Product``: a tuple of factor manifolds with the metric summed over
   factors. A power of one ``Spd`` descriptor (SPD^N) keeps its payload as
   one (N, n, n) array. The solvers move a saddle pair (x, y) as one point
-  of a product: SPD^(N+1) when x is one SPD matrix and y a block of N on
-  the same descriptor, else the two-factor product of the sides.
+  of a product: SPD^(1+N) when x is one SPD matrix and y one matrix or a
+  block of N on the same descriptor (its payload built by ``_spd_stack``),
+  else the two-factor product of the sides.
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
@@ -65,9 +66,9 @@ _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
 # Base points whose SPD roots are memoized. A solver step with averaging has four live at once: the
-# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(N+1)
-# stack (X, then the Y block); a recorded row adds the two sides of the iterate, whose distances it
-# reads. A mixed joint point keeps one base point per SPD side.
+# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(1+N)
+# stack (X, then the Y block), which a recorded row also reads its distances at; a mixed joint point
+# keeps one base point per SPD side.
 _ROOTS_MEMO_SIZE = 8
 
 
@@ -441,15 +442,14 @@ def _slice_name(bad: np.ndarray) -> str:
 def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
     w, q = np.linalg.eigh(_sym(a))
-    lo = w[..., 0]
-    # One mask for the hot path: the floor is >= 0, so passing it also means lo > 0.
-    ok = lo > _PD_RTOL * np.maximum(w[..., -1], 0.0)
-    if np.isfinite(w).all() and ok.all():
-        return w, q
     finite = np.isfinite(w).all(axis=-1)
     if not finite.all():
         raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
-    raise NumericError(f"{what}: eigenvalue {float(lo[~ok].flat[0]):.3e}{_slice_name(~ok)} below the PD threshold")
+    lo = w[..., 0]
+    bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
+    if bad.any():
+        raise NumericError(f"{what}: eigenvalue {float(lo[bad].flat[0]):.3e}{_slice_name(bad)} below the PD threshold")
+    return w, q
 
 
 def _require_symmetric(a: np.ndarray, what: str) -> None:
@@ -465,6 +465,21 @@ def _require_symmetric(a: np.ndarray, what: str) -> None:
 def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Q diag(f) Q^T for each slice of eigenvector stacks ``q`` (..., n, n) and values ``f`` (..., n)."""
     return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
+
+
+def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The SPD^(1+N) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
+
+    X is slice 0 and ys[k] slice k+1. It is the one layout of a saddle pair on a stack, shared by the
+    solvers' joint point and the robust mean oracle, so both take the roots of equal bytes from the memo.
+    """
+    return np.concatenate((x[None], ys.reshape(-1, *x.shape)))
+
+
+def _root_sum_squares(dists: list[float]) -> float:
+    """The product distance of per-factor distances, added left to right."""
+    # Square scalars: a float and a numpy scalar both call libm pow, while an array's ** 2 multiplies.
+    return math.sqrt(sum(d**2 for d in dists))
 
 
 @functools.lru_cache(maxsize=_ROOTS_MEMO_SIZE)
@@ -538,22 +553,28 @@ class Spd(Manifold):
         half, inv_half = self._roots(x)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
             m = _sym(inv_half @ v @ inv_half)
-            try:
-                w, q = np.linalg.eigh(m)
-            except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
-                raise NumericError(f"SPD exp: {e}") from e
-            if not np.isfinite(w).all():
-                bad = ~np.isfinite(w).all(axis=-1)
-                raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(bad)}")
-            # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
+        try:
+            w, q = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
+            raise NumericError(f"SPD exp: {e}") from e
+        finite = np.isfinite(w).all(axis=-1)
+        if not finite.all():
+            raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(~finite)}")
+        # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
+        with np.errstate(over="ignore", invalid="ignore"):
             out = _sym(half @ _spectral(q, np.exp(w)) @ half)
-        if not np.isfinite(out).all():
-            bad = ~np.isfinite(out).all(axis=(-2, -1))
-            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(bad)}")
+        finite = np.isfinite(out).all(axis=(-2, -1))
+        if not finite.all():
+            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(~finite)}")
         return out
 
     def _log(self, x, y):
-        half, _, w, q = self._whiten(x, y, "SPD log")
+        return self._log_at(self._roots(x), y)
+
+    def _log_at(self, roots: tuple[np.ndarray, np.ndarray], y):
+        """log_X(Y) from the roots (X^1/2, X^-1/2) of the base point, which a caller may gather per slice."""
+        half, inv_half = roots
+        w, q = _eigh_checked(inv_half @ y @ inv_half, "SPD log")
         return _sym(half @ _spectral(q, np.log(w)) @ half)
 
     def _transport(self, x, y, v):
@@ -613,7 +634,7 @@ class Product(Manifold):
     factor's index to its error.
 
     A saddle problem's joint point is such a product (``SaddleProblem.joint``).
-    On the robust mean problem it is SPD^(N+1) with X as slice 0 and Y_k as
+    On the robust mean problem it is SPD^(1+N) with X as slice 0 and Y_k as
     slice k+1, so a kernel failure in a solver step names the joint slice.
     """
 
@@ -692,11 +713,8 @@ class Product(Manifold):
 
     def _distance(self, x, y) -> float:
         if self._power is not None:
-            dists = self._power._distance(x, y).tolist()
-        else:
-            dists = [f._distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)]
-        # Square scalars: a float and a numpy scalar both call libm pow, while an array's ** 2 multiplies.
-        return math.sqrt(sum(d**2 for d in dists))
+            return _root_sum_squares(self._power._distance(x, y).tolist())
+        return _root_sum_squares([f._distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)])
 
     def _random_point(self, rng):
         return self._pack([f._random_point(rng) for f in self.factors])

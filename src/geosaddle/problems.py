@@ -38,12 +38,14 @@ batched eigendecomposition with the SPD threshold checked on every slice,
 then the weighted inner logs are summed and sandwiched by M^1/2 once, since
 log_M(M_i) = M^1/2 log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner
 log. The robust mean oracle takes the roots of the joint (N+1, d, d) stack
-(X, then the Y block), which is the problem's ``joint`` point, so the
-solver step's exp and log at the same pair share them through the roots
-memo. It then makes one whitening of 3N slices (X^-1/2 Y_i X^-1/2, then
-Y_i^-1/2 X Y_i^-1/2, then Y_i^-1/2 A_i Y_i^-1/2), each slice with the bits
-of a per-side log. Its max side SPD^N keeps the Y block as one (N, d, d)
-array, so the oracle reads and returns that payload as is.
+(X, then the Y block, built by the same ``manifolds._spd_stack`` as the
+problem's ``joint`` point), so the solver step's exp and log at the same
+pair share them through the roots memo. It then makes one log call,
+``Spd._log_at``, at those roots gathered per slice: one whitening of 3N
+slices (X^-1/2 Y_i X^-1/2, then Y_i^-1/2 X Y_i^-1/2, then
+Y_i^-1/2 A_i Y_i^-1/2), each slice with the bits of a per-side log. Its
+max side SPD^N keeps the Y block as one (N, d, d) array, so the oracle
+reads and returns that payload as is.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from .manifolds import (
     Spd,
     Sphere,
     Tangent,
-    _eigh_checked,
     _payload_to_list,
+    _spd_stack,
     _spectral,
     _sym,
     random_orthogonal,
@@ -275,14 +277,12 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     x, ys = x_point.value, ys_point.value
     n = len(ys)
-    half, inv_half = spd._roots(np.concatenate((x[None], ys)))
+    half, inv_half = spd._roots(_spd_stack(x, ys))
     # Joint slice of each log's base point: X for the first N, then Y_i twice.
     at = np.arange(3 * n) % n + 1
     at[:n] = 0
     toward = np.concatenate((ys, x[None].repeat(n, axis=0), inst.anchors))
-    half, inv_half = half[at], inv_half[at]
-    w, q = _eigh_checked(inv_half @ toward @ inv_half, "SPD log")
-    logs = _sym(half @ _spectral(q, np.log(w)) @ half)
+    logs = spd._log_at((half[at], inv_half[at]), toward)
     gx = (-2.0 * logs[:n]).sum(axis=0)
     gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)

@@ -66,7 +66,17 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .manifolds import GeometryError, Manifold, Point, Product, Spd, Tangent, _require_same_base
+from .manifolds import (
+    GeometryError,
+    Manifold,
+    Point,
+    Product,
+    Spd,
+    Tangent,
+    _require_same_base,
+    _root_sum_squares,
+    _spd_stack,
+)
 
 __all__ = [
     "SaddleProblem",
@@ -131,10 +141,11 @@ class SaddleProblem:
 
     ``joint`` is derived from the two sides: the manifold the steps move the
     pair on as one point (:meth:`join`, :meth:`split`). When the min side is
-    one ``Spd`` and the max side a power of that same descriptor, it is
-    SPD^(N+1) and its payload is the stack of x and the N y matrices, so the
-    kernels at a pair make one stacked call. Otherwise it is the product of
-    the two sides, whose payload is the tuple (x, y).
+    one ``Spd`` and the max side that same descriptor or a power of it, it
+    is SPD^(1+N) (N = 1 for one matrix) and its payload is the stack of x and
+    the N y matrices, so the kernels at a pair make one stacked call.
+    Otherwise it is the product of the two sides, whose payload is the tuple
+    (x, y).
     """
 
     m_min: Manifold
@@ -149,21 +160,36 @@ class SaddleProblem:
         if isinstance(m_min, Spd) and isinstance(m_max, Product) and m_max._power == m_min:
             joint = Product((m_min,) * (1 + len(m_max.factors)))
         else:
-            joint = Product((m_min, m_max))
+            joint = Product((m_min, m_max))  # SPD^2 when both sides are the same Spd
         object.__setattr__(self, "joint", joint)
 
     def _join(self, a, b):
-        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(N+1) stack)."""
-        return (a, b) if self.joint._power is None else np.concatenate((a[None], b))
+        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(1+N) stack)."""
+        return (a, b) if self.joint._power is None else _spd_stack(a, b)
 
     def join(self, x: Point, y: Point) -> Point:
         """The pair (x, y) as one point of ``joint``."""
         return Point(self.joint, self._join(x.value, y.value))
 
     def split(self, z: Point) -> tuple[Point, Point]:
-        """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and slices 1 to N."""
-        a, b = z.value if self.joint._power is None else (z.value[0], z.value[1:])
+        """The two sides of a ``joint`` point; on the SPD^(1+N) stack, views of slice 0 and of the rest."""
+        if self.joint._power is None:
+            a, b = z.value
+        else:
+            a, b = z.value[0], z.value[1:].reshape(self.m_max._shape)
         return Point(self.m_min, a), Point(self.m_max, b)
+
+    def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
+        """Geodesic distances from x to ``x_to`` and from y to ``y_to``, each with the bits of the side's ``distance``.
+
+        On the SPD^(1+N) stack both come from one stacked kernel call at the joint point (x, y).
+        """
+        if self.joint._power is None:
+            return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
+        for side, p in ((self.m_min, x), (self.m_min, x_to), (self.m_max, y), (self.m_max, y_to)):
+            side._require_mine(p)
+        d = self.joint._power._distance(self._join(x.value, y.value), self._join(x_to.value, y_to.value)).tolist()
+        return d[0], d[1] if isinstance(self.m_max, Spd) else _root_sum_squares(d[1:])
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""
@@ -174,7 +200,8 @@ class SaddleProblem:
 
     def distance_gap(self, x: Point, y: Point, reference: tuple[Point, Point]) -> float:
         """Squared-distance sum from (x, y) to the reference saddle."""
-        return self.m_min.distance(x, reference[0]) ** 2 + self.m_max.distance(y, reference[1]) ** 2
+        dx, dy = self.distances(x, y, *reference)
+        return dx**2 + dy**2
 
 
 @dataclass(frozen=True)
@@ -514,7 +541,7 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference
         if reference is not None:
             gap = problem.distance_gap(st.x, st.y, reference)
         if st.t > 0:
-            spread = math.hypot(problem.m_min.distance(st.x, x0), problem.m_max.distance(st.y, y0))
+            spread = math.hypot(*problem.distances(st.x, st.y, x0, y0))
             trace.max_dist_from_init = max(trace.max_dist_from_init, spread)
         elapsed = (time.perf_counter() - started) * 1e3 if timing else 0.0
         row = TraceRow(

@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 
 from geosaddle.curvature import constants_at
 from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
-from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Sphere
+from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Spd, Sphere
 from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
@@ -308,10 +308,28 @@ def test_geometry_errors_propagate_through_steps():
 
 # -- the joint point -------------------------------------------------------------------
 
+
+def spd_pair_problem(d=3, seed=2):
+    """Both sides on one Spd descriptor: d(X, A)^2 - d(Y, B)^2 + d(X, Y)^2 / 4, whose joint point is SPD^2."""
+    spd = Spd(d)
+    rng = np.random.default_rng(seed)
+    a, b = spd.random_point(rng), spd.random_point(rng)
+    return SaddleProblem(
+        m_min=spd,
+        m_max=spd,
+        value=lambda x, y: spd.distance(x, a) ** 2 - spd.distance(y, b) ** 2 + 0.25 * spd.distance(x, y) ** 2,
+        grad=lambda x, y: (
+            spd.log(x, a) * -2.0 + spd.log(x, y) * -0.5,
+            spd.log(y, b) * 2.0 + spd.log(y, x) * -0.5,
+        ),
+    )
+
+
 _JOINT_PROBLEMS = {
     "karcher": lambda: make_karcher(KarcherInstance.generate(d=3, n_anchors=5, gamma=3.0, seed=2)),
     "rpca": lambda: make_rpca(RpcaInstance.generate(d=4, n=6, alpha=3.0, seed=2)),
     "bilinear": lambda: bilinear_problem(k=3, coupling=np.random.default_rng(2).standard_normal((3, 3))),
+    "spd-pair": spd_pair_problem,
 }
 
 
@@ -343,6 +361,27 @@ def test_joint_manifold_stacks_the_robust_mean_pair_and_pairs_the_others():
     st = _joint_start(rpca, 3)
     a, b = rpca.join(st.x, st.y).value
     assert a is st.x.value and b is st.y.value
+
+
+def test_joint_manifold_of_one_spd_on_both_sides_is_spd2():
+    p = _JOINT_PROBLEMS["spd-pair"]()
+    assert p.joint == Product((p.m_min,) * 2) and p.joint._power == p.m_min
+    st = _joint_start(p, 3)
+    z = p.join(st.x, st.y)
+    np.testing.assert_array_equal(z.value, np.stack((st.x.value, st.y.value)))
+    x, y = p.split(z)
+    assert x.value.shape == y.value.shape == (3, 3)
+    assert x.value.base is z.value and y.value.base is z.value
+    _assert_points_equal((x, y), (st.x, st.y))
+
+
+@pytest.mark.parametrize("which", list(_JOINT_PROBLEMS))
+def test_joint_distances_keep_the_bits_of_per_side_distances(which):
+    p = _JOINT_PROBLEMS[which]()
+    st, to = _joint_start(p, 7), _joint_start(p, 8)
+    want = p.m_min.distance(st.x, to.x), p.m_max.distance(st.y, to.y)
+    assert p.distances(st.x, st.y, to.x, to.y) == want
+    assert p.distance_gap(st.x, st.y, (to.x, to.y)) == want[0] ** 2 + want[1] ** 2
 
 
 @pytest.mark.parametrize("sigma", [None, 0.3], ids=["exact", "noise"])
@@ -619,12 +658,14 @@ def _payloads(p):
 
 
 @pytest.mark.parametrize("solver", list(SOLVER_KINDS))
-@pytest.mark.parametrize("which", ["bilinear", "karcher"])
+@pytest.mark.parametrize("which", ["bilinear", "karcher", "spd-pair"])
 def test_run_rows_equal_hand_loop_without_reuse(solver, which):
     if which == "bilinear":
         p = bilinear_problem(k=3, coupling=np.random.default_rng(8).standard_normal((3, 3)))
-    else:
+    elif which == "karcher":
         p = make_karcher(KarcherInstance.generate(d=2, n_anchors=3, gamma=3.0, seed=4))
+    else:
+        p = spd_pair_problem(d=2, seed=4)
     stochastic = SOLVER_KINDS[solver].stochastic
     iters, seed = 9, 13
     noise = NoiseModel(0.2, seed=seed) if stochastic else None
