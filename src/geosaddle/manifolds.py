@@ -11,7 +11,7 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 - ``Product``: a tuple of factor manifolds with the metric summed over
   factors. A power of one ``Spd`` descriptor (SPD^N) keeps its payload as
   one (N, n, n) array. The solvers move a saddle pair (x, y) as one point
-  of a product: SPD^(1+N) when x is one SPD matrix and y one matrix or a
+  of a product: SPD^(N+1) when x is one SPD matrix and y one matrix or a
   block of N on the same descriptor (its payload built by ``_spd_stack``),
   else the two-factor product of the sides.
 
@@ -66,7 +66,7 @@ _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
 # Base points whose SPD roots are memoized. A solver step with averaging has four live at once: the
-# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(1+N)
+# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(N+1)
 # stack (X, then the Y block), which a recorded row also reads its distances at; a mixed joint point
 # keeps one base point per SPD side.
 _ROOTS_MEMO_SIZE = 8
@@ -468,7 +468,7 @@ def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The SPD^(1+N) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
+    """The SPD^(N+1) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
 
     X is slice 0 and ys[k] slice k+1. It is the one layout of a saddle pair on a stack, shared by the
     solvers' joint point and the robust mean oracle, so both take the roots of equal bytes from the memo.
@@ -634,7 +634,7 @@ class Product(Manifold):
     factor's index to its error.
 
     A saddle problem's joint point is such a product (``SaddleProblem.joint``).
-    On the robust mean problem it is SPD^(1+N) with X as slice 0 and Y_k as
+    On the robust mean problem it is SPD^(N+1) with X as slice 0 and Y_k as
     slice k+1, so a kernel failure in a solver step names the joint slice.
     """
 

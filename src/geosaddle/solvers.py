@@ -14,9 +14,11 @@ the two sides' payloads, make one exp (and for rceg one log) call per move,
 and split the result back into per-side points. On the robust mean problem
 the joint manifold is SPD^(N+1) (X, then the Y block), so each of those
 calls is one stacked kernel call, and a kernel failure names the joint
-slice: X is slice 0 and Y_k is slice k+1. On the other problems it is the
-product of the two sides, which runs the same per-side kernels. Either
-way each side keeps the bits of a per-side call.
+slice: X is slice 0 and Y_k is slice k+1. A pair on one ``Spd`` descriptor
+is SPD^2 the same way. On the other problems it is the product of the two
+sides, which runs the same per-side kernels. Either way each side keeps
+the bits of a per-side call, and so do the two side distances that the run
+driver reads at the joint point.
 
 The four solvers are these two steps with two oracles. ``rceg`` and
 ``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
@@ -137,12 +139,12 @@ class SaddleProblem:
     oracle.
 
     The run driver, which is also the reference solve, reads its metrics
-    through :meth:`grad_norms` and :meth:`distance_gap`.
+    through :meth:`grad_norms`, :meth:`distances` and :meth:`distance_gap`.
 
     ``joint`` is derived from the two sides: the manifold the steps move the
     pair on as one point (:meth:`join`, :meth:`split`). When the min side is
     one ``Spd`` and the max side that same descriptor or a power of it, it
-    is SPD^(1+N) (N = 1 for one matrix) and its payload is the stack of x and
+    is SPD^(N+1) (N = 1 for one matrix) and its payload is the stack of x and
     the N y matrices, so the kernels at a pair make one stacked call.
     Otherwise it is the product of the two sides, whose payload is the tuple
     (x, y).
@@ -164,7 +166,7 @@ class SaddleProblem:
         object.__setattr__(self, "joint", joint)
 
     def _join(self, a, b):
-        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(1+N) stack)."""
+        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(N+1) stack)."""
         return (a, b) if self.joint._power is None else _spd_stack(a, b)
 
     def join(self, x: Point, y: Point) -> Point:
@@ -172,7 +174,7 @@ class SaddleProblem:
         return Point(self.joint, self._join(x.value, y.value))
 
     def split(self, z: Point) -> tuple[Point, Point]:
-        """The two sides of a ``joint`` point; on the SPD^(1+N) stack, views of slice 0 and of the rest."""
+        """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
         if self.joint._power is None:
             a, b = z.value
         else:
@@ -180,9 +182,10 @@ class SaddleProblem:
         return Point(self.m_min, a), Point(self.m_max, b)
 
     def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
-        """Geodesic distances from x to ``x_to`` and from y to ``y_to``, each with the bits of the side's ``distance``.
+        """Geodesic distances from x to ``x_to`` and from y to ``y_to``.
 
-        On the SPD^(1+N) stack both come from one stacked kernel call at the joint point (x, y).
+        Each has the bits of its side's ``distance``; on the SPD^(N+1) stack both come from one stacked
+        kernel call at the joint point (x, y).
         """
         if self.joint._power is None:
             return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
