@@ -30,7 +30,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -420,14 +420,7 @@ def _curvature_meta(m: Manifold, c: Optional[float]) -> Optional[dict]:
         k = constants_at(m.kappa_min, m.kappa_max, c)
     except ValueError:
         return None
-    return {
-        "kappa_min": m.kappa_min,
-        "kappa_max": m.kappa_max,
-        "at_c": k.at_c,
-        "xi_lower0": k.xi_lower0,
-        "xi_upper0": k.xi_upper0,
-        "tau0": k.tau0,
-    }
+    return {"kappa_min": m.kappa_min, "kappa_max": m.kappa_max, **asdict(k)}
 
 
 def execute_run(cfg: RunConfig) -> tuple[Trace, dict]:
@@ -539,8 +532,8 @@ def grid_search(
             schedule = lambda t, eta=eta0: eta
             param_name = "ell"
         else:
-            eta0 = min(1.0 / (2.0 * ell_hat), g)  # step actually taken at t = 1
             schedule = lambda t, a=g: schedule_practical(ell_hat, a, t)
+            eta0 = schedule(1)  # step actually taken at t = 1
             param_name = "a"
         try:
             trace, _ = run(

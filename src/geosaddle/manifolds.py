@@ -467,6 +467,11 @@ def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
 
 
+def _inv_sqrt(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q diag(w)^-1/2 Q^T for each slice; it divides by sqrt(w), which rounds unlike _spectral(q, 1 / sqrt(w))."""
+    return _sym((q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2))
+
+
 def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The SPD^(N+1) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
 
@@ -490,8 +495,7 @@ def _memo_roots(shape: tuple[int, ...], dtype: str, data: bytes) -> tuple[np.nda
     non-PD payload raises, and ``lru_cache`` stores no failure, so it raises again on every call.
     """
     w, q = _eigh_checked(np.frombuffer(data, dtype=dtype).reshape(shape), "SPD point")
-    s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
-    roots = _sym((q * s) @ qt), _sym((q / s) @ qt)
+    roots = _spectral(q, np.sqrt(w)), _inv_sqrt(q, w)
     for r in roots:
         r.flags.writeable = False
     return roots
@@ -579,8 +583,7 @@ class Spd(Manifold):
 
     def _transport(self, x, y, v):
         y_half, y_inv_half, w, q = self._whiten(y, x, "SPD transport")
-        s_inv_half = _sym((q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2))
-        e = y_half @ s_inv_half @ y_inv_half
+        e = y_half @ _inv_sqrt(q, w) @ y_inv_half
         return _sym(e @ v @ e.swapaxes(-1, -2))
 
     def _inner(self, x, u, v):

@@ -71,9 +71,15 @@ def test_ab_compares_a_checkout_with_itself():
     (pair,) = report["pairs"]
     assert pair["base_s"] > 0 and pair["change_s"] > 0 and pair["ratio"] == pair["change_s"] / pair["base_s"]
     assert report["ratio"]["median"] == pair["ratio"]
+    assert report["solve_s"]["base"]["median"] == pair["base_s"]
+    assert report["solve_s"]["change"]["q3"] == pair["change_s"]
+    wins = report["wins"]
+    assert wins == {"change": int(pair["change_s"] < pair["base_s"]), "base": int(pair["base_s"] < pair["change_s"])}
     counts = report["counts"]
     assert counts["base"] == counts["change"]
     assert counts["base"]["steps"] > 0 and counts["base"]["eigh_calls"] > 0
     assert counts["base"]["decompositions"] >= counts["base"]["eigh_calls"]
     lines = ab.report_lines(report)
     assert lines[-2].startswith("change: ") and "eigh calls" in lines[-2]
+    assert lines[-4].startswith(f"wins: change {wins['change']} of 1 pairs, base {wins['base']}")
+    assert lines[-5].startswith("change solve: median ")

@@ -20,9 +20,10 @@ minimum over its K repeats. One more call, untimed, counts solver steps,
 leading dimensions).
 
 The report gives per pair both times and the ratio CHANGE / BASE, then the
-median ratio with its quartiles, then each side's ``eigh`` calls and
-decompositions per solver step. The last line is one JSON object with the
-same figures.
+median ratio with its quartiles, each side's median solve time with its
+quartiles, how many pairs each side won (ties count for neither), then
+each side's ``eigh`` calls and decompositions per solver step. The last
+line is one JSON object with the same figures.
 """
 
 from __future__ import annotations
@@ -171,8 +172,18 @@ def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int)
         counts[side] = {
             **c, "eigh_per_step": c["eigh_calls"] / steps, "decompositions_per_step": c["decompositions"] / steps
         }
-    ratio = _spread([r["ratio"] for r in rows])
-    return {"argv": argv, "repeats": repeats, "pairs": rows, "ratio": ratio, "counts": counts}
+    return {
+        "argv": argv,
+        "repeats": repeats,
+        "pairs": rows,
+        "ratio": _spread([r["ratio"] for r in rows]),
+        "solve_s": {side: _spread([r[f"{side}_s"] for r in rows]) for side in ("base", "change")},
+        "wins": {
+            "change": sum(r["change_s"] < r["base_s"] for r in rows),
+            "base": sum(r["base_s"] < r["change_s"] for r in rows),
+        },
+        "counts": counts,
+    }
 
 
 def report_lines(report: dict) -> list[str]:
@@ -186,6 +197,13 @@ def report_lines(report: dict) -> list[str]:
     lines.append(
         f"ratio change/base: median {s['median']:.3f} (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, n={s['n']} pairs,"
         f" min of {report['repeats']} solves per child)"
+    )
+    for side in ("base", "change"):
+        t = report["solve_s"][side]
+        lines.append(f"{side} solve: median {t['median']:.4f} s (q1 {t['q1']:.4f}, q3 {t['q3']:.4f})")
+    w = report["wins"]
+    lines.append(
+        f"wins: change {w['change']} of {len(report['pairs'])} pairs, base {w['base']} (ties count for neither)"
     )
     for side in ("base", "change"):
         c = report["counts"][side]
