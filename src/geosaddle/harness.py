@@ -55,7 +55,6 @@ from .problems import (
 from .solvers import (
     SOLVER_KINDS,
     DivergenceError,
-    NoiseModel,
     SaddleProblem,
     Trace,
     TraceRow,
@@ -172,16 +171,32 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            _check_json_type(key, types[key], value)
         try:
             cfg = cls(**data)
         except TypeError as e:
             raise ConfigError(str(e)) from e
         cfg.validate()
         return cfg
+
+
+# The JSON values each annotated RunConfig field takes: a bool is no int, and an integer is a float.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "object": object}
+
+
+def _check_json_type(key: str, annotation: str, value) -> None:
+    want = annotation.removeprefix("Optional[").removesuffix("]")
+    if value is None and want != annotation:
+        return
+    if isinstance(value, _JSON_TYPES[want]) and not (isinstance(value, bool) and want in ("int", "float")):
+        return
+    null = " or null" if want != annotation else ""
+    raise ConfigError(f"config key {key!r} must be {want}{null}, got {type(value).__name__} {value!r}")
 
 
 def _positive_finite(v: float) -> bool:
@@ -364,7 +379,7 @@ def solve_reference(
     x0 = problem.m_min.random_point(rng) if x0 is None else x0
     y0 = problem.m_max.random_point(rng) if y0 is None else y0
     trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, x0, y0,
-                          noise=None, reference=None, track_average=False, timing=False, tol=tol)
+                          sigma=None, reference=None, track_average=False, timing=False, tol=tol)
     gn = trace.rows[-1].grad_norm
     if gn > tol:
         raise DivergenceError(
@@ -404,12 +419,6 @@ def start_points(cfg: RunConfig, problem: SaddleProblem) -> tuple[Optional[Point
         return None, None
     x0, y0, _ = load_reference(cfg.init_from, problem.m_min, problem.m_max)
     return x0, y0
-
-
-def noise_model(cfg: RunConfig) -> Optional[NoiseModel]:
-    """A fresh ``--sigma`` noise model, or None; its streams advance as a run draws from them."""
-    # validate() admits sigma only on the stochastic solvers.
-    return None if cfg.sigma is None else NoiseModel(cfg.sigma, seed=cfg.seed)
 
 
 def _curvature_meta(m: Manifold, c: Optional[float]) -> Optional[dict]:
@@ -466,7 +475,7 @@ def execute_run(cfg: RunConfig) -> tuple[Trace, dict]:
             cfg.seed,
             x0=x0,
             y0=y0,
-            noise=noise_model(cfg),
+            sigma=cfg.sigma,
             reference=reference,
             track_average=cfg.track_average,
             timing=cfg.timing,
@@ -498,13 +507,13 @@ def grid_search(
 
     Exactly one of ``ell_grid`` (constant steps 1/(2 ell)) or ``a_grid``
     (practical decay around an estimated smoothness cap; srceg only) must
-    be given. Each candidate is one call of the run driver on a fresh
-    problem (a minibatch oracle keeps its epoch position) with the
-    config's noise and start, and without a running mean, which the
-    ranking does not read. The instance, the ``--init-from`` pair and the
-    smoothness estimate are built once. A candidate therefore ranks by its
-    last iterate even where the running mean would hit a geometry failure.
-    Diverged candidates rank last; ties break toward the smaller step.
+    be given. The problem, the ``--init-from`` pair and the smoothness
+    estimate are built once. Each candidate is one call of the run driver on
+    that problem with the config's seed, sigma and start, and without a
+    running mean, which the ranking does not read. A candidate therefore
+    ranks by its last iterate even where the running mean would hit a
+    geometry failure. Diverged candidates rank last; ties break toward the
+    smaller step.
     Returns (best row, all rows ranked); optionally writes a ranking CSV.
     """
     if (ell_grid is None) == (a_grid is None):
@@ -519,8 +528,7 @@ def grid_search(
     if a_grid is not None and not (kind.extragradient and kind.stochastic):
         raise ConfigError(f"only the srceg auto schedule reads a, so an a grid cannot rank {cfg.solver}")
 
-    inst = build_instance(cfg)
-    problem = build_problem(cfg, inst)
+    problem = build_problem(cfg)
     x0, y0 = start_points(cfg, problem)
     ell_hat = None if a_grid is None else _estimated_smoothness(problem, cfg.seed)
 
@@ -537,8 +545,7 @@ def grid_search(
             param_name = "a"
         try:
             trace, _ = run(
-                build_problem(cfg, inst), cfg.solver, schedule, cfg.iters, cfg.seed,
-                x0=x0, y0=y0, noise=noise_model(cfg), track_average=False,
+                problem, cfg.solver, schedule, cfg.iters, cfg.seed, x0=x0, y0=y0, sigma=cfg.sigma, track_average=False
             )
             final = trace.rows[-1].grad_norm
             status = "ok"

@@ -206,9 +206,10 @@ class MinibatchOracle:
 
     Samples distance terms uniformly without replacement within an epoch
     (a shuffled pass over all n indices) and rescales them by n/batch_size.
-    Each call advances the data-pass counter by ``passes_per_call``. A
-    fresh shuffle is drawn from the caller's generator whenever the current
-    epoch is exhausted, so trajectories are reproducible from the run seed.
+    Each call advances the data-pass counter by ``passes_per_call``. The
+    epoch belongs to the caller's generator: a call with another generator
+    than the last (``is``) starts a fresh one, and every shuffle is drawn
+    from it, so a run's batches depend on its seed alone.
     """
 
     def __init__(self, inst: RpcaInstance, batch_size: int):
@@ -216,6 +217,7 @@ class MinibatchOracle:
             raise ValueError(f"batch_size must be in [1, {inst.n}], got {batch_size}")
         self.inst = inst
         self.batch_size = int(batch_size)
+        self._rng: Optional[np.random.Generator] = None
         self._order: list[int] = []
 
     @property
@@ -223,6 +225,8 @@ class MinibatchOracle:
         return self.batch_size / self.inst.n
 
     def _next_batch(self, rng: np.random.Generator) -> np.ndarray:
+        if rng is not self._rng:
+            self._rng, self._order = rng, []
         while len(self._order) < self.batch_size:
             self._order.extend(rng.permutation(self.inst.n).tolist())
         batch = self._order[: self.batch_size]

@@ -23,11 +23,11 @@ driver reads at the joint point.
 The four solvers are these two steps with two oracles. ``rceg`` and
 ``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
 ``srgda`` use the stochastic oracle :func:`stochastic_oracle` builds once
-per run: the exact gradient plus :class:`NoiseModel` noise, or the
-problem's own ``stochastic_grad`` (e.g. a minibatch sampler) drawing from
-the run's generator, which the oracle holds. ``stream`` is 0 for the query
-at the iterate and 1 for the one at the half-iterate. :class:`SolverState`
-holds only iterates.
+per run: the exact gradient plus :class:`NoiseModel` noise of the run's
+``sigma``, or the problem's ``stochastic_grad`` (e.g. a minibatch sampler)
+drawing from the run's generator, which the oracle holds; both derive from
+the run seed. ``stream`` is 0 for the query at the iterate and 1 for the
+one at the half-iterate. :class:`SolverState` holds only iterates.
 
 Each extragradient step consumes exactly two oracle evaluations, each
 descent-ascent step exactly one, and the ``data_passes`` trace column
@@ -260,9 +260,9 @@ def stochastic_oracle(
 ) -> Oracle:
     """The oracle of srceg and srgda.
 
-    With a :class:`NoiseModel` it is ``problem.grad`` plus noise drawn from
-    the query's stream (0 at the iterate, 1 at the half-iterate). Without
-    one it is the problem's ``stochastic_grad`` drawing from ``rng``.
+    With a :class:`NoiseModel` it is ``problem.grad`` plus noise from the
+    query's stream (0 at the iterate, 1 at the half-iterate), else the
+    problem's ``stochastic_grad`` drawing from ``rng``; :func:`run` seeds both.
     """
     if noise is not None:
 
@@ -479,7 +479,7 @@ def run(
     *,
     x0: Optional[Point] = None,
     y0: Optional[Point] = None,
-    noise: Optional[NoiseModel] = None,
+    sigma: Optional[float] = None,
     reference: Optional[tuple[Point, Point]] = None,
     track_average: bool = True,
     timing: bool = False,
@@ -498,28 +498,32 @@ def run(
     :class:`DivergenceError` carrying the partial trace is raised.
 
     srceg and srgda run the rceg and rgda steps with the oracle of
-    :func:`stochastic_oracle`; ``noise`` is read by those two only.
+    :func:`stochastic_oracle`: the exact gradient plus ``sigma`` noise, or
+    else the problem's ``stochastic_grad``; rceg and rgda reject a ``sigma``.
     ``problem.grad`` runs with a one-entry memo, and each row evaluates the
     gradient at the averaged iterate before the one at the iterate, so the
     next step's first exact query reuses the row's. ``data_passes`` counts
     every oracle call as one pass, or as ``passes_per_call`` of the
     problem's minibatch ``stochastic_grad`` when that is the oracle.
     """
-    return _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference, track_average, timing, tol)
+    return _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol)
 
 
-def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, noise, reference, track_average, timing, tol):
+def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol):
     # The loop of run, called directly by harness.solve_reference so that bench/tracing.py sees one driver span.
     kind = SOLVER_KINDS.get(solver_kind)
     if kind is None:
         raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if sigma is not None and not kind.stochastic:
+        raise ValueError(f"{solver_kind} uses the exact gradient and reads no sigma")
     problem = replace(problem, grad=_reuse_last(problem.grad))
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
+    noise = None if sigma is None else NoiseModel(sigma, seed)
     oracle = stochastic_oracle(problem, noise, np.random.default_rng(stream_ss)) if kind.stochastic else None
     # Only the problem's own sampler reads part of the data per call.
-    sampled = kind.stochastic and noise is None
+    sampled = kind.stochastic and sigma is None
     passes_per_call = getattr(problem.stochastic_grad, "passes_per_call", 1.0) if sampled else 1.0
     step = rceg_step if kind.extragradient else rgda_step
 

@@ -321,11 +321,15 @@ def test_grid_candidate_ranks_by_last_iterate_when_the_mean_fails(monkeypatch):
     assert best["final_grad_norm"] == 4.1887902047863905
 
 
-def test_grid_ranking_equals_each_candidate_run_alone():
-    # 7 srceg steps draw 14 minibatches of 2 from n = 5, ending mid-epoch: candidates that
-    # shared one problem would start later ones part-way through an epoch.
+def test_grid_ranking_equals_each_candidate_run_alone(monkeypatch):
+    # 7 srceg steps draw 14 minibatches of 2 from n = 5, ending mid-epoch. Every candidate runs on
+    # the one problem the grid builds, whose sampler starts a fresh epoch for each run's generator.
+    built = []
+    build = harness.build_problem
+    monkeypatch.setattr(harness, "build_problem", lambda *a: built.append(1) or build(*a))
     cfg = RunConfig(problem="rpca", solver="srceg", seed=4, iters=7, d=3, n=5, alpha=3.0, batch_size=2)
     _best, rows = grid_search(cfg, ell_grid=[8.0, 16.0, 32.0])
+    assert len(built) == 1
     assert [r["status"] for r in rows] == ["ok"] * 3
     for r in rows:
         alone, _ = execute_run(replace(cfg, eta=1.0 / (2.0 * r["param"])))
@@ -700,6 +704,26 @@ def test_cli_config_file_with_override(tmp_path):
     assert code == 0
     _, trace = read_trace_csv(str(out))
     assert len(trace.rows) == 5  # CLI --iters 4 overrides the file's 8
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("iters", 5.5), ("d", 2.0), ("seed", "7"), ("sigma", "0.1"), ("iters", True), ("timing", 1), ("d", None)],
+    ids=["iters-float", "d-float", "seed-str", "sigma-str", "iters-bool", "timing-int", "d-null"],
+)
+def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, caplog, key, value):
+    good = {"problem": "bilinear", "solver": "srceg", "seed": 7, "iters": 5, "d": 2, "sigma": 0.1, "eta": 0.1}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**good, key: value}))
+    out = tmp_path / "t.csv"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config key {key!r} must be" in caplog.text
+
+
+def test_config_takes_an_integer_where_a_float_is_expected():
+    cfg = RunConfig.from_dict({"problem": "rpca", "solver": "srceg", "seed": 1, "d": 2, "n": 4, "alpha": 3, "sigma": 0})
+    assert (cfg.alpha, cfg.sigma) == (3, 0)
 
 
 def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):

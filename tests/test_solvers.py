@@ -596,9 +596,9 @@ def test_run_reuses_the_metric_gradient(solver, average, per_iter):
     # average is a point whose gradient was just evaluated (the half-iterate,
     # or the start), so it costs nothing
     p, calls = counting_problem(bilinear_problem(k=2))
-    noise = NoiseModel(0.1, seed=0) if SOLVER_KINDS[solver].stochastic else None
+    sigma = 0.1 if SOLVER_KINDS[solver].stochastic else None
     iters = 12
-    run(p, solver, lambda t: 0.05, iters, seed=1, noise=noise, track_average=average)
+    run(p, solver, lambda t: 0.05, iters, seed=1, sigma=sigma, track_average=average)
     assert calls["n"] == 1 + per_iter * iters - average
 
 
@@ -614,18 +614,18 @@ def test_run_minibatch_oracle_takes_no_reused_gradient():
 @pytest.mark.parametrize("solver, calls", [("srceg", 2), ("srgda", 1)])
 @pytest.mark.parametrize("sigma", [None, 0.1], ids=["minibatch", "noise"])
 def test_run_counts_data_passes_of_the_oracle_in_use(solver, calls, sigma):
-    # the problem carries a minibatch sampler either way; a NoiseModel runs on
+    # the problem carries a minibatch sampler either way; sigma noise runs on
     # full gradients, so each of its calls is one whole pass
     inst = RpcaInstance.generate(d=3, n=4, alpha=3.0, seed=2)
     p = make_rpca(inst, batch_size=2)
-    noise = None if sigma is None else NoiseModel(sigma, seed=3)
-    trace, _ = run(p, solver, lambda t: 0.05, 5, seed=3, noise=noise)
-    per_call = 1.0 if noise is not None else 2 / 4
+    trace, _ = run(p, solver, lambda t: 0.05, 5, seed=3, sigma=sigma)
+    per_call = 1.0 if sigma is not None else 2 / 4
     assert trace.column("data_passes") == [calls * t * per_call for t in range(6)]
 
 
-def hand_loop_rows(problem, solver, eta, iters, seed, noise):
+def hand_loop_rows(problem, solver, eta, iters, seed, sigma):
     """``run``'s gradient-norm columns and final state, from steps on the bare ``problem.grad``."""
+    noise = None if sigma is None else NoiseModel(sigma, seed=seed)
     init_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
     x0 = problem.m_min.random_point(init_rng)
@@ -668,10 +668,9 @@ def test_run_rows_equal_hand_loop_without_reuse(solver, which):
         p = spd_pair_problem(d=2, seed=4)
     stochastic = SOLVER_KINDS[solver].stochastic
     iters, seed = 9, 13
-    noise = NoiseModel(0.2, seed=seed) if stochastic else None
-    trace, state = run(p, solver, lambda t: 0.05, iters, seed=seed, noise=noise)
-    noise = NoiseModel(0.2, seed=seed) if stochastic else None
-    rows, st = hand_loop_rows(p, solver, 0.05, iters, seed, noise)
+    sigma = 0.2 if stochastic else None
+    trace, state = run(p, solver, lambda t: 0.05, iters, seed=seed, sigma=sigma)
+    rows, st = hand_loop_rows(p, solver, 0.05, iters, seed, sigma)
     got = [(r.grad_norm, r.grad_norm_x, r.grad_norm_y, r.grad_norm_avg) for r in trace.rows]
     assert got == rows
     for a, b in zip(_payloads(state.x) + _payloads(state.y), _payloads(st.x) + _payloads(st.y)):
@@ -719,10 +718,30 @@ def test_run_bilinear_rceg_contracts():
 
 def test_run_is_deterministic():
     p = bilinear_problem(k=2)
-    t1, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, noise=NoiseModel(0.3, seed=11))
-    t2, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, noise=NoiseModel(0.3, seed=11))
+    t1, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, sigma=0.3)
+    t2, _ = run(p, "srceg", lambda t: 0.05, 40, seed=11, sigma=0.3)
     assert [r.grad_norm for r in t1.rows] == [r.grad_norm for r in t2.rows]
     assert [r.eta for r in t1.rows] == [r.eta for r in t2.rows]
+
+
+def test_runs_on_one_minibatch_problem_equal_runs_on_fresh_problems():
+    # 10 srceg steps draw 20 batches of 3 from n = 7, ending mid-epoch; the next run on the
+    # same problem starts a fresh epoch from its own generator instead of finishing this one
+    inst = RpcaInstance.generate(d=4, n=7, alpha=3.0, seed=2)
+
+    def grad_norms(problem, seed):
+        trace, _ = run(problem, "srceg", lambda t: 0.05, 10, seed=seed)
+        return trace.column("grad_norm")
+
+    shared = make_rpca(inst, batch_size=3)
+    fresh = [grad_norms(make_rpca(inst, batch_size=3), seed) for seed in (1, 2, 2)]
+    assert [grad_norms(shared, seed) for seed in (1, 2, 2)] == fresh
+
+
+@pytest.mark.parametrize("solver", ["rceg", "rgda"])
+def test_run_rejects_sigma_on_an_exact_solver(solver):
+    with pytest.raises(ValueError, match="reads no sigma"):
+        run(bilinear_problem(), solver, lambda t: 0.1, 5, seed=1, sigma=0.3)
 
 
 def test_run_data_passes_accounting():
@@ -771,9 +790,9 @@ _FUZZ_PROBLEMS = {
 )
 def test_run_returns_finite_rows_or_diverges_with_finite_rows(name, solver, eta, seed):
     problem = _FUZZ_PROBLEMS[name]
-    noise = NoiseModel(0.1, seed=seed) if SOLVER_KINDS[solver].stochastic and name != "rpca" else None
+    sigma = 0.1 if SOLVER_KINDS[solver].stochastic and name != "rpca" else None
     try:
-        trace, _ = run(problem, solver, lambda t: eta, 20, seed, noise=noise)
+        trace, _ = run(problem, solver, lambda t: eta, 20, seed, sigma=sigma)
     except DivergenceError as e:
         trace = e.trace
     values = [

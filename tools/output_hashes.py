@@ -192,6 +192,16 @@ COMMANDS = (
         ["fig.csv", "fig.svg"],
         False,
     ),
+    (
+        # Batch 3 does not divide n = 8, so each candidate ends mid-epoch and the next must start a fresh one.
+        "rank_mb3",
+        [
+            "grid-search", *_RPCA, "--iters", "15", "--solver", "srceg", "--batch-size", "3", "--a-grid", "0.5,1,2",
+            "--out", "rank_mb3.csv",
+        ],
+        ["rank_mb3.csv"],
+        True,
+    ),
 )
 
 
