@@ -175,8 +175,7 @@ class RunConfig:
         unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            _check_json_type(key, types[key], value)
+        data = {key: _json_value(key, types[key], value) for key, value in data.items()}
         try:
             cfg = cls(**data)
         except TypeError as e:
@@ -189,12 +188,18 @@ class RunConfig:
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "object": object}
 
 
-def _check_json_type(key: str, annotation: str, value) -> None:
+def _json_value(key: str, annotation: str, value):
+    """``value`` checked against a field's annotation; an integer in a float field becomes a float, as from a flag."""
     want = annotation.removeprefix("Optional[").removesuffix("]")
     if value is None and want != annotation:
-        return
+        return value
     if isinstance(value, _JSON_TYPES[want]) and not (isinstance(value, bool) and want in ("int", "float")):
-        return
+        if want != "float":
+            return value
+        try:
+            return float(value)
+        except OverflowError as e:
+            raise ConfigError(f"config key {key!r} is out of float range") from e
     null = " or null" if want != annotation else ""
     raise ConfigError(f"config key {key!r} must be {want}{null}, got {type(value).__name__} {value!r}")
 

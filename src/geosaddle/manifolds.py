@@ -17,8 +17,11 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
-base point). All operations are pure functions of their inputs; descriptors,
-points and tangents can be shared freely across threads. ``Manifold.point``
+base point). Descriptors, points and tangents are immutable. Every
+operation is a function of its inputs, except that an SPD result's last bits
+depend on which square-root factor of its base point the roots memo holds
+(see ``Spd``). That memo is one per process and takes no lock, so the SPD
+kernels are for one thread at a time. ``Manifold.point``
 and ``Manifold.tangent`` alone coerce a raw payload and check its shape and
 finiteness; each space checks only its own invariants, SPD^N in one call.
 
@@ -36,10 +39,11 @@ evaluated is a run setting (``--diameter``), not a descriptor field.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,11 +69,14 @@ _ORTHO_TOL = 1e-10
 _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
-# Base points whose SPD roots are memoized. A solver step with averaging has four live at once: the
-# iterate, the half-iterate and the old and new running means. On karcher each is one joint SPD^(N+1)
-# stack (X, then the Y block), which a recorded row also reads its distances at; a mixed joint point
-# keeps one base point per SPD side.
+# Base points whose SPD factors are memoized. A solver step with averaging has five live at once: the
+# iterate, the half-iterate, the next iterate and the old and new running means. On karcher each is one
+# joint SPD^(N+1) stack (X, then the Y block), which a recorded row also reads its distances at; a mixed
+# joint point keeps one base point per SPD side.
 _ROOTS_MEMO_SIZE = 8
+# Condition bound above which exp checks its result with an exact eigenvalue solve: a hundredth of the PD
+# threshold 1 / _PD_RTOL, so a result under it passes that threshold with room for roundoff.
+_BOUND_CHECK = 1e-2 / _PD_RTOL
 
 
 class GeometryError(Exception):
@@ -439,16 +446,23 @@ def _slice_name(bad: np.ndarray) -> str:
     return f" of slice {', '.join(map(str, np.unravel_index(np.flatnonzero(bad)[0], bad.shape)))}"
 
 
-def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
-    w, q = np.linalg.eigh(_sym(a))
+def _check_pd(w: np.ndarray, what: str, bound: Optional[np.ndarray] = None) -> None:
+    """Reject ascending eigenvalue rows (..., n) of a non-PD slice by index, with its condition ``bound`` if given."""
     finite = np.isfinite(w).all(axis=-1)
     if not finite.all():
         raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
     lo = w[..., 0]
     bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
     if bad.any():
-        raise NumericError(f"{what}: eigenvalue {float(lo[bad].flat[0]):.3e}{_slice_name(bad)} below the PD threshold")
+        note = "" if bound is None else f" (condition bound {float(bound[bad].flat[0]):.3e})"
+        at = f"{float(lo[bad].flat[0]):.3e}{_slice_name(bad)}"
+        raise NumericError(f"{what}: eigenvalue {at} below the PD threshold{note}")
+
+
+def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix or (..., n, n) stack, rejecting non-PD slices by index."""
+    w, q = np.linalg.eigh(_sym(a))
+    _check_pd(w, what)
     return w, q
 
 
@@ -463,7 +477,10 @@ def _require_symmetric(a: np.ndarray, what: str) -> None:
 
 
 def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Q diag(f) Q^T for each slice of eigenvector stacks ``q`` (..., n, n) and values ``f`` (..., n)."""
+    """Q diag(f) Q^T for each slice of eigenvector stacks ``q`` (..., n, n) and values ``f`` (..., n).
+
+    With G Q for ``q`` it is G Q diag(f) Q^T G^T, a matrix function in whitened coordinates mapped back.
+    """
     return _sym((q * f[..., None, :]) @ q.swapaxes(-1, -2))
 
 
@@ -472,11 +489,16 @@ def _inv_sqrt(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _sym((q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
+def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A M A^T for each slice of ``a`` and ``m`` (either may be one matrix against a stack)."""
+    return a @ m @ a.swapaxes(-1, -2)
+
+
 def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The SPD^(N+1) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
 
     X is slice 0 and ys[k] slice k+1. It is the one layout of a saddle pair on a stack, shared by the
-    solvers' joint point and the robust mean oracle, so both take the roots of equal bytes from the memo.
+    solvers' joint point and the robust mean oracle, so both take the factor of equal bytes from the memo.
     """
     return np.concatenate((x[None], ys.reshape(-1, *x.shape)))
 
@@ -487,34 +509,139 @@ def _root_sum_squares(dists: list[float]) -> float:
     return math.sqrt(sum(d**2 for d in dists))
 
 
-@functools.lru_cache(maxsize=_ROOTS_MEMO_SIZE)
-def _memo_roots(shape: tuple[int, ...], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only X^1/2 and X^-1/2 of the payload with these shape, dtype and bytes.
+class _Factor(NamedTuple):
+    """A square-root factor of an SPD payload: per slice X = G G^T, with G^-1 and a bound on cond(X).
 
-    Keyed on content, not identity, so a payload written in place never meets stale roots. A
-    non-PD payload raises, and ``lru_cache`` stores no failure, so it raises again on every call.
+    An exp result also keeps the memo key of its base point and the eigenvalues ``s`` of the exp's whitened
+    velocity, so the log back to that base is -G diag(s) G^T. Made by :func:`_read_only_factor`.
     """
-    w, q = _eigh_checked(np.frombuffer(data, dtype=dtype).reshape(shape), "SPD point")
-    roots = _spectral(q, np.sqrt(w)), _inv_sqrt(q, w)
-    for r in roots:
-        r.flags.writeable = False
-    return roots
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    bound: np.ndarray  # one upper bound per slice
+    base: Optional[tuple] = None
+    s: Optional[np.ndarray] = None
+
+
+def _read_only_factor(*fields) -> _Factor:
+    """A :class:`_Factor` of these fields with every array read-only."""
+    for a in fields:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return _Factor(*fields)
+
+
+# The roots memo: the factors of the last _ROOTS_MEMO_SIZE base points by content, least recently used first.
+_MEMO: "collections.OrderedDict[tuple, _Factor]" = collections.OrderedDict()
+
+
+def _memo_key(x: np.ndarray) -> tuple:
+    """Shape, dtype and bytes, so a payload written in place never meets a stale entry."""
+    return x.shape, x.dtype.str, x.tobytes()
+
+
+def _memo_put(key: tuple, entry: _Factor) -> None:
+    _MEMO[key] = entry
+    _MEMO.move_to_end(key)
+    if len(_MEMO) > _ROOTS_MEMO_SIZE:
+        _MEMO.popitem(last=False)
+
+
+@functools.lru_cache(maxsize=2 * _ROOTS_MEMO_SIZE)
+def _slice_index(key: tuple) -> dict[bytes, int]:
+    """The position of each slice's bytes in the payload of a memo key (the first, if two are equal)."""
+    shape, _, data = key
+    size = len(data) // math.prod(shape[:-2])
+    return {data[j : j + size]: j // size for j in range(len(data) - size, -1, -size)}
+
+
+def _holders(x: np.ndarray) -> list[tuple[tuple, _Factor, dict[bytes, int]]]:
+    """Key, entry and slice index of each memo entry of matrices like those of ``x``, newest first."""
+    like = x.shape[-2:], x.dtype.str
+    return [(k, e, _slice_index(k)) for k, e in reversed(_MEMO.items()) if (k[0][-2:], k[1]) == like]
+
+
+def _memo_forget(x: np.ndarray) -> None:
+    """Drop every entry that holds a slice of payload ``x``, so ``x`` reads a fresh factor as in a new process.
+
+    ``Manifold.point`` calls it on a payload from outside: one that equals the exp result of an earlier run
+    (a reference point read back from its file) must not read that exp's factor.
+    """
+    parts = {a.tobytes() for a in x.reshape(-1, *x.shape[-2:])}
+    for held, _, index in _holders(x):
+        if not parts.isdisjoint(index):
+            del _MEMO[held]
+
+
+def _decomposed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G = X^1/2, G^-1 and the condition number of each slice of a payload, from one checked decomposition."""
+    w, q = _eigh_checked(x, "SPD point")
+    return _spectral(q, np.sqrt(w)), _inv_sqrt(q, w), w[..., -1] / w[..., 0]
+
+
+def _factor(x: np.ndarray, key: Optional[tuple] = None) -> _Factor:
+    """The memoized factor of payload ``x``; ``key`` is its memo key when the caller has it.
+
+    On a miss, each slice that an entry holds takes that entry's factor, so a view or a restack of
+    memoized points reads the factor of the exp that made each slice: a slice's factor never depends on
+    the stack it sits in. The other slices are decomposed and checked, with G = X^1/2 and their exact
+    condition numbers. Only a payload whose slices were all decomposed is stored, so reading a view never
+    evicts the entry that it reads from. A non-PD payload raises and is not stored, so it raises again on
+    every call.
+    """
+    key = key or _memo_key(x)
+    entry = _MEMO.get(key)
+    if entry is not None:
+        _MEMO.move_to_end(key)
+        return entry
+    n = x.shape[-1]
+    flat = x.reshape(-1, n, n)
+    parts = [a.tobytes() for a in flat]
+    found: dict[int, tuple[_Factor, int]] = {}
+    for _, e, index in _holders(x):
+        for i, part in enumerate(parts):
+            if i not in found and part in index:
+                found[i] = e, index[part]
+    if not found:
+        entry = _read_only_factor(*_decomposed(x))
+        _memo_put(key, entry)
+        return entry
+    g, g_inv, bound = np.empty_like(flat), np.empty_like(flat), np.empty(len(flat))
+    missing = [i for i in range(len(flat)) if i not in found]
+    if missing:
+        try:
+            g[missing], g_inv[missing], bound[missing] = _decomposed(flat[missing])
+        except NumericError:
+            _decomposed(x)  # raise naming the slice of x
+            raise
+    for i, (e, j) in found.items():
+        g[i], g_inv[i], bound[i] = e.g.reshape(-1, n, n)[j], e.g_inv.reshape(-1, n, n)[j], e.bound.reshape(-1)[j]
+    return _read_only_factor(g.reshape(x.shape), g_inv.reshape(x.shape), bound.reshape(x.shape[:-2]))
 
 
 @dataclass(frozen=True)
 class Spd(Manifold):
     """SPD matrices with the affine-invariant metric.
 
-    exp_X(V) = X^1/2 expm(X^-1/2 V X^-1/2) X^1/2 and its inverse for the
+    Every kernel works through a square-root factor G of its base point,
+    X = G G^T: exp_X(V) = G expm(G^-1 V G^-T) G^T and its inverse for the
     log map; parallel transport is V -> E V E^T with E = (Y X^-1)^1/2,
-    computed here in the congruence form E = Y^1/2 S^-1/2 Y^-1/2 with
-    S = Y^-1/2 X Y^-1/2 so that only symmetric eigendecompositions appear.
-    Every matrix function is re-symmetrized to suppress roundoff drift.
+    computed here in the congruence form E = G_Y S^-1/2 G_Y^-1 with
+    S = G_Y^-1 X G_Y^-T so that only symmetric eigendecompositions appear.
+    No result depends on which factor G is, except in its last bits. Every
+    matrix function is re-symmetrized to suppress roundoff drift.
 
     The payload kernels broadcast over (..., n, n) stacks in any argument,
     giving each slice the same bits as a call on that slice alone. The roots
-    X^1/2, X^-1/2 of a base point (a matrix or a whole stack) are memoized by
-    content, so the kernels at one base point share one decomposition.
+    memo holds the factor of each recent base point, keyed on its content.
+    A point from outside gets G = X^1/2 from its own decomposition. A point
+    that exp made gets its factor from exp's decomposition, with no new one:
+    if G^-1 V G^-T = Q diag(s) Q^T, then exp_X(V) = F F^T with
+    F = G Q diag(e^(s/2)), and the log back to X is -F diag(s) F^T. The
+    entry also carries a bound on the point's condition number,
+    cond(X) e^(s_max - s_min). exp checks its result with an exact
+    eigenvalue solve only when that bound passes 1e-2 / ``_PD_RTOL``, so a
+    result that is not PD fails in exp, as ``SPD exp``.
     """
 
     n: int
@@ -539,51 +666,59 @@ class Spd(Manifold):
     def _check_point(self, value) -> None:
         _require_symmetric(value, "SPD point")
         _eigh_checked(value, "SPD point")
+        _memo_forget(value)
 
     def _check_tangent(self, x, value) -> None:
         _require_symmetric(value, "SPD tangent")
 
     def _roots(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """X^1/2 and X^-1/2, read-only; each of the last ``_ROOTS_MEMO_SIZE`` base points is decomposed once."""
-        return _memo_roots(x.shape, x.dtype.str, x.tobytes())
+        """The memoized factor G of X (X = G G^T per slice) and G^-1, read-only."""
+        entry = _factor(x)
+        return entry.g, entry.g_inv
 
     def _whiten(self, x, y, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """X^1/2, X^-1/2 and the checked eigenpairs (w, q) of X^-1/2 Y X^-1/2 for a matrix or stack ``y``."""
-        half, inv_half = self._roots(x)
-        w, q = _eigh_checked(inv_half @ y @ inv_half, what)
-        return half, inv_half, w, q
+        """G, G^-1 of X and the checked eigenpairs (w, q) of G^-1 Y G^-T for a matrix or stack ``y``."""
+        g, g_inv = self._roots(x)
+        w, q = _eigh_checked(_congruence(g_inv, y), what)
+        return g, g_inv, w, q
 
     def _exp(self, x, v):
-        half, inv_half = self._roots(x)
+        key = _memo_key(x)
+        base = _factor(x, key)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
-            m = _sym(inv_half @ v @ inv_half)
-        try:
-            w, q = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
-            raise NumericError(f"SPD exp: {e}") from e
-        finite = np.isfinite(w).all(axis=-1)
-        if not finite.all():
-            raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(~finite)}")
-        # A finite exp(w) near the float limit can still overflow in the congruence, so check the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _sym(half @ _spectral(q, np.exp(w)) @ half)
-        finite = np.isfinite(out).all(axis=(-2, -1))
-        if not finite.all():
-            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(~finite)}")
+            try:
+                s, q = np.linalg.eigh(_sym(_congruence(base.g_inv, v)))
+            except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
+                raise NumericError(f"SPD exp: {e}") from e
+            if not np.isfinite(s).all():
+                bad = ~np.isfinite(s).all(axis=-1)
+                raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(bad)}")
+            # F = G Q diag(e^(s/2)); a finite e^s near the float limit can still overflow in F F^T.
+            h = np.exp(0.5 * s)
+            g = base.g @ (q * h[..., None, :])
+            out = _sym(g @ g.swapaxes(-1, -2))
+            bound = base.bound * np.exp(s[..., -1] - s[..., 0])
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out).all(axis=(-2, -1))
+            raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(bad)}")
+        if (bound > _BOUND_CHECK).any():
+            w = np.linalg.eigvalsh(out)
+            _check_pd(w, "SPD exp", bound)
+            bound = w[..., -1] / w[..., 0]
+        g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ base.g_inv
+        _memo_put(_memo_key(out), _read_only_factor(g, g_inv, np.asarray(bound), key, s))
         return out
 
     def _log(self, x, y):
-        return self._log_at(self._roots(x), y)
-
-    def _log_at(self, roots: tuple[np.ndarray, np.ndarray], y):
-        """log_X(Y) from the roots (X^1/2, X^-1/2) of the base point, which a caller may gather per slice."""
-        half, inv_half = roots
-        w, q = _eigh_checked(inv_half @ y @ inv_half, "SPD log")
-        return _sym(half @ _spectral(q, np.log(w)) @ half)
+        entry = _factor(x)
+        if entry.base is not None and entry.base == _memo_key(y):  # x = exp_y(V)
+            return _spectral(entry.g, -entry.s)
+        w, q = _eigh_checked(_congruence(entry.g_inv, y), "SPD log")
+        return _spectral(entry.g @ q, np.log(w))  # G Q diag(log w) Q^T G^T
 
     def _transport(self, x, y, v):
-        y_half, y_inv_half, w, q = self._whiten(y, x, "SPD transport")
-        e = y_half @ _inv_sqrt(q, w) @ y_inv_half
+        g, g_inv, w, q = self._whiten(y, x, "SPD transport")
+        e = g @ _inv_sqrt(q, w) @ g_inv
         return _sym(e @ v @ e.swapaxes(-1, -2))
 
     def _inner(self, x, u, v):
@@ -603,12 +738,10 @@ class Spd(Manifold):
         return _spectral(q, lam)
 
     def _gauss_tangent(self, x, rng):
-        # Whitened coordinates: X^1/2 S X^1/2 has metric norm |S|_F, and
-        # S = (G + G^T)/2 is the standard Gaussian on Sym(n).
-        half, _ = self._roots(x)
-        g = rng.standard_normal((self.n, self.n))
-        s = _sym(g)
-        return _sym(half @ s @ half)
+        # Whitened coordinates: G S G^T has metric norm |S|_F, and S = (A + A^T)/2 is the standard
+        # Gaussian on Sym(n), whose law no orthogonal U in G = X^1/2 U changes.
+        g, _ = self._roots(x)
+        return _sym(_congruence(g, _sym(rng.standard_normal(x.shape))))
 
 
 def _naming_factor(i: int, check, *args) -> None:
@@ -631,7 +764,8 @@ class Product(Manifold):
     each make one stacked ``Spd`` kernel call. The stacked kernels give each
     slice the bits of a per-factor call, and inner and distance add the
     per-factor terms left to right, so the results equal the per-factor loop
-    that mixed products run. Random draws stay factor by factor. Validation is
+    that mixed products run. Random points are drawn factor by factor; a
+    Gaussian tangent is one stacked draw of the same numbers. Validation is
     one stacked ``Spd`` check naming a bad slice; a mixed product checks the
     factor count, then lets each factor validate its entry and adds the
     factor's index to its error.
@@ -691,9 +825,6 @@ class Product(Manifold):
             raise ValueError(f"expected {len(self.factors)} factor payloads, got {len(value)}")
         return tuple(f._coerce(v, what) for f, v in zip(self.factors, value))
 
-    def _pack(self, parts):
-        return np.stack(parts) if self._power is not None else tuple(parts)
-
     def _exp(self, x, v):
         if self._power is not None:
             return self._power._exp(x, v)
@@ -720,10 +851,13 @@ class Product(Manifold):
         return _root_sum_squares([f._distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)])
 
     def _random_point(self, rng):
-        return self._pack([f._random_point(rng) for f in self.factors])
+        parts = [f._random_point(rng) for f in self.factors]
+        return np.stack(parts) if self._power is not None else tuple(parts)
 
     def _gauss_tangent(self, x, rng):
-        return self._pack([f._gauss_tangent(xi, rng) for f, xi in zip(self.factors, x)])
+        if self._power is not None:
+            return self._power._gauss_tangent(x, rng)
+        return tuple(f._gauss_tangent(xi, rng) for f, xi in zip(self.factors, x))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,20 +32,21 @@ payloads. Each instance holds its matrices as one read-only (k, d, d) float
 array, a copy validated once when the instance is made (``RpcaInstance.data``,
 ``KarcherInstance.anchors``); the oracles read that array as is, and a
 robust PCA minibatch indexes it. The robust PCA oracle evaluates its k
-distance terms (k = n, or the batch size) through one whitening: one root
-factorization of M, one (k, d, d) congruence M^-1/2 M_i M^-1/2, one
-batched eigendecomposition with the SPD threshold checked on every slice,
-then the weighted inner logs are summed and sandwiched by M^1/2 once, since
-log_M(M_i) = M^1/2 log(M^-1/2 M_i M^-1/2) M^1/2 is linear in the inner
-log. The robust mean oracle takes the roots of the joint (N+1, d, d) stack
-(X, then the Y block, built by the same ``manifolds._spd_stack`` as the
-problem's ``joint`` point), so the solver step's exp and log at the same
-pair share them through the roots memo. It then makes one log call,
-``Spd._log_at``, at those roots gathered per slice: one whitening of 3N
-slices (X^-1/2 Y_i X^-1/2, then Y_i^-1/2 X Y_i^-1/2, then
-Y_i^-1/2 A_i Y_i^-1/2), each slice with the bits of a per-side log. Its
-max side SPD^N keeps the Y block as one (N, d, d) array, so the oracle
-reads and returns that payload as is.
+distance terms (k = n, or the batch size) through one whitening: the
+memoized square-root factor M = G G^T, one (k, d, d) congruence
+G^-1 M_i G^-T, one batched eigendecomposition with the SPD threshold
+checked on every slice, then the weighted inner logs are summed and
+sandwiched by G once, since log_M(M_i) = G log(G^-1 M_i G^-T) G^T is linear
+in the inner log. The robust mean oracle takes the factors of the joint
+(N+1, d, d) stack (X, then the Y block, built by the same
+``manifolds._spd_stack`` as the problem's ``joint`` point), so it shares
+them with the solver step's exp and log at the same pair through the roots
+memo; after a step they are the factors that the step's exp made. It then
+makes one whitening of 2N slices: G_X^-1 Y_i G_X^-T, then
+G_i^-1 A_i G_i^-T for Y_i = G_i G_i^T. The first N give both log_X(Y_i)
+and log_{Y_i}(X), so each log_X(Y_i) and log_{Y_i}(A_i) keeps the bits of
+a per-side log. Its max side SPD^N keeps the Y block as one (N, d, d)
+array, so the oracle reads and returns that payload as is.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from .manifolds import (
     Spd,
     Sphere,
     Tangent,
+    _congruence,
+    _eigh_checked,
     _payload_to_list,
     _spd_stack,
     _spectral,
@@ -174,10 +177,10 @@ def rpca_grad(
     with np.errstate(over="ignore"):  # a diverged M overflows here; its non-finite gradient fails downstream
         gm = -_sym(m @ np.outer(x, x) @ m)
     # ... plus the distance attraction toward each (sampled) data matrix,
-    # sum_i (weight/d_i) log_M(M_i) = half [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] half.
+    # sum_i (weight/d_i) log_M(M_i) = G [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] G^T with M = G G^T.
     targets = inst.data if batch is None else inst.data[batch]
     weight = inst.alpha / len(targets)
-    half, _, w, q = spd._whiten(m, targets, "SPD log")
+    g, _, w, q = spd._whiten(m, targets, "SPD log")
     lw = np.log(w)
     dists = np.linalg.norm(lw, axis=1)
     coef = np.zeros_like(dists)
@@ -186,7 +189,7 @@ def rpca_grad(
     # Columns of qcat are the eigenvectors of every slice, so one product sums all k terms.
     qcat = q.transpose(1, 0, 2).reshape(len(m), -1)
     inner = (qcat * (coef[:, None] * lw).ravel()) @ qcat.T
-    gm = gm + _sym(half @ _sym(inner) @ half)
+    gm = gm + _sym(_congruence(g, _sym(inner)))
     return Tangent(x_point, gx), Tangent(m_point, gm)
 
 
@@ -268,25 +271,41 @@ def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> flo
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
 
 
+@functools.lru_cache(maxsize=8)
+def _karcher_slices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of :func:`karcher_grad` for N = n: the joint slice of each whitening's base point (X for
+    the first N, then Y_i), the joint slice of each log's base point (X for 2N, then Y_i), and the whitening
+    slice whose eigenpairs each log reads."""
+    whiten_at = np.r_[np.zeros(n, int), np.arange(1, n + 1)]
+    slices = whiten_at, np.r_[np.zeros(n, int), whiten_at], np.r_[np.arange(n), np.arange(2 * n)]
+    for a in slices:
+        a.flags.writeable = False
+    return slices
+
+
 def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tuple[Tangent, Tangent]:
     """Riemannian gradients (at X, at the anchor block) of the robust mean objective.
 
     grad_X = -2 sum_i log_X(Y_i); per block grad_{Y_i} = -2 log_{Y_i}(X)
     + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block. The
-    roots come from the joint stack (X, then the Y block), the base point of
-    a solver step, and the 3N logs share one whitening. Its slice j is
-    X^-1/2 Y_j X^-1/2 for j < N, Y_i^-1/2 X Y_i^-1/2 for j = N + i and
-    Y_i^-1/2 A_i Y_i^-1/2 for j = 2N + i; a failure names j.
+    factors G come from the joint stack (X, then the Y block), the base
+    point of a solver step, and the 3N logs share one whitening of 2N
+    slices. Its slice j is G_X^-1 Y_j G_X^-T for j < N and
+    G_i^-1 A_i G_i^-T of Y_i = G_i G_i^T for j = N + i; a failure names j.
+    With G_X^-1 Y_i G_X^-T = Q diag(w) Q^T, log_X(Y_i) is
+    G_X Q diag(log w) Q^T G_X^T and log_{Y_i}(X) is
+    -G_X Q diag(w log w) Q^T G_X^T, so X and Y_i share one decomposition.
     """
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     x, ys = x_point.value, ys_point.value
     n = len(ys)
-    half, inv_half = spd._roots(_spd_stack(x, ys))
-    # Joint slice of each log's base point: X for the first N, then Y_i twice.
-    at = np.arange(3 * n) % n + 1
-    at[:n] = 0
-    toward = np.concatenate((ys, x[None].repeat(n, axis=0), inst.anchors))
-    logs = spd._log_at((half[at], inv_half[at]), toward)
+    g, g_inv = spd._roots(_spd_stack(x, ys))
+    whiten_at, log_at, pairs = _karcher_slices(n)
+    w, q = _eigh_checked(_congruence(g_inv[whiten_at], np.concatenate((ys, inst.anchors))), "SPD log")
+    lw = np.log(w)
+    # log_X(Y_i); log_{Y_i}(X) = -G_X Q_i diag(w_i log w_i) Q_i^T G_X^T from the same eigenpairs; log_{Y_i}(A_i).
+    spectra = np.concatenate((lw[:n], -w[:n] * lw[:n], lw[n:]))
+    logs = _spectral(g[log_at] @ q[pairs], spectra)
     gx = (-2.0 * logs[:n]).sum(axis=0)
     gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)

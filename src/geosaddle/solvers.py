@@ -274,7 +274,7 @@ def stochastic_oracle(
         return noisy
     sample = problem.stochastic_grad
     if sample is None or rng is None:
-        raise ValueError("stochastic solver needs a NoiseModel, or a problem stochastic_grad oracle and a generator")
+        raise ValueError("a stochastic solver needs a sigma, or a problem with a stochastic_grad oracle")
     return lambda x, y, stream: sample(x, y, rng)
 
 

@@ -213,7 +213,7 @@ def test_solve_reference_karcher_bits_at_350_iterations():
     inst = KarcherInstance.generate(d=3, n_anchors=20, gamma=3.0, seed=5)
     _, _, gn, iters = solve_reference(make_karcher(inst), tol=1e-10, max_iters=2000, seed=5, eta=0.02)
     assert iters == 350
-    assert gn == 6.331575725430216e-11
+    assert gn == 6.326481040142486e-11  # 6.331575725430216e-11 before exp carried its factor
 
 
 def test_failed_reference_solve_carries_its_partial_trace():
@@ -724,6 +724,60 @@ def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, caplog, key, 
 def test_config_takes_an_integer_where_a_float_is_expected():
     cfg = RunConfig.from_dict({"problem": "rpca", "solver": "srceg", "seed": 1, "d": 2, "n": 4, "alpha": 3, "sigma": 0})
     assert (cfg.alpha, cfg.sigma) == (3, 0)
+    assert type(cfg.alpha) is float and type(cfg.sigma) is float
+    with pytest.raises(ConfigError, match="^config key 'sigma' is out of float range$"):
+        RunConfig.from_dict({"problem": "bilinear", "solver": "srceg", "sigma": 10**400})
+
+
+def test_cli_integer_sigma_from_a_config_file_writes_the_bytes_of_the_flag(tmp_path):
+    # The trace header records sigma; a JSON integer used to be written as 1 where the flag writes 1.0.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sigma": 1}))
+    argv = ["run", "--problem", "bilinear", "--d", "2", "--solver", "srceg", "--eta", "0.1", "--iters", "3", "--seed", "3"]
+    assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "config.csv")]) == 0
+    assert main([*argv, "--sigma", "1", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_cli_exp_result_that_is_not_pd_fails_in_exp(tmp_path, caplog):
+    # exp checks its own result once its condition bound passes 1e10, so the failure names exp and the
+    # bound; it used to surface one kernel later as "SPD point: eigenvalue -3.716e-08 below the PD threshold".
+    argv = ["run", "--problem", "rpca", "--d", "3", "--n", "5", "--solver", "rgda", "--seed", "1", "--eta", "30"]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 3
+    assert (
+        "numeric failure: geometry kernel failed at iteration 0: SPD exp: eigenvalue -6.942e-09 below the PD"
+        " threshold (condition bound 3.733e+26)"
+    ) in caplog.text
+
+
+def test_run_after_unrelated_runs_writes_the_bytes_of_a_fresh_process(tmp_path):
+    # A point's SPD factor comes from the exp that made it, through the roots memo; what earlier runs
+    # left in the memo must not reach a run's bytes.
+    argv = ["run", "--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "5",
+            "--iters", "40", "--solver", "rceg", "--eta", "0.05"]
+    env = dict(os.environ, PYTHONPATH=str(Path(geosaddle.__file__).resolve().parent.parent))
+    subprocess.run([sys.executable, "-m", "geosaddle", *argv, "--out", "fresh.csv"], cwd=tmp_path, env=env, check=True)
+    for before in (
+        ["run", *_SMALL_RPCA, "--solver", "rceg", "--eta", "0.1"],
+        [*argv[:10], "6", *argv[11:]],  # another seed
+        argv,  # the same run: its start point and every iterate meet their own entries
+    ):
+        assert main([*before, "--out", str(tmp_path / "before.csv")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_run_from_a_reference_written_in_process_writes_the_bytes_of_a_fresh_process(tmp_path):
+    # The reference's last point is an exp result whose factor the memo still holds; read back from its
+    # file it is a point from outside, and gets a fresh factor as it would in a new process.
+    problem = ["--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "5"]
+    argv = ["run", *problem, "--iters", "20", "--solver", "rceg", "--eta", "0.05", "--init-from", "ref.json"]
+    assert main(["reference", *problem, "--tol", "1e-6", "--out", str(tmp_path / "ref.json")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(geosaddle.__file__).resolve().parent.parent))
+    subprocess.run([sys.executable, "-m", "geosaddle", *argv, "--out", "fresh.csv"], cwd=tmp_path, env=env, check=True)
+    argv[-1] = str(tmp_path / "ref.json")
+    assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):

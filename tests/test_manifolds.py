@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geosaddle.manifolds import (
+    _MEMO,
     _ROOTS_MEMO_SIZE,
     Euclidean,
     GeodesicNotUniqueError,
@@ -17,7 +18,7 @@ from geosaddle.manifolds import (
     Spd,
     Sphere,
     Tangent,
-    _memo_roots,
+    _memo_key,
     _sym,
     point_from_json,
     point_to_json,
@@ -374,30 +375,41 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
         m._exp(x, v)
 
 
+def _count_eigvalsh(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
 @pytest.mark.parametrize(
-    "make, calls",
+    "make, first, steady",
     [
-        # One joint SPD^21 stack per base point: roots(z) 1, grad whitening 1, exp 1, roots(z_half) 1,
-        # grad whitening 1, log 1, exp 1
-        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), 7),
-        # grad 2, exp at M_t 1, grad at the half-iterate 2, log and exp at the half-iterate 1 + 1
-        (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), 7),
+        # One joint SPD^21 stack per base point. The first step: roots of the start point 21, grad
+        # whitening 40, exp 21, grad whitening at the half-iterate 40 (its roots came from exp), exp 21;
+        # the log back to the iterate reads exp's decomposition. Later steps start at an exp result.
+        # Before the factor was carried out of exp: 7 calls, roots(z_half) and the log whitening on top.
+        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), [21, 40, 21, 40, 21], [40, 21, 40, 21]),
+        # roots of M_0, grad whitening 40, exp at M_t, grad whitening at the half-iterate 40, exp; 7 before.
+        (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), [1, 40, 1, 40, 1], [40, 1, 40, 1]),
     ],
     ids=["karcher", "rpca"],
 )
-def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, calls):
+def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, first, steady):
     p, rng = make(), np.random.default_rng(30)
     state = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng))
-    _memo_roots.cache_clear()
-    counted = _count_eigh(monkeypatch)
-    rceg_step(p, state, 0.05)
-    assert len(counted) == calls
+    _MEMO.clear()
+    counted, checked = _count_eigh(monkeypatch), _count_eigvalsh(monkeypatch)
+    for want in (first, steady):
+        counted.clear()
+        state = rceg_step(p, state, 0.05)
+        assert [math.prod(shape[:-2]) for shape in counted] == want
+    assert checked == []  # no condition bound came near the exact check
 
 
 def test_spd_roots_memo_hit_is_bit_equal_to_a_fresh_decomposition(monkeypatch):
     m, rng = Spd(4), np.random.default_rng(31)
     x = np.stack([m._random_point(rng) for _ in range(5)])
-    _memo_roots.cache_clear()
+    _MEMO.clear()
     first = m._roots(x)
     counted = _count_eigh(monkeypatch)
     hit = m._roots(x.copy())  # equal bytes, another array
@@ -423,16 +435,123 @@ def test_spd_roots_memo_follows_in_place_writes_and_stays_read_only():
 
 def test_spd_roots_memo_stores_no_failure_and_stays_bounded(monkeypatch):
     m, rng = Spd(3), np.random.default_rng(33)
-    _memo_roots.cache_clear()
+    _MEMO.clear()
     counted = _count_eigh(monkeypatch)
     for _ in range(2):
         with pytest.raises(NumericError, match="SPD point: eigenvalue .* below the PD threshold"):
             m._roots(np.diag([1.0, 1.0, -1.0]))
-    assert len(counted) == 2 and _memo_roots.cache_info().currsize == 0
+    assert len(counted) == 2 and len(_MEMO) == 0
     for _ in range(3 * _ROOTS_MEMO_SIZE):
         m._roots(m._random_point(rng))
-        assert _memo_roots.cache_info().currsize <= _ROOTS_MEMO_SIZE
-    assert _memo_roots.cache_info().currsize == _ROOTS_MEMO_SIZE
+        assert len(_MEMO) <= _ROOTS_MEMO_SIZE
+    assert len(_MEMO) == _ROOTS_MEMO_SIZE
+
+
+def test_spd_memo_entries_from_exp_stay_read_only_bounded_and_free_of_failures():
+    m, rng = Spd(3), np.random.default_rng(35)
+    x = m._random_point(rng)
+    _MEMO.clear()
+    for _ in range(3 * _ROOTS_MEMO_SIZE):
+        x = m._exp(x, 0.1 * m._gauss_tangent(x, rng))
+        assert len(_MEMO) <= _ROOTS_MEMO_SIZE
+    entry = _MEMO[next(reversed(_MEMO))]
+    for a in (entry.g, entry.g_inv, entry.bound, entry.s):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    held = list(_MEMO)
+    for _ in range(2):  # e^-30 on one eigenvalue of X = I: condition number 1.07e13
+        msg = r"^SPD exp: eigenvalue 9\.358e-14 below the PD threshold \(condition bound 1\.069e\+13\)$"
+        with pytest.raises(NumericError, match=msg):
+            m._exp(np.eye(3), np.diag([0.0, 0.0, -30.0]))
+        assert list(_MEMO)[-2:] == [held[-1], _memo_key(np.eye(3))]  # the base point is stored, the failure not
+
+
+# -- the factor carried out of exp ---------------------------------------------------
+
+
+def _fresh_fn(m, f):
+    w, q = np.linalg.eigh(_sym(m))
+    return _sym((q * f(w)) @ q.T)
+
+
+def _fresh_roots(x):
+    w, q = np.linalg.eigh(x)
+    return (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+
+
+def _fresh_exp(x, v):
+    half, inv_half = _fresh_roots(x)
+    return _sym(half @ _fresh_fn(inv_half @ v @ inv_half, np.exp) @ half)
+
+
+def _fresh_log(x, y):
+    half, inv_half = _fresh_roots(x)
+    return _sym(half @ _fresh_fn(inv_half @ y @ inv_half, np.log) @ half)
+
+
+def _fresh_transport(x, y, v):
+    half, inv_half = _fresh_roots(y)
+    e = half @ _fresh_fn(inv_half @ x @ inv_half, lambda w: w**-0.5) @ inv_half
+    return _sym(e @ v @ e.T)
+
+
+@pytest.mark.parametrize("d, kappa", [(3, 4.0), (25, 4.0), (3, 1e11), (25, 1e11)])
+def test_kernels_at_a_factor_from_exp_match_fresh_roots(monkeypatch, d, kappa):
+    # x comes out of exp, so it carries a non-symmetric factor G; each kernel at x must match the same
+    # kernel at freshly decomposed symmetric roots, and the log back from exp_x(v) reads exp's own
+    # decomposition. Near the PD threshold the fresh result itself is good only to about eps * cond(x).
+    rng, spd = np.random.default_rng(d), Spd(d)
+    q = random_orthogonal(d, rng)
+    x0 = _sym((q * np.geomspace(1.0, kappa, d)) @ q.T)
+    _MEMO.clear()
+    x = spd._exp(x0, 0.3 * spd._gauss_tangent(x0, rng))
+    g, _ = spd._roots(x)
+    assert np.linalg.norm(g - g.T) > 0.1 * np.linalg.norm(g)  # not symmetric
+    v, u = 0.3 * spd._gauss_tangent(x, rng), spd._gauss_tangent(x, rng)
+    y = spd._exp(x, v)
+    counted = _count_eigh(monkeypatch)
+    back = spd._log(y, x)
+    assert counted == []
+    tol = 1e-12 if kappa < 100 else np.finfo(float).eps * np.linalg.cond(x)
+    for got, want in (
+        (y, _fresh_exp(x, v)),
+        (back, _fresh_log(y, x)),
+        (spd._log(x, y), _fresh_log(x, y)),
+        (spd._transport(x, y, u), _fresh_transport(x, y, u)),
+    ):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_exp_carries_a_condition_bound_and_checks_past_it(monkeypatch):
+    spd, rng = Spd(3), np.random.default_rng(36)
+    x = spd._random_point(rng)
+    _MEMO.clear()
+    spd._roots(x)
+    assert math.isclose(_MEMO[_memo_key(x)].bound, np.linalg.cond(x), rel_tol=1e-12)  # exact at a fresh point
+    checked = _count_eigvalsh(monkeypatch)
+    for _ in range(20):
+        v = 0.2 * spd._gauss_tangent(x, rng)
+        x = spd._exp(x, v)
+        bound = _MEMO[_memo_key(x)].bound
+        assert bound >= np.linalg.cond(x) * (1 - 1e-9)
+    assert checked == []
+    # e^-23 on one eigenvalue of I: condition number 9.7e9, bound 9.7e9, under the exact check
+    y = spd._exp(np.eye(3), np.diag([0.0, 0.0, -23.0]))
+    assert checked == [] and _MEMO[_memo_key(y)].bound > 9e9
+    # e^-25: bound 7.2e10 passes 1e10, so exp checks the point exactly and keeps its exact condition number
+    y = spd._exp(np.eye(3), np.diag([0.0, 0.0, -25.0]))
+    assert checked == [(3, 3)]
+    assert math.isclose(_MEMO[_memo_key(y)].bound, math.exp(25.0), rel_tol=1e-9)
+
+
+def test_stacked_exp_failure_names_the_slice_and_its_bound():
+    spd = Spd(3)
+    x = np.stack([np.eye(3)] * 4)
+    v = np.zeros_like(x)
+    v[2] = np.diag([0.0, 0.0, -30.0])
+    msg = r"^SPD exp: eigenvalue 9\.358e-14 of slice 2 below the PD threshold \(condition bound 1\.069e\+13\)$"
+    with pytest.raises(NumericError, match=msg):
+        spd._exp(x, v)
 
 
 def test_spd_norm_matches_inner_with_an_equal_copy():
@@ -686,10 +805,10 @@ def test_exp_finite_outputs_match_the_closed_forms_bit_for_bit():
     spd = Spd(3)
     x = spd.random_point(rng)
     v = spd.random_tangent(x, rng, scale=0.7)
-    half, inv_half = spd._roots(x.value)
-    w, q = np.linalg.eigh(_sym(inv_half @ v.value @ inv_half))
-    ref = _sym(half @ _sym((q * np.exp(w)) @ q.T) @ half)
-    assert np.array_equal(spd.exp(x, v).value, ref)
+    g, g_inv = spd._roots(x.value)
+    s, q = np.linalg.eigh(_sym(g_inv @ v.value @ g_inv.T))
+    f = g @ (q * np.exp(0.5 * s))
+    assert np.array_equal(spd.exp(x, v).value, _sym(f @ f.T))
 
 
 # -- randomness -----------------------------------------------------------------

@@ -355,13 +355,16 @@ def karcher_value_per_factor(inst, x_point, ys_point):
     return total
 
 
-def assert_karcher_matches_per_factor(inst, x, ys):
+def assert_karcher_matches_per_factor(inst, x, ys, zero_block=None):
     gx, gys = karcher_grad(inst, x, ys)
     ref_gx, ref_gys = karcher_grad_per_factor(inst, x, ys)
     np.testing.assert_allclose(gx.value, ref_gx, rtol=1e-10, atol=1e-10 * np.abs(ref_gx).max())
     assert len(gys.value) == len(ref_gys)
-    for g, ref in zip(gys.value, ref_gys):
-        np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    for i, (g, ref) in enumerate(zip(gys.value, ref_gys)):
+        if i == zero_block:  # exactly 0; both sides hold only roundoff, which the two formulas round differently
+            np.testing.assert_allclose(g, 0.0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
     np.testing.assert_allclose(karcher_value(inst, x, ys), karcher_value_per_factor(inst, x, ys), rtol=1e-10, atol=1e-10)
 
 
@@ -372,9 +375,10 @@ def test_karcher_oracle_matches_per_factor_loop(seed, d, n):
     inst = KarcherInstance.generate(d=d, n_anchors=n, gamma=float(rng.uniform(0.5, 4.0)), seed=seed % 10_000)
     p = make_karcher(inst)
     assert_karcher_matches_per_factor(inst, p.m_min.random_point(rng), p.m_max.random_point(rng))
-    # at Y = A the anchor logs vanish; at X = Y_j log_X(Y_j) does
+    # at Y = A the anchor logs vanish; at X = Y_j log_X(Y_j) does, and so does the block gradient of Y_j
     ys = p.m_max.point(inst.anchors)
-    assert_karcher_matches_per_factor(inst, p.m_min.point(inst.anchors[int(rng.integers(n))]), ys)
+    j = int(rng.integers(n))
+    assert_karcher_matches_per_factor(inst, p.m_min.point(inst.anchors[j]), ys, zero_block=j)
 
 
 def karcher_grad_two_logs(inst, x_point, ys_point):
@@ -388,6 +392,8 @@ def karcher_grad_two_logs(inst, x_point, ys_point):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), n=st.integers(1, 25))
 def test_karcher_grad_on_the_joint_stack_keeps_the_bits_of_two_logs(seed, d, n):
+    # grad_X keeps the bits of the log call over the Y stack. grad_Y reads log_{Y_i}(X) from the X
+    # whitening (the identity of test_karcher_log_toward_x_matches_the_y_whitening), so it matches to 1e-12.
     rng = np.random.default_rng(seed)
     inst = KarcherInstance.generate(d=d, n_anchors=n, gamma=float(rng.uniform(0.5, 4.0)), seed=seed % 10_000)
     p = make_karcher(inst)
@@ -395,7 +401,23 @@ def test_karcher_grad_on_the_joint_stack_keeps_the_bits_of_two_logs(seed, d, n):
     gx, gys = karcher_grad(inst, x, ys)
     ref_gx, ref_gys = karcher_grad_two_logs(inst, x, ys)
     np.testing.assert_array_equal(gx.value, ref_gx)
-    np.testing.assert_array_equal(gys.value, ref_gys)
+    assert np.linalg.norm(gys.value - ref_gys) <= 1e-12 * np.linalg.norm(ref_gys)
+
+
+@pytest.mark.parametrize("d, n", [(3, 20), (25, 4)])
+def test_karcher_log_toward_x_matches_the_y_whitening(d, n):
+    # At a joint point that exp made, so the factors are not symmetric: log_{Y_i}(X) read from the
+    # X whitening matches the log whitened at Y_i to 1e-12.
+    inst = KarcherInstance.generate(d=d, n_anchors=n, gamma=3.0, seed=d)
+    p, rng = make_karcher(inst), np.random.default_rng(d)
+    z = p.join(p.m_min.random_point(rng), p.m_max.random_point(rng))
+    x, ys = p.split(p.joint.exp(z, 0.3 * p.joint.standard_gaussian_tangent(z, rng)))
+    g, _ = p.m_min._roots(x.value)
+    assert np.linalg.norm(g - g.T) > 0.1 * np.linalg.norm(g)  # not symmetric
+    _, gys = karcher_grad(inst, x, ys)
+    want = -2.0 * p.m_min._log(ys.value, np.broadcast_to(x.value, ys.value.shape))
+    want += 2.0 * inst.gamma * p.m_min._log(ys.value, inst.anchors)
+    assert np.linalg.norm(gys.value - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_make_karcher_shape():

@@ -286,6 +286,9 @@ def test_stochastic_step_requires_an_oracle():
     p = bilinear_problem()
     with pytest.raises(ValueError):
         stochastic_oracle(p, None)
+    # run's callers give a sigma, not a NoiseModel, so the message names what they can give
+    with pytest.raises(ValueError, match="^a stochastic solver needs a sigma, or a problem with a stochastic_grad oracle$"):
+        run(make_bilinear(BilinearInstance(k=2)), "srceg", lambda t: 0.1, 5, seed=1)
 
 
 def test_geometry_errors_propagate_through_steps():

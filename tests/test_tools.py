@@ -80,6 +80,7 @@ def test_ab_compares_a_checkout_with_itself():
     assert counts["base"]["steps"] > 0 and counts["base"]["eigh_calls"] > 0
     assert counts["base"]["decompositions"] >= counts["base"]["eigh_calls"]
     lines = ab.report_lines(report)
-    assert lines[-2].startswith("change: ") and "eigh calls" in lines[-2]
+    assert lines[-2].startswith("change: ") and "eigh calls" in lines[-2] and "eigvalsh calls" in lines[-2]
+    assert counts["base"]["eigvalsh_decompositions"] >= counts["base"]["eigvalsh_calls"] >= 0
     assert lines[-4].startswith(f"wins: change {wins['change']} of 1 pairs, base {wins['base']}")
     assert lines[-5].startswith("change solve: median ")

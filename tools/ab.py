@@ -14,15 +14,17 @@ checkout's ``src`` with BLAS pinned to one thread and calls
 ``geosaddle.cli.main(argv)`` K times in a fresh temporary directory. It
 times the solve in process: the outermost call of the run driver
 (``solvers.run``) or the reference solve (``harness.solve_reference``),
-with the SPD roots memo emptied before each call. The child's time is the
+with the SPD roots memo emptied before each call (``manifolds._MEMO``, or
+the ``_memo_roots`` cache of older checkouts). The child's time is the
 minimum over its K repeats. One more call, untimed, counts solver steps,
 ``np.linalg.eigh`` calls and decompositions (the product of each call's
-leading dimensions).
+leading dimensions), and the same for ``np.linalg.eigvalsh``, which the SPD
+exp runs when it checks a point exactly.
 
 The report gives per pair both times and the ratio CHANGE / BASE, then the
 median ratio with its quartiles, each side's median solve time with its
 quartiles, how many pairs each side won (ties count for neither), then
-each side's ``eigh`` calls and decompositions per solver step. The last
+each side's ``eigh`` and ``eigvalsh`` calls and decompositions per solver step. The last
 line is one JSON object with the same figures.
 """
 
@@ -67,7 +69,8 @@ def _child() -> int:
     from tracing import rebind
 
     report_path, repeats, argv = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
-    memo = getattr(manifolds, "_memo_roots", None)
+    memo = getattr(manifolds, "_MEMO", None)
+    clear_memo = memo.clear if memo is not None else manifolds._memo_roots.cache_clear
     times: list[float] = []
     depth = [0]
 
@@ -88,8 +91,7 @@ def _child() -> int:
         rebind(fn, timed(fn))
 
     def solve() -> None:
-        if memo is not None:
-            memo.cache_clear()
+        clear_memo()
         rc = geosaddle.cli.main(argv)
         if rc != 0:
             raise SystemExit(f"geosaddle exited {rc}")
@@ -99,7 +101,7 @@ def _child() -> int:
     if len(times) != repeats:
         raise SystemExit(f"expected one timed solve per repeat, got {len(times)} in {repeats}")
 
-    counts = {"steps": 0, "eigh_calls": 0, "decompositions": 0}
+    counts = {"steps": 0, "eigh_calls": 0, "decompositions": 0, "eigvalsh_calls": 0, "eigvalsh_decompositions": 0}
 
     def counted_step(fn):
         def call(*args, **kwargs):
@@ -108,15 +110,18 @@ def _child() -> int:
 
         return call
 
-    def counted_eigh(a, *args, **kwargs):
-        counts["eigh_calls"] += 1
-        counts["decompositions"] += int(np.prod(np.shape(a)[:-2]))
-        return eigh(a, *args, **kwargs)
+    def counted(fn, calls, decompositions):
+        def call(a, *args, **kwargs):
+            counts[calls] += 1
+            counts[decompositions] += int(np.prod(np.shape(a)[:-2]))
+            return fn(a, *args, **kwargs)
+
+        return call
 
     for fn in (solvers.rceg_step, solvers.rgda_step):
         rebind(fn, counted_step(fn))
-    eigh = np.linalg.eigh
-    np.linalg.eigh = counted_eigh
+    np.linalg.eigh = counted(np.linalg.eigh, "eigh_calls", "decompositions")
+    np.linalg.eigvalsh = counted(np.linalg.eigvalsh, "eigvalsh_calls", "eigvalsh_decompositions")
     solve()
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump({"solve_s": min(times), "counts": counts}, fh)
@@ -170,7 +175,11 @@ def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int)
     for side, c in sides.items():
         steps = max(c["steps"], 1)
         counts[side] = {
-            **c, "eigh_per_step": c["eigh_calls"] / steps, "decompositions_per_step": c["decompositions"] / steps
+            **c,
+            "eigh_per_step": c["eigh_calls"] / steps,
+            "decompositions_per_step": c["decompositions"] / steps,
+            "eigvalsh_per_step": c["eigvalsh_calls"] / steps,
+            "eigvalsh_decompositions_per_step": c["eigvalsh_decompositions"] / steps,
         }
     return {
         "argv": argv,
@@ -208,8 +217,9 @@ def report_lines(report: dict) -> list[str]:
     for side in ("base", "change"):
         c = report["counts"][side]
         lines.append(
-            f"{side}: {c['eigh_per_step']:.2f} eigh calls and {c['decompositions_per_step']:.1f} decompositions"
-            f" per step ({c['steps']} steps)"
+            f"{side}: {c['eigh_per_step']:.2f} eigh calls and {c['decompositions_per_step']:.1f} decompositions,"
+            f" {c['eigvalsh_per_step']:.2f} eigvalsh calls and {c['eigvalsh_decompositions_per_step']:.1f}"
+            f" decompositions per step ({c['steps']} steps)"
         )
     return lines + [json.dumps(report, sort_keys=True)]
 

@@ -151,6 +151,16 @@ COMMANDS = (
         False,
     ),
     (
+        # An SPD exp result that is not PD: exit 3 at iteration 0, with the partial trace of row 0.
+        "diverge_spd",
+        [
+            "run", "--problem", "rpca", "--d", "3", "--n", "5", "--seed", "1", "--solver", "rgda", "--eta", "30",
+            "--out", "diverge_spd.csv",
+        ],
+        ["diverge_spd.csv"],
+        False,
+    ),
+    (
         "rank_ell",
         ["grid-search", *_RPCA, *_ITERS, "--solver", "rceg", "--ell-grid", "1,2,4", "--out", "rank_ell.csv"],
         ["rank_ell.csv"],
