@@ -381,10 +381,8 @@ def solve_reference(
     if eta is None:
         eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
-    x0 = problem.m_min.random_point(rng) if x0 is None else x0
-    y0 = problem.m_max.random_point(rng) if y0 is None else y0
-    trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, x0, y0,
-                          sigma=None, reference=None, track_average=False, timing=False, tol=tol)
+    trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, x0, y0, sigma=None, reference=None,
+                          track_average=False, timing=False, tol=tol, init_rng=rng)
     gn = trace.rows[-1].grad_norm
     if gn > tol:
         raise DivergenceError(

@@ -17,13 +17,12 @@ parallel transport along geodesics, the Riemannian metric, and distance:
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
-base point). Descriptors, points and tangents are immutable. Every
-operation is a function of its inputs, except that an SPD result's last bits
-depend on which square-root factor of its base point the roots memo holds
-(see ``Spd``). That memo is one per process and takes no lock, so the SPD
-kernels are for one thread at a time. ``Manifold.point``
-and ``Manifold.tangent`` alone coerce a raw payload and check its shape and
-finiteness; each space checks only its own invariants, SPD^N in one call.
+base point). Descriptors, points and tangents are immutable, and every
+operation is a function of its inputs. An SPD point carries the square-root
+factor that its kernels work through (see ``Spd``), so a kernel's bits depend
+only on the points passed to it. ``Manifold.point`` and ``Manifold.tangent``
+alone coerce a raw payload (into a copy) and check its shape and finiteness;
+each space checks only its own invariants, SPD^N in one call.
 
 The SPD payload kernels also accept (..., n, n) stacks, so an oracle over
 many SPD matrices makes a few batched kernel calls, not one per matrix, and
@@ -39,8 +38,6 @@ evaluated is a run setting (``--diameter``), not a descriptor field.
 
 from __future__ import annotations
 
-import collections
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -69,11 +66,6 @@ _ORTHO_TOL = 1e-10
 _PD_RTOL = 1e-12
 # Inner product at or below -1 + this margin marks a sphere antipode.
 _ANTIPODE_TOL = 1e-12
-# Base points whose SPD factors are memoized. A solver step with averaging has five live at once: the
-# iterate, the half-iterate, the next iterate and the old and new running means. On karcher each is one
-# joint SPD^(N+1) stack (X, then the Y block), which a recorded row also reads its distances at; a mixed
-# joint point keeps one base point per SPD side.
-_ROOTS_MEMO_SIZE = 8
 # Condition bound above which exp checks its result with an exact eigenvalue solve: a hundredth of the PD
 # threshold 1 / _PD_RTOL, so a result under it passes that threshold with room for roundoff.
 _BOUND_CHECK = 1e-2 / _PD_RTOL
@@ -100,16 +92,24 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point on a manifold: the descriptor plus its raw payload.
+    """A point on a manifold: the descriptor, its raw payload and the payload's factor.
 
     Payloads: unit vector (sphere), SPD matrix (spd), vector (euclidean),
     tuple of factor payloads (product), or one (N, n, n) array for a power
     of one SPD descriptor (SPD^N). Construct through ``Manifold.point``,
     the one place a payload is coerced and validated.
+
+    ``factor`` is what the kernels at this point work through: the
+    read-only square-root factor of an SPD or SPD^N payload (see ``Spd``),
+    a tuple of per-factor entries for a mixed product, and None on the
+    sphere and in flat space. An SPD payload is read-only too, so the two
+    stay in step. A point built without a factor (``Point(m, value)``) gets
+    a fresh one in each kernel call that needs it.
     """
 
     manifold: "Manifold"
     value: object
+    factor: object = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Point({self.manifold!r}, {self.value!r})"
@@ -197,17 +197,16 @@ class Manifold:
         raise NotImplementedError
 
     # -- payload validation ------------------------------------------------
-    def _check_point(self, value) -> None:
-        """Check the invariants of a coerced point payload beyond its shape and finiteness."""
+    def _check_point(self, value):
+        """Check the invariants of a coerced point payload beyond its shape and finiteness; return its factor."""
 
     def _check_tangent(self, x, value) -> None:
         """Check the invariants of a coerced tangent payload at ``x`` beyond its shape and finiteness."""
 
     def point(self, value) -> Point:
-        """Wrap and validate a raw payload as a point on this manifold."""
+        """Wrap and validate a copy of a raw payload as a point on this manifold."""
         value = self._coerce(value, "point")
-        self._check_point(value)
-        return Point(self, value)
+        return Point(self, value, self._check_point(value))
 
     def tangent(self, x: Point, value) -> Tangent:
         """Wrap and validate a raw payload as a tangent vector at ``x``."""
@@ -217,8 +216,8 @@ class Manifold:
         return Tangent(x, value)
 
     def _coerce(self, value, what: str):
-        """The payload as a float array of this manifold's shape with finite entries."""
-        value = np.asarray(value, dtype=float)
+        """A float copy of the payload, of this manifold's shape with finite entries."""
+        value = np.array(value, dtype=float)
         if value.shape != self._shape:
             raise ValueError(f"expected shape {self._shape}, got {value.shape}")
         if not np.isfinite(value).all():
@@ -235,20 +234,20 @@ class Manifold:
         """Follow the geodesic from ``x`` with initial velocity ``v`` for unit time."""
         self._require_mine(x)
         _require_same_base(v.base, x)
-        return Point(self, self._exp(x.value, v.value))
+        return Point(self, *self._exp(x.value, v.value, x.factor))
 
     def log(self, x: Point, y: Point) -> Tangent:
         """Inverse of :meth:`exp`: the tangent at ``x`` pointing to ``y``."""
         self._require_mine(x)
         self._require_mine(y)
-        return Tangent(x, self._log(x.value, y.value))
+        return Tangent(x, self._log(x.value, y.value, x.factor))
 
     def transport(self, x: Point, y: Point, v: Tangent) -> Tangent:
         """Parallel transport of ``v`` along the geodesic from ``x`` to ``y``."""
         self._require_mine(x)
         self._require_mine(y)
         _require_same_base(v.base, x)
-        return Tangent(y, self._transport(x.value, y.value, v.value))
+        return Tangent(y, self._transport(x.value, y.value, v.value, y.factor))
 
     def inner(self, u: Tangent, v: Tangent) -> float:
         """Riemannian inner product of two tangents at the same base point."""
@@ -263,7 +262,7 @@ class Manifold:
         """Geodesic distance, equal to the norm of ``log(x, y)``."""
         self._require_mine(x)
         self._require_mine(y)
-        return float(self._distance(x.value, y.value))
+        return float(self._distance(x.value, y.value, x.factor))
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._require_mine(x)
@@ -271,14 +270,14 @@ class Manifold:
 
     # -- randomness ----------------------------------------------------------
     def random_point(self, rng: np.random.Generator) -> Point:
-        return Point(self, self._random_point(rng))
+        return self.point(self._random_point(rng))
 
     def random_tangent(self, x: Point, rng: np.random.Generator, scale: float = 1.0) -> Tangent:
         """Random tangent at ``x`` with norm exactly ``scale``."""
         if not scale > 0:
             raise ValueError("scale must be positive")
         self._require_mine(x)
-        v = Tangent(x, self._gauss_tangent(x.value, rng))
+        v = Tangent(x, self._gauss_tangent(x.value, rng, x.factor))
         n = self.norm(v)
         if n == 0.0:  # pragma: no cover - probability zero
             return self.random_tangent(x, rng, scale)
@@ -291,29 +290,31 @@ class Manifold:
         prescribed second moment exactly.
         """
         self._require_mine(x)
-        return Tangent(x, self._gauss_tangent(x.value, rng))
+        return Tangent(x, self._gauss_tangent(x.value, rng, x.factor))
 
     # -- payload kernels (implemented by subclasses) --------------------------
-    def _exp(self, x, v):
+    # Each takes the factor of the point it works at (fx at x; fy at y for transport), None for a fresh one.
+    def _exp(self, x, v, fx=None):
+        """The payload of exp_x(v) and its factor."""
         raise NotImplementedError
 
-    def _log(self, x, y):
+    def _log(self, x, y, fx=None):
         raise NotImplementedError
 
-    def _transport(self, x, y, v):
+    def _transport(self, x, y, v, fy=None):
         raise NotImplementedError
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
 
-    def _distance(self, x, y) -> float:
-        v = self._log(x, y)
+    def _distance(self, x, y, fx=None) -> float:
+        v = self._log(x, y, fx)
         return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _random_point(self, rng):
         raise NotImplementedError
 
-    def _gauss_tangent(self, x, rng):
+    def _gauss_tangent(self, x, rng, fx=None):
         raise NotImplementedError
 
 
@@ -338,13 +339,13 @@ class Euclidean(Manifold):
     def _shape(self) -> tuple[int, ...]:
         return (self.d,)
 
-    def _exp(self, x, v):
-        return x + v
+    def _exp(self, x, v, fx=None):
+        return x + v, None
 
-    def _log(self, x, y):
+    def _log(self, x, y, fx=None):
         return y - x
 
-    def _transport(self, x, y, v):
+    def _transport(self, x, y, v, fy=None):
         return v.copy()
 
     def _inner(self, x, u, v) -> float:
@@ -353,7 +354,7 @@ class Euclidean(Manifold):
     def _random_point(self, rng):
         return rng.standard_normal(self.d)
 
-    def _gauss_tangent(self, x, rng):
+    def _gauss_tangent(self, x, rng, fx=None):
         return rng.standard_normal(self.d)
 
 
@@ -397,17 +398,17 @@ class Sphere(Manifold):
         """Orthogonal projection of an ambient vector onto the tangent space."""
         return ambient - np.dot(x, ambient) * x
 
-    def _exp(self, x, v):
+    def _exp(self, x, v, fx=None):
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
             theta = np.linalg.norm(v)
         if theta == 0.0:
-            return x.copy()
+            return x.copy(), None
         if not math.isfinite(theta):
             raise NumericError("sphere exp: non-finite tangent")
         out = math.cos(theta) * x + math.sin(theta) * (v / theta)
-        return out / np.linalg.norm(out)
+        return out / np.linalg.norm(out), None
 
-    def _log(self, x, y):
+    def _log(self, x, y, fx=None):
         dot = float(np.dot(x, y))
         if dot <= -1.0 + _ANTIPODE_TOL:
             raise GeodesicNotUniqueError("antipodal points on the sphere")
@@ -418,7 +419,7 @@ class Sphere(Manifold):
             return np.zeros_like(x)
         return u * (theta / nu)
 
-    def _transport(self, x, y, v):
+    def _transport(self, x, y, v, fy=None):
         u = self._log(x, y)
         theta = np.linalg.norm(u)
         if theta == 0.0:
@@ -435,7 +436,7 @@ class Sphere(Manifold):
         g = rng.standard_normal(self.d)
         return g / np.linalg.norm(g)
 
-    def _gauss_tangent(self, x, rng):
+    def _gauss_tangent(self, x, rng, fx=None):
         return self.project_tangent(x, rng.standard_normal(self.d))
 
 
@@ -497,8 +498,8 @@ def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The SPD^(N+1) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
 
-    X is slice 0 and ys[k] slice k+1. It is the one layout of a saddle pair on a stack, shared by the
-    solvers' joint point and the robust mean oracle, so both take the factor of equal bytes from the memo.
+    X is slice 0 and ys[k] slice k+1: the one layout of a saddle pair on a stack (the solvers' joint point).
+    :func:`_stacked_factor` and :func:`_split_factor` stack and split its factor the same way.
     """
     return np.concatenate((x[None], ys.reshape(-1, *x.shape)))
 
@@ -512,111 +513,57 @@ def _root_sum_squares(dists: list[float]) -> float:
 class _Factor(NamedTuple):
     """A square-root factor of an SPD payload: per slice X = G G^T, with G^-1 and a bound on cond(X).
 
-    An exp result also keeps the memo key of its base point and the eigenvalues ``s`` of the exp's whitened
-    velocity, so the log back to that base is -G diag(s) G^T. Made by :func:`_read_only_factor`.
+    An exp result also keeps its base point's payload, which the log back to it recognises by identity, and
+    the eigenvalues ``s`` of the exp's whitened velocity, so that log is -G diag(s) G^T. Made by
+    :func:`_read_only_factor`.
     """
 
     g: np.ndarray
     g_inv: np.ndarray
     bound: np.ndarray  # one upper bound per slice
-    base: Optional[tuple] = None
+    base: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
 
 
-def _read_only_factor(*fields) -> _Factor:
-    """A :class:`_Factor` of these fields with every array read-only."""
-    for a in fields:
+def _read_only_factor(g, g_inv, bound, base=None, s=None) -> _Factor:
+    """A :class:`_Factor` with its own arrays read-only; ``base`` is only referred to."""
+    for a in (g, g_inv, bound, s):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
-    return _Factor(*fields)
+    return _Factor(g, g_inv, bound, base, s)
 
 
-# The roots memo: the factors of the last _ROOTS_MEMO_SIZE base points by content, least recently used first.
-_MEMO: "collections.OrderedDict[tuple, _Factor]" = collections.OrderedDict()
-
-
-def _memo_key(x: np.ndarray) -> tuple:
-    """Shape, dtype and bytes, so a payload written in place never meets a stale entry."""
-    return x.shape, x.dtype.str, x.tobytes()
-
-
-def _memo_put(key: tuple, entry: _Factor) -> None:
-    _MEMO[key] = entry
-    _MEMO.move_to_end(key)
-    if len(_MEMO) > _ROOTS_MEMO_SIZE:
-        _MEMO.popitem(last=False)
-
-
-@functools.lru_cache(maxsize=2 * _ROOTS_MEMO_SIZE)
-def _slice_index(key: tuple) -> dict[bytes, int]:
-    """The position of each slice's bytes in the payload of a memo key (the first, if two are equal)."""
-    shape, _, data = key
-    size = len(data) // math.prod(shape[:-2])
-    return {data[j : j + size]: j // size for j in range(len(data) - size, -1, -size)}
-
-
-def _holders(x: np.ndarray) -> list[tuple[tuple, _Factor, dict[bytes, int]]]:
-    """Key, entry and slice index of each memo entry of matrices like those of ``x``, newest first."""
-    like = x.shape[-2:], x.dtype.str
-    return [(k, e, _slice_index(k)) for k, e in reversed(_MEMO.items()) if (k[0][-2:], k[1]) == like]
-
-
-def _memo_forget(x: np.ndarray) -> None:
-    """Drop every entry that holds a slice of payload ``x``, so ``x`` reads a fresh factor as in a new process.
-
-    ``Manifold.point`` calls it on a payload from outside: one that equals the exp result of an earlier run
-    (a reference point read back from its file) must not read that exp's factor.
-    """
-    parts = {a.tobytes() for a in x.reshape(-1, *x.shape[-2:])}
-    for held, _, index in _holders(x):
-        if not parts.isdisjoint(index):
-            del _MEMO[held]
-
-
-def _decomposed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G = X^1/2, G^-1 and the condition number of each slice of a payload, from one checked decomposition."""
+def _root_factor(x: np.ndarray) -> _Factor:
+    """G = X^1/2 of each slice of a payload, with G^-1 and the exact condition number, from one checked
+    decomposition. A non-PD payload raises, as ``SPD point``."""
     w, q = _eigh_checked(x, "SPD point")
-    return _spectral(q, np.sqrt(w)), _inv_sqrt(q, w), w[..., -1] / w[..., 0]
+    return _read_only_factor(_spectral(q, np.sqrt(w)), _inv_sqrt(q, w), w[..., -1] / w[..., 0])
 
 
-def _factor(x: np.ndarray, key: Optional[tuple] = None) -> _Factor:
-    """The memoized factor of payload ``x``; ``key`` is its memo key when the caller has it.
+def _factor_of(x: np.ndarray, f: Optional[_Factor]) -> _Factor:
+    """The factor ``f`` of payload ``x``, or a fresh one when its point was built without one."""
+    return _root_factor(x) if f is None else f
 
-    On a miss, each slice that an entry holds takes that entry's factor, so a view or a restack of
-    memoized points reads the factor of the exp that made each slice: a slice's factor never depends on
-    the stack it sits in. The other slices are decomposed and checked, with G = X^1/2 and their exact
-    condition numbers. Only a payload whose slices were all decomposed is stored, so reading a view never
-    evicts the entry that it reads from. A non-PD payload raises and is not stored, so it raises again on
-    every call.
-    """
-    key = key or _memo_key(x)
-    entry = _MEMO.get(key)
-    if entry is not None:
-        _MEMO.move_to_end(key)
-        return entry
-    n = x.shape[-1]
-    flat = x.reshape(-1, n, n)
-    parts = [a.tobytes() for a in flat]
-    found: dict[int, tuple[_Factor, int]] = {}
-    for _, e, index in _holders(x):
-        for i, part in enumerate(parts):
-            if i not in found and part in index:
-                found[i] = e, index[part]
-    if not found:
-        entry = _read_only_factor(*_decomposed(x))
-        _memo_put(key, entry)
-        return entry
-    g, g_inv, bound = np.empty_like(flat), np.empty_like(flat), np.empty(len(flat))
-    missing = [i for i in range(len(flat)) if i not in found]
-    if missing:
-        try:
-            g[missing], g_inv[missing], bound[missing] = _decomposed(flat[missing])
-        except NumericError:
-            _decomposed(x)  # raise naming the slice of x
-            raise
-    for i, (e, j) in found.items():
-        g[i], g_inv[i], bound[i] = e.g.reshape(-1, n, n)[j], e.g_inv.reshape(-1, n, n)[j], e.bound.reshape(-1)[j]
-    return _read_only_factor(g.reshape(x.shape), g_inv.reshape(x.shape), bound.reshape(x.shape[:-2]))
+
+def _stacked_factor(fx: Optional[_Factor], fys: Optional[_Factor]) -> Optional[_Factor]:
+    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys, or None if either is None."""
+    if fx is None or fys is None:
+        return None
+    stacked = (_spd_stack(a, b) for a, b in ((fx.g, fys.g), (fx.g_inv, fys.g_inv), (fx.bound, fys.bound)))
+    return _read_only_factor(*stacked)
+
+
+def _split_factor(f: Optional[_Factor], shape: tuple[int, ...]) -> tuple[Optional[_Factor], Optional[_Factor]]:
+    """The factors of x and of ys (of ``shape``) as views of the factor ``f`` of ``_spd_stack(x, ys)``."""
+    if f is None:
+        return None, None
+    rest = (f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape), f.bound[1:].reshape(shape[:-2]))
+    return _Factor(f.g[0], f.g_inv[0], f.bound[0]), _Factor(*rest)
+
+
+def _whiten(f: _Factor, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The checked eigenpairs (w, q) of G^-1 Y G^-T for the factor ``f`` of X and a matrix or stack ``y``."""
+    return _eigh_checked(_congruence(f.g_inv, y), what)
 
 
 @dataclass(frozen=True)
@@ -632,13 +579,14 @@ class Spd(Manifold):
     matrix function is re-symmetrized to suppress roundoff drift.
 
     The payload kernels broadcast over (..., n, n) stacks in any argument,
-    giving each slice the same bits as a call on that slice alone. The roots
-    memo holds the factor of each recent base point, keyed on its content.
-    A point from outside gets G = X^1/2 from its own decomposition. A point
-    that exp made gets its factor from exp's decomposition, with no new one:
-    if G^-1 V G^-T = Q diag(s) Q^T, then exp_X(V) = F F^T with
-    F = G Q diag(e^(s/2)), and the log back to X is -F diag(s) F^T. The
-    entry also carries a bound on the point's condition number,
+    giving each slice the same bits as a call on that slice alone. Each
+    point carries its factor, with G^-1 and a bound on its condition number
+    (``Point.factor``). ``Manifold.point`` and ``random_point`` make
+    G = X^1/2 from the decomposition that validates X, with its exact
+    condition number. exp makes its result's factor from its own
+    decomposition, with no new one: if G^-1 V G^-T = Q diag(s) Q^T, then
+    exp_X(V) = F F^T with F = G Q diag(e^(s/2)), and the log back to X
+    (the same payload object) is -F diag(s) F^T. The result's bound is
     cond(X) e^(s_max - s_min). exp checks its result with an exact
     eigenvalue solve only when that bound passes 1e-2 / ``_PD_RTOL``, so a
     result that is not PD fails in exp, as ``SPD exp``.
@@ -663,28 +611,16 @@ class Spd(Manifold):
     def _shape(self) -> tuple[int, ...]:
         return (self.n, self.n)
 
-    def _check_point(self, value) -> None:
+    def _check_point(self, value) -> _Factor:
         _require_symmetric(value, "SPD point")
-        _eigh_checked(value, "SPD point")
-        _memo_forget(value)
+        value.flags.writeable = False  # the coerced copy keeps the factor made from it
+        return _root_factor(value)
 
     def _check_tangent(self, x, value) -> None:
         _require_symmetric(value, "SPD tangent")
 
-    def _roots(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The memoized factor G of X (X = G G^T per slice) and G^-1, read-only."""
-        entry = _factor(x)
-        return entry.g, entry.g_inv
-
-    def _whiten(self, x, y, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """G, G^-1 of X and the checked eigenpairs (w, q) of G^-1 Y G^-T for a matrix or stack ``y``."""
-        g, g_inv = self._roots(x)
-        w, q = _eigh_checked(_congruence(g_inv, y), what)
-        return g, g_inv, w, q
-
-    def _exp(self, x, v):
-        key = _memo_key(x)
-        base = _factor(x, key)
+    def _exp(self, x, v, fx=None):
+        base = _factor_of(x, fx)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
             try:
                 s, q = np.linalg.eigh(_sym(_congruence(base.g_inv, v)))
@@ -706,19 +642,20 @@ class Spd(Manifold):
             _check_pd(w, "SPD exp", bound)
             bound = w[..., -1] / w[..., 0]
         g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ base.g_inv
-        _memo_put(_memo_key(out), _read_only_factor(g, g_inv, np.asarray(bound), key, s))
-        return out
+        out.flags.writeable = False  # the factor below stays this payload's
+        return out, _read_only_factor(g, g_inv, np.asarray(bound), x, s)
 
-    def _log(self, x, y):
-        entry = _factor(x)
-        if entry.base is not None and entry.base == _memo_key(y):  # x = exp_y(V)
-            return _spectral(entry.g, -entry.s)
-        w, q = _eigh_checked(_congruence(entry.g_inv, y), "SPD log")
-        return _spectral(entry.g @ q, np.log(w))  # G Q diag(log w) Q^T G^T
+    def _log(self, x, y, fx=None):
+        f = _factor_of(x, fx)
+        if f.base is y:  # x = exp_y(V)
+            return _spectral(f.g, -f.s)
+        w, q = _whiten(f, y, "SPD log")
+        return _spectral(f.g @ q, np.log(w))  # G Q diag(log w) Q^T G^T
 
-    def _transport(self, x, y, v):
-        g, g_inv, w, q = self._whiten(y, x, "SPD transport")
-        e = g @ _inv_sqrt(q, w) @ g_inv
+    def _transport(self, x, y, v, fy=None):
+        f = _factor_of(y, fy)
+        w, q = _whiten(f, x, "SPD transport")
+        e = f.g @ _inv_sqrt(q, w) @ f.g_inv
         return _sym(e @ v @ e.swapaxes(-1, -2))
 
     def _inner(self, x, u, v):
@@ -726,8 +663,8 @@ class Spd(Manifold):
         b = a if v is u else np.linalg.solve(x, v)  # a norm solves once
         return np.trace(a @ b, axis1=-2, axis2=-1)
 
-    def _distance(self, x, y):
-        _, _, w, _ = self._whiten(x, y, "SPD distance")
+    def _distance(self, x, y, fx=None):
+        w, _ = _whiten(_factor_of(x, fx), y, "SPD distance")
         lw = np.log(w)
         # vecdot runs the same BLAS dot as np.linalg.norm of one vector, so a 2-D pair keeps its bits.
         return np.sqrt(np.vecdot(lw, lw))
@@ -737,17 +674,17 @@ class Spd(Manifold):
         lam = rng.uniform(0.5, 2.0, size=self.n)
         return _spectral(q, lam)
 
-    def _gauss_tangent(self, x, rng):
+    def _gauss_tangent(self, x, rng, fx=None):
         # Whitened coordinates: G S G^T has metric norm |S|_F, and S = (A + A^T)/2 is the standard
         # Gaussian on Sym(n), whose law no orthogonal U in G = X^1/2 U changes.
-        g, _ = self._roots(x)
+        g = _factor_of(x, fx).g
         return _sym(_congruence(g, _sym(rng.standard_normal(x.shape))))
 
 
-def _naming_factor(i: int, check, *args) -> None:
-    """Run one factor's check; re-raise its error, same type, with ' of factor i' added."""
+def _naming_factor(i: int, check, *args):
+    """Run one factor's check and return its result; re-raise its error, same type, with ' of factor i' added."""
     try:
-        check(*args)
+        return check(*args)
     except (ValueError, GeometryError) as e:
         raise type(e)(f"{e} of factor {i}") from e
 
@@ -769,6 +706,10 @@ class Product(Manifold):
     one stacked ``Spd`` check naming a bad slice; a mixed product checks the
     factor count, then lets each factor validate its entry and adds the
     factor's index to its error.
+
+    A point's factor (``Point.factor``) is that of the ``Spd`` stack on
+    SPD^N, and on a mixed product the tuple of each factor's entry, None
+    for a sphere or flat factor.
 
     A saddle problem's joint point is such a product (``SaddleProblem.joint``).
     On the robust mean problem it is SPD^(N+1) with X as slice 0 and Y_k as
@@ -804,11 +745,10 @@ class Product(Manifold):
     def _shape(self) -> tuple[int, ...]:
         return (len(self.factors), *self._power._shape)
 
-    def _check_point(self, value) -> None:
+    def _check_point(self, value):
         if self._power is not None:
             return self._power._check_point(value)
-        for i, (f, v) in enumerate(zip(self.factors, value)):
-            _naming_factor(i, f._check_point, v)
+        return tuple(_naming_factor(i, f._check_point, v) for i, (f, v) in enumerate(zip(self.factors, value)))
 
     def _check_tangent(self, x, value) -> None:
         if self._power is not None:
@@ -825,39 +765,46 @@ class Product(Manifold):
             raise ValueError(f"expected {len(self.factors)} factor payloads, got {len(value)}")
         return tuple(f._coerce(v, what) for f, v in zip(self.factors, value))
 
-    def _exp(self, x, v):
-        if self._power is not None:
-            return self._power._exp(x, v)
-        return tuple(f._exp(xi, vi) for f, xi, vi in zip(self.factors, x, v))
+    def _entries(self, f) -> tuple:
+        """A mixed product point's per-factor entries: ``f``, or None for each factor if it has none."""
+        return (None,) * len(self.factors) if f is None else f
 
-    def _log(self, x, y):
+    def _exp(self, x, v, fx=None):
         if self._power is not None:
-            return self._power._log(x, y)
-        return tuple(f._log(xi, yi) for f, xi, yi in zip(self.factors, x, y))
+            return self._power._exp(x, v, fx)
+        out = [f._exp(xi, vi, fi) for f, xi, vi, fi in zip(self.factors, x, v, self._entries(fx))]
+        return tuple(y for y, _ in out), tuple(fy for _, fy in out)
 
-    def _transport(self, x, y, v):
+    def _log(self, x, y, fx=None):
         if self._power is not None:
-            return self._power._transport(x, y, v)
-        return tuple(f._transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, x, y, v))
+            return self._power._log(x, y, fx)
+        return tuple(f._log(xi, yi, fi) for f, xi, yi, fi in zip(self.factors, x, y, self._entries(fx)))
+
+    def _transport(self, x, y, v, fy=None):
+        if self._power is not None:
+            return self._power._transport(x, y, v, fy)
+        parts = zip(self.factors, x, y, v, self._entries(fy))
+        return tuple(f._transport(xi, yi, vi, fi) for f, xi, yi, vi, fi in parts)
 
     def _inner(self, x, u, v) -> float:
         if self._power is not None:
             return sum(self._power._inner(x, u, v).tolist())
         return sum(f._inner(xi, ui, vi) for f, xi, ui, vi in zip(self.factors, x, u, v))
 
-    def _distance(self, x, y) -> float:
+    def _distance(self, x, y, fx=None) -> float:
         if self._power is not None:
-            return _root_sum_squares(self._power._distance(x, y).tolist())
-        return _root_sum_squares([f._distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)])
+            return _root_sum_squares(self._power._distance(x, y, fx).tolist())
+        parts = zip(self.factors, x, y, self._entries(fx))
+        return _root_sum_squares([f._distance(xi, yi, fi) for f, xi, yi, fi in parts])
 
     def _random_point(self, rng):
         parts = [f._random_point(rng) for f in self.factors]
         return np.stack(parts) if self._power is not None else tuple(parts)
 
-    def _gauss_tangent(self, x, rng):
+    def _gauss_tangent(self, x, rng, fx=None):
         if self._power is not None:
-            return self._power._gauss_tangent(x, rng)
-        return tuple(f._gauss_tangent(xi, rng) for f, xi in zip(self.factors, x))
+            return self._power._gauss_tangent(x, rng, fx)
+        return tuple(f._gauss_tangent(xi, rng, fi) for f, xi, fi in zip(self.factors, x, self._entries(fx)))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,15 +33,13 @@ array, a copy validated once when the instance is made (``RpcaInstance.data``,
 ``KarcherInstance.anchors``); the oracles read that array as is, and a
 robust PCA minibatch indexes it. The robust PCA oracle evaluates its k
 distance terms (k = n, or the batch size) through one whitening: the
-memoized square-root factor M = G G^T, one (k, d, d) congruence
-G^-1 M_i G^-T, one batched eigendecomposition with the SPD threshold
-checked on every slice, then the weighted inner logs are summed and
-sandwiched by G once, since log_M(M_i) = G log(G^-1 M_i G^-T) G^T is linear
-in the inner log. The robust mean oracle takes the factors of the joint
-(N+1, d, d) stack (X, then the Y block, built by the same
-``manifolds._spd_stack`` as the problem's ``joint`` point), so it shares
-them with the solver step's exp and log at the same pair through the roots
-memo; after a step they are the factors that the step's exp made. It then
+square-root factor M = G G^T that the point M carries, one (k, d, d)
+congruence G^-1 M_i G^-T, one batched eigendecomposition with the SPD
+threshold checked on every slice, then the weighted inner logs are summed
+and sandwiched by G once, since log_M(M_i) = G log(G^-1 M_i G^-T) G^T is
+linear in the inner log. The robust mean oracle reads the factors that X
+and the Y block carry; after a solver step they are the slices of the
+factor that the step's exp made at the joint (N+1, d, d) point. It then
 makes one whitening of 2N slices: G_X^-1 Y_i G_X^-T, then
 G_i^-1 A_i G_i^-T for Y_i = G_i G_i^T. The first N give both log_X(Y_i)
 and log_{Y_i}(X), so each log_X(Y_i) and log_{Y_i}(A_i) keeps the bits of
@@ -67,10 +65,14 @@ from .manifolds import (
     Tangent,
     _congruence,
     _eigh_checked,
+    _factor_of,
     _payload_to_list,
+    _root_factor,
     _spd_stack,
     _spectral,
+    _split_factor,
     _sym,
+    _whiten,
     random_orthogonal,
 )
 from .solvers import SaddleProblem
@@ -118,9 +120,7 @@ def gen_spd_data(
 
 def _frozen_spd_stack(d: int, matrices) -> np.ndarray:
     """A validated read-only copy of ``matrices`` as a float (k, d, d) SPD stack."""
-    stack = Product((Spd(d),) * len(matrices)).point(np.array(matrices, dtype=float)).value
-    stack.flags.writeable = False
-    return stack
+    return Product((Spd(d),) * len(matrices)).point(matrices).value
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def rpca_value(inst: RpcaInstance, x_point: Point, m_point: Point) -> float:
     if x_point.value.shape != (inst.d,):
         raise ValueError("x must be a unit vector of the instance dimension")
     m, x = m_point.value, x_point.value
-    _, _, w, _ = spd._whiten(m, inst.data, "SPD log")
+    w, _ = _whiten(_factor_of(m, m_point.factor), inst.data, "SPD log")
     return float(-x @ m @ x - (inst.alpha / inst.n) * np.linalg.norm(np.log(w), axis=1).sum())
 
 
@@ -165,7 +165,6 @@ def rpca_grad(
     unbiased n/batch_size scaling. Terms with d(M, M_i) below tolerance
     contribute the zero subgradient.
     """
-    spd: Spd = m_point.manifold  # type: ignore[assignment]
     sphere = x_point.manifold
     m, x = m_point.value, x_point.value
 
@@ -180,7 +179,8 @@ def rpca_grad(
     # sum_i (weight/d_i) log_M(M_i) = G [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] G^T with M = G G^T.
     targets = inst.data if batch is None else inst.data[batch]
     weight = inst.alpha / len(targets)
-    g, _, w, q = spd._whiten(m, targets, "SPD log")
+    f = _factor_of(m, m_point.factor)
+    w, q = _whiten(f, targets, "SPD log")
     lw = np.log(w)
     dists = np.linalg.norm(lw, axis=1)
     coef = np.zeros_like(dists)
@@ -189,7 +189,7 @@ def rpca_grad(
     # Columns of qcat are the eigenvectors of every slice, so one product sums all k terms.
     qcat = q.transpose(1, 0, 2).reshape(len(m), -1)
     inner = (qcat * (coef[:, None] * lw).ravel()) @ qcat.T
-    gm = gm + _sym(_congruence(g, _sym(inner)))
+    gm = gm + _sym(_congruence(f.g, _sym(inner)))
     return Tangent(x_point, gx), Tangent(m_point, gm)
 
 
@@ -266,46 +266,44 @@ def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> flo
     """Objective sum_i d(X, Y_i)^2 - gamma * sum_i d(Y_i, A_i)^2."""
     spd: Spd = x_point.manifold  # type: ignore[assignment]
     ys = ys_point.value
-    to_x = spd._distance(x_point.value, ys)
-    to_anchor = spd._distance(ys, inst.anchors)
+    to_x = spd._distance(x_point.value, ys, x_point.factor)
+    to_anchor = spd._distance(ys, inst.anchors, ys_point.factor)
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
 
 
-@functools.lru_cache(maxsize=8)
-def _karcher_slices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of :func:`karcher_grad` for N = n: the joint slice of each whitening's base point (X for
-    the first N, then Y_i), the joint slice of each log's base point (X for 2N, then Y_i), and the whitening
-    slice whose eigenpairs each log reads."""
-    whiten_at = np.r_[np.zeros(n, int), np.arange(1, n + 1)]
-    slices = whiten_at, np.r_[np.zeros(n, int), whiten_at], np.r_[np.arange(n), np.arange(2 * n)]
-    for a in slices:
-        a.flags.writeable = False
-    return slices
+def _repeat_then(a: np.ndarray, k: int, rest: np.ndarray) -> np.ndarray:
+    """``k`` copies of the matrix ``a`` followed by the stack ``rest``, as one new stack."""
+    out = np.empty((k + len(rest), *a.shape))
+    out[:k] = a
+    out[k:] = rest
+    return out
 
 
 def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tuple[Tangent, Tangent]:
     """Riemannian gradients (at X, at the anchor block) of the robust mean objective.
 
     grad_X = -2 sum_i log_X(Y_i); per block grad_{Y_i} = -2 log_{Y_i}(X)
-    + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block. The
-    factors G come from the joint stack (X, then the Y block), the base
-    point of a solver step, and the 3N logs share one whitening of 2N
-    slices. Its slice j is G_X^-1 Y_j G_X^-T for j < N and
-    G_i^-1 A_i G_i^-T of Y_i = G_i G_i^T for j = N + i; a failure names j.
-    With G_X^-1 Y_i G_X^-T = Q diag(w) Q^T, log_X(Y_i) is
+    + 2 gamma log_{Y_i}(A_i), oriented for ascent over the Y block. It
+    reads the factors G that X and the Y block carry, and the 3N logs share
+    one whitening of 2N slices. Its slice j is G_X^-1 Y_j G_X^-T for j < N
+    and G_i^-1 A_i G_i^-T of Y_i = G_i G_i^T for j = N + i; a failure names
+    j. With G_X^-1 Y_i G_X^-T = Q diag(w) Q^T, log_X(Y_i) is
     G_X Q diag(log w) Q^T G_X^T and log_{Y_i}(X) is
     -G_X Q diag(w log w) Q^T G_X^T, so X and Y_i share one decomposition.
+    Points built without factors are decomposed as one joint stack (X,
+    then the Y block), so a failure names the joint slice.
     """
-    spd: Spd = x_point.manifold  # type: ignore[assignment]
     x, ys = x_point.value, ys_point.value
     n = len(ys)
-    g, g_inv = spd._roots(_spd_stack(x, ys))
-    whiten_at, log_at, pairs = _karcher_slices(n)
-    w, q = _eigh_checked(_congruence(g_inv[whiten_at], np.concatenate((ys, inst.anchors))), "SPD log")
+    fx, fys = x_point.factor, ys_point.factor
+    if fx is None or fys is None:
+        fx, fys = _split_factor(_root_factor(_spd_stack(x, ys)), ys.shape)
+    whitened = _congruence(_repeat_then(fx.g_inv, n, fys.g_inv), np.concatenate((ys, inst.anchors)))
+    w, q = _eigh_checked(whitened, "SPD log")
     lw = np.log(w)
     # log_X(Y_i); log_{Y_i}(X) = -G_X Q_i diag(w_i log w_i) Q_i^T G_X^T from the same eigenpairs; log_{Y_i}(A_i).
     spectra = np.concatenate((lw[:n], -w[:n] * lw[:n], lw[n:]))
-    logs = _spectral(g[log_at] @ q[pairs], spectra)
+    logs = _spectral(_repeat_then(fx.g, 2 * n, fys.g) @ np.concatenate((q[:n], q)), spectra)
     gx = (-2.0 * logs[:n]).sum(axis=0)
     gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)

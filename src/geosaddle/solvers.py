@@ -78,6 +78,8 @@ from .manifolds import (
     _require_same_base,
     _root_sum_squares,
     _spd_stack,
+    _split_factor,
+    _stacked_factor,
 )
 
 __all__ = [
@@ -147,7 +149,8 @@ class SaddleProblem:
     is SPD^(N+1) (N = 1 for one matrix) and its payload is the stack of x and
     the N y matrices, so the kernels at a pair make one stacked call.
     Otherwise it is the product of the two sides, whose payload is the tuple
-    (x, y).
+    (x, y). Either way the joint point carries the two sides' factors, and
+    each side of a split carries its part of the joint factor.
     """
 
     m_min: Manifold
@@ -171,15 +174,20 @@ class SaddleProblem:
 
     def join(self, x: Point, y: Point) -> Point:
         """The pair (x, y) as one point of ``joint``."""
-        return Point(self.joint, self._join(x.value, y.value))
+        if self.joint._power is None:
+            return Point(self.joint, (x.value, y.value), (x.factor, y.factor))
+        z = _spd_stack(x.value, y.value)
+        z.flags.writeable = False
+        return Point(self.joint, z, _stacked_factor(x.factor, y.factor))
 
     def split(self, z: Point) -> tuple[Point, Point]:
         """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
         if self.joint._power is None:
-            a, b = z.value
+            (a, b), (fa, fb) = z.value, self.joint._entries(z.factor)
         else:
             a, b = z.value[0], z.value[1:].reshape(self.m_max._shape)
-        return Point(self.m_min, a), Point(self.m_max, b)
+            fa, fb = _split_factor(z.factor, self.m_max._shape)
+        return Point(self.m_min, a, fa), Point(self.m_max, b, fb)
 
     def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
         """Geodesic distances from x to ``x_to`` and from y to ``y_to``.
@@ -191,7 +199,8 @@ class SaddleProblem:
             return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
         for side, p in ((self.m_min, x), (self.m_min, x_to), (self.m_max, y), (self.m_max, y_to)):
             side._require_mine(p)
-        d = self.joint._power._distance(self._join(x.value, y.value), self._join(x_to.value, y_to.value)).tolist()
+        z = self.join(x, y)
+        d = self.joint._power._distance(z.value, self._join(x_to.value, y_to.value), z.factor).tolist()
         return d[0], d[1] if isinstance(self.m_max, Spd) else _root_sum_squares(d[1:])
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
@@ -224,10 +233,23 @@ class SolverState:
     y_bar: Optional[Point] = None
 
 
-def initial_state(problem: SaddleProblem, x0: Point, y0: Point) -> SolverState:
-    problem.m_min._require_mine(x0)
-    problem.m_max._require_mine(y0)
-    return SolverState(x=x0, y=y0, t=0)
+def _start(m: Manifold, p: Optional[Point], rng: Optional[np.random.Generator]) -> Point:
+    if p is None:
+        return m.random_point(rng)
+    m._require_mine(p)
+    return m.point(p.value)
+
+
+def initial_state(
+    problem: SaddleProblem, x0: Optional[Point], y0: Optional[Point], rng: Optional[np.random.Generator] = None
+) -> SolverState:
+    """The state at t = 0 from (x0, y0), a missing one drawn from ``rng``, x0 first.
+
+    A given point is read again through ``Manifold.point``: a point that an earlier run's exp made carries
+    that exp's factor, and read again it carries its payload's own, so a run's bits depend only on its start
+    payloads.
+    """
+    return SolverState(x=_start(problem.m_min, x0, rng), y=_start(problem.m_max, y0, rng), t=0)
 
 
 class NoiseModel:
@@ -489,9 +511,11 @@ def run(
 
     Everything is deterministic given ``seed``: initial points (when not
     pinned), the stochastic-oracle stream, and the noise sub-streams all
-    derive from it. Row 0 of the trace holds the metrics of the initial
-    state. Without ``tol`` every step adds a row. With ``tol`` a row is
-    recorded every 25 steps and after the last one, and the run stops at
+    derive from it. Pinned ``x0``/``y0`` are read again through
+    ``Manifold.point`` (:func:`initial_state`), so only their payloads
+    count. Row 0 of the trace holds the metrics of the initial state.
+    Without ``tol`` every step adds a row. With ``tol`` a row is recorded
+    every 25 steps and after the last one, and the run stops at
     the first such row whose gradient norm is at or below ``tol``; the
     returned state's ``t`` counts the steps taken. When the gradient norm
     of a row passes the divergence cap (1e6) or a geometry kernel fails, a
@@ -509,8 +533,10 @@ def run(
     return _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol)
 
 
-def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol):
+def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol,
+           init_rng=None):
     # The loop of run, called directly by harness.solve_reference so that bench/tracing.py sees one driver span.
+    # Missing start points are drawn from init_rng, by default a generator spawned from the seed.
     kind = SOLVER_KINDS.get(solver_kind)
     if kind is None:
         raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
@@ -527,12 +553,7 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
     passes_per_call = getattr(problem.stochastic_grad, "passes_per_call", 1.0) if sampled else 1.0
     step = rceg_step if kind.extragradient else rgda_step
 
-    init_rng = np.random.default_rng(init_ss)
-    if x0 is None:
-        x0 = problem.m_min.random_point(init_rng)
-    if y0 is None:
-        y0 = problem.m_max.random_point(init_rng)
-    state = initial_state(problem, x0, y0)
+    state = start = initial_state(problem, x0, y0, init_rng or np.random.default_rng(init_ss))
 
     calls = 2 if kind.extragradient else 1
     trace = Trace()
@@ -548,7 +569,7 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
         if reference is not None:
             gap = problem.distance_gap(st.x, st.y, reference)
         if st.t > 0:
-            spread = math.hypot(*problem.distances(st.x, st.y, x0, y0))
+            spread = math.hypot(*problem.distances(st.x, st.y, start.x, start.y))
             trace.max_dist_from_init = max(trace.max_dist_from_init, spread)
         elapsed = (time.perf_counter() - started) * 1e3 if timing else 0.0
         row = TraceRow(

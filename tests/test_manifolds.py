@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geosaddle.manifolds import (
-    _MEMO,
-    _ROOTS_MEMO_SIZE,
     Euclidean,
     GeodesicNotUniqueError,
     NumericError,
+    Point,
     Product,
     Spd,
     Sphere,
     Tangent,
-    _memo_key,
+    _root_factor,
     _sym,
     point_from_json,
     point_to_json,
@@ -235,12 +234,12 @@ def assert_stacked_kernels_match_loop(d, k, rng):
     spd = Spd(d)
     xs, ys = (np.stack([spd._random_point(rng) for _ in range(k)]) for _ in range(2))
     vs = 0.5 * _sym(rng.standard_normal((k, d, d)))
-    half, inv_half = spd._roots(xs)
-    loop = _per_slice(spd._roots, (xs,), k)
-    np.testing.assert_array_equal(half, np.stack([h for h, _ in loop]))
-    np.testing.assert_array_equal(inv_half, np.stack([h for _, h in loop]))
+    f = _root_factor(xs)
+    loop = _per_slice(_root_factor, (xs,), k)
+    np.testing.assert_array_equal(f.g, np.stack([h.g for h in loop]))
+    np.testing.assert_array_equal(f.g_inv, np.stack([h.g_inv for h in loop]))
     for kernel, args in (
-        (spd._exp, (xs, vs)),
+        (lambda x, v: spd._exp(x, v)[0], (xs, vs)),
         (spd._log, (xs, ys)),
         (spd._distance, (xs, ys)),
         (spd._transport, (xs, ys, vs)),
@@ -272,7 +271,7 @@ def test_stacked_spd_kernel_names_the_failing_slice():
     stack = np.stack([spd._random_point(rng) for _ in range(6)])
     stack[4] = _thin(4, rng)
     with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
-        spd._roots(stack)
+        _root_factor(stack)
     with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
         spd._log(spd._random_point(rng), stack)
 
@@ -280,7 +279,7 @@ def test_stacked_spd_kernel_names_the_failing_slice():
 def test_non_pd_point_message_names_no_slice():
     spd = Spd(4)
     thin = _thin(4, np.random.default_rng(27))
-    for call in (lambda: spd._roots(thin), lambda: spd.point(thin)):
+    for call in (lambda: _root_factor(thin), lambda: spd.point(thin)):
         with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -?\d\.\d{3}e[+-]\d+ below the PD threshold$") as err:
             call()
         assert "slice" not in str(err.value)
@@ -309,7 +308,7 @@ def test_spd_power_kernels_match_per_factor_loop(seed, d, n):
     xs, ys, us, vs = x.value, y.value, u.value, v.value
     assert xs.shape == (n, d, d) and us.shape == (n, d, d)
     for kernel, loop_kernel, args in (
-        (m._exp, spd._exp, (xs, us)),
+        (lambda x, v: m._exp(x, v)[0], lambda x, v: spd._exp(x, v)[0], (xs, us)),
         (m._log, spd._log, (xs, ys)),
         (m._transport, spd._transport, (xs, ys, us)),
     ):
@@ -384,20 +383,21 @@ def _count_eigvalsh(monkeypatch):
 @pytest.mark.parametrize(
     "make, first, steady",
     [
-        # One joint SPD^21 stack per base point. The first step: roots of the start point 21, grad
-        # whitening 40, exp 21, grad whitening at the half-iterate 40 (its roots came from exp), exp 21;
-        # the log back to the iterate reads exp's decomposition. Later steps start at an exp result.
+        # One joint SPD^21 stack per base point: grad whitening 40, exp 21, grad whitening at the
+        # half-iterate 40 (its factor came from exp), exp 21; the log back to the iterate reads exp's
+        # decomposition. The start points carry the factors that initial_state made, so the first step
+        # makes the same calls (it made [21, 40, 21, 40, 21] when a roots memo decomposed them in the step).
         # Before the factor was carried out of exp: 7 calls, roots(z_half) and the log whitening on top.
-        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), [21, 40, 21, 40, 21], [40, 21, 40, 21]),
-        # roots of M_0, grad whitening 40, exp at M_t, grad whitening at the half-iterate 40, exp; 7 before.
-        (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), [1, 40, 1, 40, 1], [40, 1, 40, 1]),
+        (lambda: make_karcher(KarcherInstance.generate(3, 20, 3.0, seed=5)), [40, 21, 40, 21], [40, 21, 40, 21]),
+        # grad whitening 40, exp at M_t, grad whitening at the half-iterate 40, exp; 7 before, and the
+        # first step [1, 40, 1, 40, 1] with the memo.
+        (lambda: make_rpca(RpcaInstance.generate(25, 40, 6.0, seed=7)), [40, 1, 40, 1], [40, 1, 40, 1]),
     ],
     ids=["karcher", "rpca"],
 )
 def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, first, steady):
     p, rng = make(), np.random.default_rng(30)
     state = initial_state(p, p.m_min.random_point(rng), p.m_max.random_point(rng))
-    _MEMO.clear()
     counted, checked = _count_eigh(monkeypatch), _count_eigvalsh(monkeypatch)
     for want in (first, steady):
         counted.clear()
@@ -406,64 +406,83 @@ def test_rceg_step_decomposes_each_spd_base_point_once(monkeypatch, make, first,
     assert checked == []  # no condition bound came near the exact check
 
 
-def test_spd_roots_memo_hit_is_bit_equal_to_a_fresh_decomposition(monkeypatch):
-    m, rng = Spd(4), np.random.default_rng(31)
-    x = np.stack([m._random_point(rng) for _ in range(5)])
-    _MEMO.clear()
-    first = m._roots(x)
+def test_spd_point_factor_is_bit_equal_to_a_fresh_decomposition(monkeypatch):
+    # The factor comes from the decomposition that validates the point, and the kernels read it.
+    m, rng = _spd_power(4, 5), np.random.default_rng(31)
+    x = np.stack([m.factors[0]._random_point(rng) for _ in range(5)])
     counted = _count_eigh(monkeypatch)
-    hit = m._roots(x.copy())  # equal bytes, another array
-    assert counted == []
+    p = m.point(x)
+    assert counted == [(5, 4, 4)]
+    m.distance(p, m.point(x[::-1]))
+    assert counted[1:] == [(5, 4, 4), (5, 4, 4)]  # the second point's validation, then one whitening
+    monkeypatch.undo()
     w, q = np.linalg.eigh(_sym(x))
     s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
-    for got, kept, fresh in zip(hit, first, (_sym((q * s) @ qt), _sym((q / s) @ qt))):
-        assert got is kept and np.array_equal(got, fresh)
+    for got, fresh in zip(p.factor, (_sym((q * s) @ qt), _sym((q / s) @ qt), w[:, -1] / w[:, 0])):
+        assert np.array_equal(got, fresh)
 
 
-def test_spd_roots_memo_follows_in_place_writes_and_stays_read_only():
+def test_a_write_to_the_source_array_cannot_reach_a_point_or_its_factor():
     m, rng = Spd(3), np.random.default_rng(32)
-    x = m._random_point(rng)
-    half, inv_half = m._roots(x)
-    for root in (half, inv_half):
+    a = m._random_point(rng)
+    x, y = m.point(a), m.random_point(rng)
+    before = m.log(x, y).value
+    a *= 4.0
+    assert x.value is not a and np.array_equal(x.value, 0.25 * a)
+    np.testing.assert_array_equal(m.log(x, y).value, before)
+    fresh = _root_factor(x.value)
+    for got, want in zip(x.factor, fresh):
+        np.testing.assert_array_equal(got, want)
+    for arr in (x.value, x.factor.g, x.factor.g_inv):
         with pytest.raises(ValueError, match="read-only"):
-            root[0, 0] = 0.0
-    x *= 4.0
-    half4, inv_half4 = m._roots(x)
-    np.testing.assert_allclose(half4, 2.0 * half, rtol=1e-12)
-    np.testing.assert_allclose(inv_half4, 0.5 * inv_half, rtol=1e-12)
+            arr[0, 0] = 0.0
+    # a mixed product keeps a copy of each entry; only the SPD entry carries a factor and is read-only
+    mixed = Product((Sphere(3), Spd(3)))
+    u = np.array([1.0, 0.0, 0.0])
+    z = mixed.point((u, a))
+    assert z.factor[0] is None and z.value[0] is not u and z.value[0].flags.writeable
+    assert z.value[1] is not a and not z.value[1].flags.writeable
 
 
-def test_spd_roots_memo_stores_no_failure_and_stays_bounded(monkeypatch):
-    m, rng = Spd(3), np.random.default_rng(33)
-    _MEMO.clear()
+def test_a_non_pd_point_raises_on_every_call(monkeypatch):
+    m = Spd(3)
+    bad = np.diag([1.0, 1.0, -1.0])
+    x, y = Point(m, bad), m.point(np.eye(3))  # x built without validation, so without a factor
     counted = _count_eigh(monkeypatch)
+    calls = (lambda: m.point(bad), lambda: m.log(x, y), lambda: m.distance(x, y), lambda: m.exp(x, m.zero_tangent(x)))
     for _ in range(2):
-        with pytest.raises(NumericError, match="SPD point: eigenvalue .* below the PD threshold"):
-            m._roots(np.diag([1.0, 1.0, -1.0]))
-    assert len(counted) == 2 and len(_MEMO) == 0
-    for _ in range(3 * _ROOTS_MEMO_SIZE):
-        m._roots(m._random_point(rng))
-        assert len(_MEMO) <= _ROOTS_MEMO_SIZE
-    assert len(_MEMO) == _ROOTS_MEMO_SIZE
+        for call in calls:
+            with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -1\.000e\+00 below the PD threshold$"):
+                call()
+    assert len(counted) == 2 * len(calls)  # each call decomposes afresh: no failure is kept
 
 
-def test_spd_memo_entries_from_exp_stay_read_only_bounded_and_free_of_failures():
+def test_exp_results_carry_read_only_factors_and_a_failure_raises_every_time():
     m, rng = Spd(3), np.random.default_rng(35)
-    x = m._random_point(rng)
-    _MEMO.clear()
-    for _ in range(3 * _ROOTS_MEMO_SIZE):
-        x = m._exp(x, 0.1 * m._gauss_tangent(x, rng))
-        assert len(_MEMO) <= _ROOTS_MEMO_SIZE
-    entry = _MEMO[next(reversed(_MEMO))]
-    for a in (entry.g, entry.g_inv, entry.bound, entry.s):
+    x = m.random_point(rng)
+    for _ in range(24):
+        x = m.exp(x, 0.1 * m.standard_gaussian_tangent(x, rng))
+    for a in (x.value, x.factor.g, x.factor.g_inv, x.factor.bound, x.factor.s):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
-    held = list(_MEMO)
+    eye = m.point(np.eye(3))
+    v = m.tangent(eye, np.diag([0.0, 0.0, -30.0]))
     for _ in range(2):  # e^-30 on one eigenvalue of X = I: condition number 1.07e13
         msg = r"^SPD exp: eigenvalue 9\.358e-14 below the PD threshold \(condition bound 1\.069e\+13\)$"
         with pytest.raises(NumericError, match=msg):
-            m._exp(np.eye(3), np.diag([0.0, 0.0, -30.0]))
-        assert list(_MEMO)[-2:] == [held[-1], _memo_key(np.eye(3))]  # the base point is stored, the failure not
+            m.exp(eye, v)
+
+
+def test_a_kernel_reads_only_the_points_passed_to_it():
+    # log(x, y) at an exp result keeps its bits however many other points the kernels saw in between.
+    m, rng = Spd(4), np.random.default_rng(1)
+    x0 = m.random_point(rng)
+    x = m.exp(x0, 0.3 * m.random_tangent(x0, rng))
+    y = m.random_point(rng)
+    before = m.log(x, y).value
+    for _ in range(9):
+        m.log(m.random_point(rng), y)
+    np.testing.assert_array_equal(m.log(x, y).value, before)
 
 
 # -- the factor carried out of exp ---------------------------------------------------
@@ -502,46 +521,42 @@ def test_kernels_at_a_factor_from_exp_match_fresh_roots(monkeypatch, d, kappa):
     # decomposition. Near the PD threshold the fresh result itself is good only to about eps * cond(x).
     rng, spd = np.random.default_rng(d), Spd(d)
     q = random_orthogonal(d, rng)
-    x0 = _sym((q * np.geomspace(1.0, kappa, d)) @ q.T)
-    _MEMO.clear()
-    x = spd._exp(x0, 0.3 * spd._gauss_tangent(x0, rng))
-    g, _ = spd._roots(x)
+    x0 = spd.point(_sym((q * np.geomspace(1.0, kappa, d)) @ q.T))
+    x = spd.exp(x0, 0.3 * spd.standard_gaussian_tangent(x0, rng))
+    g = x.factor.g
     assert np.linalg.norm(g - g.T) > 0.1 * np.linalg.norm(g)  # not symmetric
-    v, u = 0.3 * spd._gauss_tangent(x, rng), spd._gauss_tangent(x, rng)
-    y = spd._exp(x, v)
+    v, u = 0.3 * spd.standard_gaussian_tangent(x, rng), spd.standard_gaussian_tangent(x, rng)
+    y = spd.exp(x, v)
     counted = _count_eigh(monkeypatch)
-    back = spd._log(y, x)
+    back = spd.log(y, x)
     assert counted == []
-    tol = 1e-12 if kappa < 100 else np.finfo(float).eps * np.linalg.cond(x)
+    tol = 1e-12 if kappa < 100 else np.finfo(float).eps * np.linalg.cond(x.value)
     for got, want in (
-        (y, _fresh_exp(x, v)),
-        (back, _fresh_log(y, x)),
-        (spd._log(x, y), _fresh_log(x, y)),
-        (spd._transport(x, y, u), _fresh_transport(x, y, u)),
+        (y.value, _fresh_exp(x.value, v.value)),
+        (back.value, _fresh_log(y.value, x.value)),
+        (spd.log(x, y).value, _fresh_log(x.value, y.value)),
+        (spd.transport(x, y, u).value, _fresh_transport(x.value, y.value, u.value)),
     ):
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def test_exp_carries_a_condition_bound_and_checks_past_it(monkeypatch):
     spd, rng = Spd(3), np.random.default_rng(36)
-    x = spd._random_point(rng)
-    _MEMO.clear()
-    spd._roots(x)
-    assert math.isclose(_MEMO[_memo_key(x)].bound, np.linalg.cond(x), rel_tol=1e-12)  # exact at a fresh point
+    x = spd.random_point(rng)
+    assert math.isclose(x.factor.bound, np.linalg.cond(x.value), rel_tol=1e-12)  # exact at a fresh point
     checked = _count_eigvalsh(monkeypatch)
     for _ in range(20):
-        v = 0.2 * spd._gauss_tangent(x, rng)
-        x = spd._exp(x, v)
-        bound = _MEMO[_memo_key(x)].bound
-        assert bound >= np.linalg.cond(x) * (1 - 1e-9)
+        x = spd.exp(x, 0.2 * spd.standard_gaussian_tangent(x, rng))
+        assert x.factor.bound >= np.linalg.cond(x.value) * (1 - 1e-9)
     assert checked == []
+    eye = spd.point(np.eye(3))
     # e^-23 on one eigenvalue of I: condition number 9.7e9, bound 9.7e9, under the exact check
-    y = spd._exp(np.eye(3), np.diag([0.0, 0.0, -23.0]))
-    assert checked == [] and _MEMO[_memo_key(y)].bound > 9e9
+    y = spd.exp(eye, spd.tangent(eye, np.diag([0.0, 0.0, -23.0])))
+    assert checked == [] and y.factor.bound > 9e9
     # e^-25: bound 7.2e10 passes 1e10, so exp checks the point exactly and keeps its exact condition number
-    y = spd._exp(np.eye(3), np.diag([0.0, 0.0, -25.0]))
+    y = spd.exp(eye, spd.tangent(eye, np.diag([0.0, 0.0, -25.0])))
     assert checked == [(3, 3)]
-    assert math.isclose(_MEMO[_memo_key(y)].bound, math.exp(25.0), rel_tol=1e-9)
+    assert math.isclose(y.factor.bound, math.exp(25.0), rel_tol=1e-9)
 
 
 def test_stacked_exp_failure_names_the_slice_and_its_bound():
@@ -805,7 +820,7 @@ def test_exp_finite_outputs_match_the_closed_forms_bit_for_bit():
     spd = Spd(3)
     x = spd.random_point(rng)
     v = spd.random_tangent(x, rng, scale=0.7)
-    g, g_inv = spd._roots(x.value)
+    g, g_inv = x.factor.g, x.factor.g_inv
     s, q = np.linalg.eigh(_sym(g_inv @ v.value @ g_inv.T))
     f = g @ (q * np.exp(0.5 * s))
     assert np.array_equal(spd.exp(x, v).value, _sym(f @ f.T))

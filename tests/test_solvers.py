@@ -680,6 +680,26 @@ def test_run_rows_equal_hand_loop_without_reuse(solver, which):
         assert np.array_equal(a, b)
 
 
+def test_run_from_another_runs_points_matches_a_run_from_their_payloads():
+    # The reference solve returns points that its last exp made; the run reads them again, so their
+    # payloads alone decide its bits.
+    p = make_karcher(KarcherInstance.generate(d=3, n_anchors=4, gamma=3.0, seed=5))
+    x, ys, _, _ = solve_reference(p, tol=1e-6, seed=5)
+    starts = ((x, ys), (p.m_min.point(x.value), p.m_max.point(ys.value)))
+    ends = [run(p, "rceg", lambda t: 0.05, 20, seed=5, x0=a, y0=b, track_average=False)[0].rows[-1] for a, b in starts]
+    assert ends[0].grad_norm == ends[1].grad_norm
+
+
+def test_initial_state_reads_given_points_again_and_draws_missing_ones():
+    p = make_karcher(KarcherInstance.generate(d=3, n_anchors=4, gamma=3.0, seed=5))
+    x0 = p.m_min.random_point(np.random.default_rng(1))
+    st = initial_state(p, x0, None, np.random.default_rng(2))
+    assert st.x is not x0 and np.array_equal(st.x.value, x0.value)
+    np.testing.assert_array_equal(st.y.value, p.m_max.random_point(np.random.default_rng(2)).value)
+    with pytest.raises(ValueError, match="point belongs to"):
+        initial_state(p, st.y, st.x)
+
+
 def test_run_rejects_zero_iters():
     p = bilinear_problem()
     with pytest.raises(ValueError):

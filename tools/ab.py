@@ -13,9 +13,10 @@ shared machine falls on both sides. A child imports geosaddle from its
 checkout's ``src`` with BLAS pinned to one thread and calls
 ``geosaddle.cli.main(argv)`` K times in a fresh temporary directory. It
 times the solve in process: the outermost call of the run driver
-(``solvers.run``) or the reference solve (``harness.solve_reference``),
-with the SPD roots memo emptied before each call (``manifolds._MEMO``, or
-the ``_memo_roots`` cache of older checkouts). The child's time is the
+(``solvers.run``) or the reference solve (``harness.solve_reference``).
+Before each call it empties the SPD roots memo of an older checkout that
+has one (``manifolds._MEMO``, or the earlier ``_memo_roots`` cache); a
+checkout whose points carry their own factors has none. The child's time is the
 minimum over its K repeats. One more call, untimed, counts solver steps,
 ``np.linalg.eigh`` calls and decompositions (the product of each call's
 leading dimensions), and the same for ``np.linalg.eigvalsh``, which the SPD
@@ -69,8 +70,13 @@ def _child() -> int:
     from tracing import rebind
 
     report_path, repeats, argv = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
-    memo = getattr(manifolds, "_MEMO", None)
-    clear_memo = memo.clear if memo is not None else manifolds._memo_roots.cache_clear
+
+    def clear_memo() -> None:
+        if hasattr(manifolds, "_MEMO"):
+            manifolds._MEMO.clear()
+        elif hasattr(manifolds, "_memo_roots"):
+            manifolds._memo_roots.cache_clear()
+
     times: list[float] = []
     depth = [0]
 
