@@ -83,17 +83,6 @@ def _add_run_only_flags(p: argparse.ArgumentParser) -> None:
                    help="skip running-mean upkeep and metrics")
 
 
-def _parse_eta(raw) -> object:
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if raw == "auto":
-        return "auto"
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"eta must be a number or 'auto', got {raw!r}") from e
-
-
 def _parse_grid(raw: str | None, flag: str) -> list[float] | None:
     if not raw:
         return None
@@ -126,8 +115,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if ignored:
         flags = ", ".join("--" + k.replace("_", "-") for k in sorted(ignored))
         raise ConfigError(f"{reason} {flags} (flag or config key)")
-    if "eta" in merged:
-        merged["eta"] = _parse_eta(merged["eta"])
     return RunConfig.from_dict(merged)
 
 

@@ -10,7 +10,7 @@ all go through the one driver loop, :func:`~geosaddle.solvers.run`. A grid
 candidate is a bare driver call: no running mean, trace file or metadata,
 since its ranking reads only the last row. A reference solve is rceg run
 to a gradient-norm tolerance. The gradient-norm and distance-gap metrics
-are methods of :class:`~geosaddle.solvers.SaddleProblem`.
+are methods of :class:`~geosaddle.problems.SaddleProblem`.
 
 File formats:
 
@@ -44,6 +44,7 @@ from .problems import (
     BilinearInstance,
     KarcherInstance,
     RpcaInstance,
+    SaddleProblem,
     estimate_smoothness,
     estimate_strong_monotonicity,
     instance_from_json,
@@ -55,7 +56,6 @@ from .problems import (
 from .solvers import (
     SOLVER_KINDS,
     DivergenceError,
-    SaddleProblem,
     Trace,
     TraceRow,
     _drive,
@@ -185,11 +185,25 @@ class RunConfig:
 
 
 # The JSON values each annotated RunConfig field takes: a bool is no int, and an integer is a float.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "object": object}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _eta_value(value):
+    """An eta from a flag or a config file: 'auto', or a number or numeric string as a float."""
+    if value == "auto":
+        return value
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (OverflowError, ValueError):
+            pass
+    raise ConfigError(f"config key 'eta' must be a number or 'auto', got {type(value).__name__} {value!r}")
 
 
 def _json_value(key: str, annotation: str, value):
     """``value`` checked against a field's annotation; an integer in a float field becomes a float, as from a flag."""
+    if key == "eta":
+        return _eta_value(value)
     want = annotation.removeprefix("Optional[").removesuffix("]")
     if value is None and want != annotation:
         return value

@@ -10,10 +10,7 @@ parallel transport along geodesics, the Riemannian metric, and distance:
   affine-invariant metric ``<U, V>_X = tr(X^-1 U X^-1 V)``.
 - ``Product``: a tuple of factor manifolds with the metric summed over
   factors. A power of one ``Spd`` descriptor (SPD^N) keeps its payload as
-  one (N, n, n) array. The solvers move a saddle pair (x, y) as one point
-  of a product: SPD^(N+1) when x is one SPD matrix and y one matrix or a
-  block of N on the same descriptor (its payload built by ``_spd_stack``),
-  else the two-factor product of the sides.
+  one (N, n, n) array.
 
 Points and tangent vectors are thin immutable wrappers around numpy
 payloads, tagged with the manifold they belong to (and, for tangents, the
@@ -496,9 +493,8 @@ def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The SPD^(N+1) payload of a matrix ``x`` and ``ys`` (one matrix or an (N, n, n) stack), as a new array.
+    """A matrix ``x`` followed by ``ys`` (one matrix or an (N, n, n) stack), as a new (N+1, n, n) array.
 
-    X is slice 0 and ys[k] slice k+1: the one layout of a saddle pair on a stack (the solvers' joint point).
     :func:`_stacked_factor` and :func:`_split_factor` stack and split its factor the same way.
     """
     return np.concatenate((x[None], ys.reshape(-1, *x.shape)))
@@ -545,18 +541,14 @@ def _factor_of(x: np.ndarray, f: Optional[_Factor]) -> _Factor:
     return _root_factor(x) if f is None else f
 
 
-def _stacked_factor(fx: Optional[_Factor], fys: Optional[_Factor]) -> Optional[_Factor]:
-    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys, or None if either is None."""
-    if fx is None or fys is None:
-        return None
+def _stacked_factor(fx: _Factor, fys: _Factor) -> _Factor:
+    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys."""
     stacked = (_spd_stack(a, b) for a, b in ((fx.g, fys.g), (fx.g_inv, fys.g_inv), (fx.bound, fys.bound)))
     return _read_only_factor(*stacked)
 
 
-def _split_factor(f: Optional[_Factor], shape: tuple[int, ...]) -> tuple[Optional[_Factor], Optional[_Factor]]:
+def _split_factor(f: _Factor, shape: tuple[int, ...]) -> tuple[_Factor, _Factor]:
     """The factors of x and of ys (of ``shape``) as views of the factor ``f`` of ``_spd_stack(x, ys)``."""
-    if f is None:
-        return None, None
     rest = (f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape), f.bound[1:].reshape(shape[:-2]))
     return _Factor(f.g[0], f.g_inv[0], f.bound[0]), _Factor(*rest)
 
@@ -710,10 +702,6 @@ class Product(Manifold):
     A point's factor (``Point.factor``) is that of the ``Spd`` stack on
     SPD^N, and on a mixed product the tuple of each factor's entry, None
     for a sphere or flat factor.
-
-    A saddle problem's joint point is such a product (``SaddleProblem.joint``).
-    On the robust mean problem it is SPD^(N+1) with X as slice 0 and Y_k as
-    slice k+1, so a kernel failure in a solver step names the joint slice.
     """
 
     factors: tuple[Manifold, ...]

@@ -1,4 +1,8 @@
-"""Concrete saddle problems with exact and minibatch gradient oracles.
+"""Saddle problems with exact and minibatch gradient oracles.
+
+A :class:`SaddleProblem` is two manifolds with a value and a gradient
+oracle, defined apart from the solvers that step it, plus the joint
+manifold on which they move the pair as one point.
 
 Three problem families:
 
@@ -38,12 +42,10 @@ congruence G^-1 M_i G^-T, one batched eigendecomposition with the SPD
 threshold checked on every slice, then the weighted inner logs are summed
 and sandwiched by G once, since log_M(M_i) = G log(G^-1 M_i G^-T) G^T is
 linear in the inner log. The robust mean oracle reads the factors that X
-and the Y block carry; after a solver step they are the slices of the
-factor that the step's exp made at the joint (N+1, d, d) point. It then
-makes one whitening of 2N slices: G_X^-1 Y_i G_X^-T, then
-G_i^-1 A_i G_i^-T for Y_i = G_i G_i^T. The first N give both log_X(Y_i)
-and log_{Y_i}(X), so each log_X(Y_i) and log_{Y_i}(A_i) keeps the bits of
-a per-side log. Its max side SPD^N keeps the Y block as one (N, d, d)
+and the Y block carry and makes one whitening of 2N slices:
+G_X^-1 Y_i G_X^-T, then G_i^-1 A_i G_i^-T for Y_i = G_i G_i^T. The first
+N give both log_X(Y_i) and log_{Y_i}(X), so each log_X(Y_i) and
+log_{Y_i}(A_i) keeps the bits of a per-side log. Its max side SPD^N keeps the Y block as one (N, d, d)
 array, so the oracle reads and returns that payload as is.
 """
 
@@ -51,13 +53,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional
 
 import numpy as np
 
 from .manifolds import (
     Euclidean,
+    Manifold,
     Point,
     Product,
     Spd,
@@ -68,16 +71,18 @@ from .manifolds import (
     _factor_of,
     _payload_to_list,
     _root_factor,
+    _root_sum_squares,
     _spd_stack,
     _spectral,
     _split_factor,
+    _stacked_factor,
     _sym,
     _whiten,
     random_orthogonal,
 )
-from .solvers import SaddleProblem
 
 __all__ = [
+    "SaddleProblem",
     "gen_spd_data",
     "RpcaInstance",
     "rpca_value",
@@ -99,6 +104,101 @@ __all__ = [
 
 # Distance below which the nonsmooth |d| penalty term takes the zero subgradient.
 _SUBGRAD_TOL = 1e-9
+
+GradPair = tuple[Tangent, Tangent]
+GradFn = Callable[[Point, Point], GradPair]
+StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
+
+
+@dataclass(frozen=True)
+class SaddleProblem:
+    """A min-max objective over a product of two manifolds.
+
+    ``value(x, y)`` is minimized over the first slot and maximized over the
+    second; ``grad`` returns the pair of Riemannian gradients (ascent
+    direction in both slots -- the solvers flip the sign on the min side).
+    ``stochastic_grad(x, y, rng)``, when present, is an unbiased noisy
+    oracle.
+
+    The run driver, which is also the reference solve, reads its metrics
+    through :meth:`grad_norms`, :meth:`distances` and :meth:`distance_gap`.
+
+    ``joint`` is derived from the two sides: the manifold the solver steps
+    move the pair on as one point (:meth:`join`, :meth:`split`). When the
+    min side is one ``Spd`` and the max side that same descriptor or a
+    power of it (SPD^N), it is SPD^(N+1) (N = 1 for one matrix): x is slice
+    0 of its payload and y_k slice k+1, so each kernel call at a pair is one
+    stacked call and a kernel failure names the joint slice. Otherwise it is
+    the product of the two sides, whose payload is the tuple (x, y). Either
+    way each side keeps the bits of a per-side call. The joint point carries
+    the two sides' factors; on the stack, when a side has none, :meth:`join`
+    decomposes the joint payload once, so a side that is not PD fails there
+    and names its joint slice. Each side of a split carries its part of the
+    joint factor.
+    """
+
+    m_min: Manifold
+    m_max: Manifold
+    value: Callable[[Point, Point], float]
+    grad: GradFn
+    stochastic_grad: Optional[StochasticGradFn] = None
+    joint: Product = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m_min, m_max = self.m_min, self.m_max
+        if isinstance(m_min, Spd) and isinstance(m_max, Product) and m_max._power == m_min:
+            joint = Product((m_min,) * (1 + len(m_max.factors)))
+        else:
+            joint = Product((m_min, m_max))  # SPD^2 when both sides are the same Spd
+        object.__setattr__(self, "joint", joint)
+
+    def _join(self, a, b):
+        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(N+1) stack)."""
+        return (a, b) if self.joint._power is None else _spd_stack(a, b)
+
+    def join(self, x: Point, y: Point) -> Point:
+        """The pair (x, y) as one point of ``joint``."""
+        if self.joint._power is None:
+            return Point(self.joint, (x.value, y.value), (x.factor, y.factor))
+        z = _spd_stack(x.value, y.value)
+        z.flags.writeable = False
+        f = _root_factor(z) if x.factor is None or y.factor is None else _stacked_factor(x.factor, y.factor)
+        return Point(self.joint, z, f)
+
+    def split(self, z: Point) -> tuple[Point, Point]:
+        """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
+        if self.joint._power is None:
+            (a, b), (fa, fb) = z.value, z.factor
+        else:
+            a, b = z.value[0], z.value[1:].reshape(self.m_max._shape)
+            fa, fb = _split_factor(z.factor, self.m_max._shape)
+        return Point(self.m_min, a, fa), Point(self.m_max, b, fb)
+
+    def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
+        """Geodesic distances from x to ``x_to`` and from y to ``y_to``.
+
+        Each has the bits of its side's ``distance``; on the SPD^(N+1) stack both come from one stacked
+        kernel call at the joint point (x, y).
+        """
+        if self.joint._power is None:
+            return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
+        for side, p in ((self.m_min, x), (self.m_min, x_to), (self.m_max, y), (self.m_max, y_to)):
+            side._require_mine(p)
+        z = self.join(x, y)
+        d = self.joint._power._distance(z.value, self._join(x_to.value, y_to.value), z.factor).tolist()
+        return d[0], d[1] if isinstance(self.m_max, Spd) else _root_sum_squares(d[1:])
+
+    def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
+        """Riemannian gradient norms at (x, y): combined, min side, max side."""
+        gx, gy = self.grad(x, y)
+        nx = self.m_min.norm(gx)
+        ny = self.m_max.norm(gy)
+        return math.hypot(nx, ny), nx, ny
+
+    def distance_gap(self, x: Point, y: Point, reference: tuple[Point, Point]) -> float:
+        """Squared-distance sum from (x, y) to the reference saddle."""
+        dx, dy = self.distances(x, y, *reference)
+        return dx**2 + dy**2
 
 
 def gen_spd_data(
@@ -290,14 +390,10 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     j. With G_X^-1 Y_i G_X^-T = Q diag(w) Q^T, log_X(Y_i) is
     G_X Q diag(log w) Q^T G_X^T and log_{Y_i}(X) is
     -G_X Q diag(w log w) Q^T G_X^T, so X and Y_i share one decomposition.
-    Points built without factors are decomposed as one joint stack (X,
-    then the Y block), so a failure names the joint slice.
     """
     x, ys = x_point.value, ys_point.value
     n = len(ys)
-    fx, fys = x_point.factor, ys_point.factor
-    if fx is None or fys is None:
-        fx, fys = _split_factor(_root_factor(_spd_stack(x, ys)), ys.shape)
+    fx, fys = _factor_of(x, x_point.factor), _factor_of(ys, ys_point.factor)
     whitened = _congruence(_repeat_then(fx.g_inv, n, fys.g_inv), np.concatenate((ys, inst.anchors)))
     w, q = _eigh_checked(whitened, "SPD log")
     lw = np.log(w)

@@ -9,16 +9,11 @@ second), each taking one gradient oracle ``oracle(x, y, stream)``:
   exponential map.
 - ``rgda_step``: simultaneous exponential-map gradient descent-ascent.
 
-Both steps move the pair as one point of ``SaddleProblem.joint``: they join
-the two sides' payloads, make one exp (and for rceg one log) call per move,
-and split the result back into per-side points. On the robust mean problem
-the joint manifold is SPD^(N+1) (X, then the Y block), so each of those
-calls is one stacked kernel call, and a kernel failure names the joint
-slice: X is slice 0 and Y_k is slice k+1. A pair on one ``Spd`` descriptor
-is SPD^2 the same way. On the other problems it is the product of the two
-sides, which runs the same per-side kernels. Either way each side keeps
-the bits of a per-side call, and so do the two side distances that the run
-driver reads at the joint point.
+Both steps move the pair as one point of the problem's joint manifold
+(:class:`~geosaddle.problems.SaddleProblem` describes its layout): they
+join the two sides, make one exp (and for rceg one log) call per move, and
+split the result back into per-side points, each with the bits of a
+per-side call.
 
 The four solvers are these two steps with two oracles. ``rceg`` and
 ``rgda`` use the exact ``problem.grad`` (``oracle=None``); ``srceg`` and
@@ -68,22 +63,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .manifolds import (
-    GeometryError,
-    Manifold,
-    Point,
-    Product,
-    Spd,
-    Tangent,
-    _require_same_base,
-    _root_sum_squares,
-    _spd_stack,
-    _split_factor,
-    _stacked_factor,
-)
+from .manifolds import GeometryError, Manifold, Point, Tangent, _require_same_base
+from .problems import GradFn, GradPair, SaddleProblem
 
 __all__ = [
-    "SaddleProblem",
     "SolverState",
     "NoiseModel",
     "initial_state",
@@ -118,9 +101,6 @@ SOLVER_KINDS = {
     "srgda": SolverKind(extragradient=False, stochastic=True),
 }
 
-GradPair = tuple[Tangent, Tangent]
-GradFn = Callable[[Point, Point], GradPair]
-StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
 # oracle(x, y, stream)
 Oracle = Callable[[Point, Point, int], GradPair]
 
@@ -128,92 +108,6 @@ Oracle = Callable[[Point, Point, int], GradPair]
 _DIVERGENCE_CAP = 1e6
 # Iterations between the recorded rows of a run with a stop tolerance.
 _CHECK_EVERY = 25
-
-
-@dataclass(frozen=True)
-class SaddleProblem:
-    """A min-max objective over a product of two manifolds.
-
-    ``value(x, y)`` is minimized over the first slot and maximized over the
-    second; ``grad`` returns the pair of Riemannian gradients (ascent
-    direction in both slots -- the solvers flip the sign on the min side).
-    ``stochastic_grad(x, y, rng)``, when present, is an unbiased noisy
-    oracle.
-
-    The run driver, which is also the reference solve, reads its metrics
-    through :meth:`grad_norms`, :meth:`distances` and :meth:`distance_gap`.
-
-    ``joint`` is derived from the two sides: the manifold the steps move the
-    pair on as one point (:meth:`join`, :meth:`split`). When the min side is
-    one ``Spd`` and the max side that same descriptor or a power of it, it
-    is SPD^(N+1) (N = 1 for one matrix) and its payload is the stack of x and
-    the N y matrices, so the kernels at a pair make one stacked call.
-    Otherwise it is the product of the two sides, whose payload is the tuple
-    (x, y). Either way the joint point carries the two sides' factors, and
-    each side of a split carries its part of the joint factor.
-    """
-
-    m_min: Manifold
-    m_max: Manifold
-    value: Callable[[Point, Point], float]
-    grad: GradFn
-    stochastic_grad: Optional[StochasticGradFn] = None
-    joint: Product = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m_min, m_max = self.m_min, self.m_max
-        if isinstance(m_min, Spd) and isinstance(m_max, Product) and m_max._power == m_min:
-            joint = Product((m_min,) * (1 + len(m_max.factors)))
-        else:
-            joint = Product((m_min, m_max))  # SPD^2 when both sides are the same Spd
-        object.__setattr__(self, "joint", joint)
-
-    def _join(self, a, b):
-        """One ``joint`` payload from the two sides' payloads (a copy on the SPD^(N+1) stack)."""
-        return (a, b) if self.joint._power is None else _spd_stack(a, b)
-
-    def join(self, x: Point, y: Point) -> Point:
-        """The pair (x, y) as one point of ``joint``."""
-        if self.joint._power is None:
-            return Point(self.joint, (x.value, y.value), (x.factor, y.factor))
-        z = _spd_stack(x.value, y.value)
-        z.flags.writeable = False
-        return Point(self.joint, z, _stacked_factor(x.factor, y.factor))
-
-    def split(self, z: Point) -> tuple[Point, Point]:
-        """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
-        if self.joint._power is None:
-            (a, b), (fa, fb) = z.value, self.joint._entries(z.factor)
-        else:
-            a, b = z.value[0], z.value[1:].reshape(self.m_max._shape)
-            fa, fb = _split_factor(z.factor, self.m_max._shape)
-        return Point(self.m_min, a, fa), Point(self.m_max, b, fb)
-
-    def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
-        """Geodesic distances from x to ``x_to`` and from y to ``y_to``.
-
-        Each has the bits of its side's ``distance``; on the SPD^(N+1) stack both come from one stacked
-        kernel call at the joint point (x, y).
-        """
-        if self.joint._power is None:
-            return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
-        for side, p in ((self.m_min, x), (self.m_min, x_to), (self.m_max, y), (self.m_max, y_to)):
-            side._require_mine(p)
-        z = self.join(x, y)
-        d = self.joint._power._distance(z.value, self._join(x_to.value, y_to.value), z.factor).tolist()
-        return d[0], d[1] if isinstance(self.m_max, Spd) else _root_sum_squares(d[1:])
-
-    def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
-        """Riemannian gradient norms at (x, y): combined, min side, max side."""
-        gx, gy = self.grad(x, y)
-        nx = self.m_min.norm(gx)
-        ny = self.m_max.norm(gy)
-        return math.hypot(nx, ny), nx, ny
-
-    def distance_gap(self, x: Point, y: Point, reference: tuple[Point, Point]) -> float:
-        """Squared-distance sum from (x, y) to the reference saddle."""
-        dx, dy = self.distances(x, y, *reference)
-        return dx**2 + dy**2
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,13 @@ from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
     RpcaInstance,
+    SaddleProblem,
     instance_to_json,
     make_bilinear,
     make_karcher,
 )
 from geosaddle.manifolds import Euclidean, Sphere, Tangent
-from geosaddle.solvers import DivergenceError, SaddleProblem
+from geosaddle.solvers import DivergenceError
 
 
 # -- config validation -------------------------------------------------------------
@@ -708,8 +709,14 @@ def test_cli_config_file_with_override(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("iters", 5.5), ("d", 2.0), ("seed", "7"), ("sigma", "0.1"), ("iters", True), ("timing", 1), ("d", None)],
-    ids=["iters-float", "d-float", "seed-str", "sigma-str", "iters-bool", "timing-int", "d-null"],
+    [
+        ("iters", 5.5), ("d", 2.0), ("seed", "7"), ("sigma", "0.1"), ("iters", True), ("timing", 1), ("d", None),
+        ("eta", True), ("eta", [0.1]), ("eta", {"value": 0.1}),
+    ],
+    ids=[
+        "iters-float", "d-float", "seed-str", "sigma-str", "iters-bool", "timing-int", "d-null",
+        "eta-bool", "eta-list", "eta-object",
+    ],
 )
 def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, caplog, key, value):
     good = {"problem": "bilinear", "solver": "srceg", "seed": 7, "iters": 5, "d": 2, "sigma": 0.1, "eta": 0.1}
@@ -719,6 +726,47 @@ def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, caplog, key, 
     assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"config key {key!r} must be" in caplog.text
+
+
+def test_config_reads_eta_as_a_number_a_numeric_string_or_auto():
+    base = {"problem": "rpca", "seed": 1}
+    for raw, want in ((1, 1.0), (0.25, 0.25), ("0.25", 0.25), ("auto", "auto")):
+        eta = RunConfig.from_dict({**base, "eta": raw}).eta
+        assert eta == want and type(eta) is type(want)
+    # A JSON bool, list or object is rejected in test_cli_config_value_of_the_wrong_json_type_exits_2.
+    for raw in (None, "fast", 10**400):
+        with pytest.raises(ConfigError, match="^config key 'eta' must be a number or 'auto', got "):
+            RunConfig.from_dict({**base, "eta": raw})
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("plot-foreign-columns", "unexpected trace columns"),
+        ("run-no-problem", "--problem is required (flag or config file)"),
+        ("run-no-seed", "--seed is required (flag or config file)"),
+        ("config-array", "config file must hold a JSON object"),
+        ("instance-of-another-problem", "instance file holds a RpcaInstance, config wants karcher"),
+    ],
+)
+def test_cli_input_errors_exit_2_with_their_message(tmp_path, caplog, case, message):
+    (tmp_path / "foreign.csv").write_text("iter,grad_norm\n0,1.0\n")
+    (tmp_path / "array.json").write_text(json.dumps([{"problem": "bilinear", "seed": 1}]))
+    (tmp_path / "rpca.json").write_text(json.dumps(instance_to_json(RpcaInstance.generate(d=2, n=4, alpha=1.0))))
+    out = str(tmp_path / "out.csv")
+    run = ["run", "--solver", "rceg", "--eta", "0.1", "--iters", "2", "--out", out]
+    argv = {
+        "plot-foreign-columns": ["plot", "--series", str(tmp_path / "foreign.csv"), "--out", out],
+        "run-no-problem": [*run, "--seed", "1"],
+        "run-no-seed": [*run, "--problem", "bilinear"],
+        "config-array": [*run, "--config", str(tmp_path / "array.json")],
+        "instance-of-another-problem": [
+            *run, "--problem", "karcher", "--seed", "1", "--instance", str(tmp_path / "rpca.json"),
+        ],
+    }[case]
+    assert main(argv) == 2
+    assert not Path(out).exists()
+    assert message in caplog.text
 
 
 def test_config_takes_an_integer_where_a_float_is_expected():

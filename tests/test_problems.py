@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geosaddle.manifolds import NumericError, Product, Spd, Sphere, _sym, random_orthogonal
+from geosaddle.manifolds import NumericError, Point, Product, Spd, Sphere, _sym, random_orthogonal
 from geosaddle.problems import (
     _SUBGRAD_TOL,
     BilinearInstance,
     KarcherInstance,
     MinibatchOracle,
     RpcaInstance,
+    SaddleProblem,
     estimate_smoothness,
     estimate_strong_monotonicity,
     gen_spd_data,
@@ -27,7 +28,6 @@ from geosaddle.problems import (
     rpca_grad,
     rpca_value,
 )
-from geosaddle.solvers import SaddleProblem
 from geosaddle.manifolds import Euclidean, Tangent
 
 
@@ -402,6 +402,10 @@ def test_karcher_grad_on_the_joint_stack_keeps_the_bits_of_two_logs(seed, d, n):
     ref_gx, ref_gys = karcher_grad_two_logs(inst, x, ys)
     np.testing.assert_array_equal(gx.value, ref_gx)
     assert np.linalg.norm(gys.value - ref_gys) <= 1e-12 * np.linalg.norm(ref_gys)
+    # Points built without factors are decomposed side by side, with the bits of Manifold.point.
+    bare_gx, bare_gys = karcher_grad(inst, Point(p.m_min, x.value), Point(p.m_max, ys.value))
+    np.testing.assert_array_equal(bare_gx.value, gx.value)
+    np.testing.assert_array_equal(bare_gys.value, gys.value)
 
 
 @pytest.mark.parametrize("d, n", [(3, 20), (25, 4)])

@@ -20,6 +20,7 @@ from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
     RpcaInstance,
+    SaddleProblem,
     estimate_smoothness,
     estimate_strong_monotonicity,
     make_bilinear,
@@ -30,7 +31,6 @@ from geosaddle.solvers import (
     SOLVER_KINDS,
     DivergenceError,
     NoiseModel,
-    SaddleProblem,
     initial_state,
     rceg_step,
     rgda_step,
@@ -422,8 +422,9 @@ def test_joint_step_failure_names_the_joint_slice():
     ys = st.y.value.copy()
     ys[3] = np.diag([1.0, 1.0, -1.0])
     bad = replace(st, y=Point(p.m_max, ys))
-    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
-        rceg_step(p, bad, 0.05)
+    for step in (rceg_step, rgda_step):
+        with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
+            step(p, bad, 0.05)
 
 
 # -- running mean ---------------------------------------------------------------------

@@ -14,29 +14,28 @@ checkout's ``src`` with BLAS pinned to one thread and calls
 ``geosaddle.cli.main(argv)`` K times in a fresh temporary directory. It
 times the solve in process: the outermost call of the run driver
 (``solvers.run``) or the reference solve (``harness.solve_reference``).
-Before each call it empties the SPD roots memo of an older checkout that
-has one (``manifolds._MEMO``, or the earlier ``_memo_roots`` cache); a
-checkout whose points carry their own factors has none. The child's time is the
-minimum over its K repeats. One more call, untimed, counts solver steps,
-``np.linalg.eigh`` calls and decompositions (the product of each call's
-leading dimensions), and the same for ``np.linalg.eigvalsh``, which the SPD
-exp runs when it checks a point exactly.
+The child's time is the minimum over its K repeats. One more call,
+untimed, counts solver steps, ``np.linalg.eigh`` calls and decompositions
+(the product of each call's leading dimensions), and the same for
+``np.linalg.eigvalsh``, which the SPD exp runs when it checks a point
+exactly.
 
 The report gives per pair both times and the ratio CHANGE / BASE, then the
 median ratio with its quartiles, each side's median solve time with its
-quartiles, how many pairs each side won (ties count for neither), then
-each side's ``eigh`` and ``eigvalsh`` calls and decompositions per solver step. The last
-line is one JSON object with the same figures.
+quartiles (both from ``bench/run.py``'s ``_spread``), how many pairs each
+side won (ties count for neither), then each side's ``eigh`` and
+``eigvalsh`` calls and decompositions per solver step. The last line is
+one JSON object with the same figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -47,13 +46,19 @@ ROOT = TOOLS.parent
 CHILD_TIMEOUT_S = 600
 
 
-def workloads() -> dict:
-    """``bench/run.py``'s workloads by name, read without running the benchmark."""
+@functools.cache
+def _bench_run():
+    """``bench/run.py`` as a module, loaded without running the benchmark."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through sys.modules
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def workloads() -> dict:
+    """``bench/run.py``'s workloads by name."""
+    return _bench_run().WORKLOADS
 
 
 def _child() -> int:
@@ -64,18 +69,11 @@ def _child() -> int:
 
     import geosaddle.cli
     import geosaddle.harness as harness
-    import geosaddle.manifolds as manifolds
     import geosaddle.solvers as solvers
 
     from tracing import rebind
 
     report_path, repeats, argv = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
-
-    def clear_memo() -> None:
-        if hasattr(manifolds, "_MEMO"):
-            manifolds._MEMO.clear()
-        elif hasattr(manifolds, "_memo_roots"):
-            manifolds._memo_roots.cache_clear()
 
     times: list[float] = []
     depth = [0]
@@ -97,7 +95,6 @@ def _child() -> int:
         rebind(fn, timed(fn))
 
     def solve() -> None:
-        clear_memo()
         rc = geosaddle.cli.main(argv)
         if rc != 0:
             raise SystemExit(f"geosaddle exited {rc}")
@@ -156,17 +153,11 @@ def _run_child(checkout: Path, argv: list[str], repeats: int) -> dict:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _spread(values: list[float]) -> dict:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0], "n": 1}
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
-
-
 def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int) -> dict:
     """Alternating child pairs of ``argv`` on the two checkouts; the report that :func:`main` prints."""
     if pairs < 1 or repeats < 1:
         raise ValueError("pairs and repeats must be >= 1")
+    spread = _bench_run()._spread
     rows = []
     sides: dict[str, dict] = {}
     for i in range(pairs):
@@ -191,8 +182,8 @@ def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int)
         "argv": argv,
         "repeats": repeats,
         "pairs": rows,
-        "ratio": _spread([r["ratio"] for r in rows]),
-        "solve_s": {side: _spread([r[f"{side}_s"] for r in rows]) for side in ("base", "change")},
+        "ratio": spread([r["ratio"] for r in rows]),
+        "solve_s": {side: spread([r[f"{side}_s"] for r in rows]) for side in ("base", "change")},
         "wins": {
             "change": sum(r["change_s"] < r["base_s"] for r in rows),
             "base": sum(r["base_s"] < r["change_s"] for r in rows),
