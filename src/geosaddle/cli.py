@@ -121,7 +121,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if not cfg.out:
-        raise ConfigError("--out is required for run")
+        raise ConfigError("--out is required for run (flag or config file)")
     trace, _meta = execute_run(cfg)
     logger.info("wrote %d rows to %s", len(trace.rows), cfg.out)
     return 0
@@ -139,18 +139,20 @@ def _cmd_grid_search(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    if not cfg.out:
+        raise ConfigError("--out is required for reference (flag or config file)")
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise ConfigError(f"tol must be positive and finite, got {args.tol!r}")
     if args.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     problem = build_problem(cfg)
     x0, y0 = start_points(cfg, problem)
-    eta = None if isinstance(cfg.eta, str) else float(cfg.eta)
+    eta = None if isinstance(cfg.eta, str) else cfg.eta
     x, y, gn, iters = solve_reference(
         problem, tol=args.tol, max_iters=args.max_iters, seed=cfg.seed, eta=eta, x0=x0, y0=y0
     )
-    write_reference(args.out, x, y, gn, iters)
-    logger.info("reference saddle written to %s (grad norm %.3e, %d iterations)", args.out, gn, iters)
+    write_reference(cfg.out, x, y, gn, iters)
+    logger.info("reference saddle written to %s (grad norm %.3e, %d iterations)", cfg.out, gn, iters)
     return 0
 
 
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_oracle_flags(p_run)
     _add_eta_flag(p_run)
     _add_run_only_flags(p_run)
-    p_run.add_argument("--out", required=True, help="trace CSV output path")
+    p_run.add_argument("--out", help="trace CSV output path")
     p_run.set_defaults(fn=_cmd_run)
 
     p_grid = sub.add_parser("grid-search", help="rank step-size candidates on short runs")
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eta_flag(p_ref)
     p_ref.add_argument("--tol", type=float, default=1e-10, help="target combined gradient norm")
     p_ref.add_argument("--max-iters", type=int, default=200_000)
-    p_ref.add_argument("--out", required=True, help="reference JSON output path")
+    p_ref.add_argument("--out", help="reference JSON output path")
     p_ref.set_defaults(fn=_cmd_reference)
 
     p_plot = sub.add_parser("plot", help="emit long-format plot data (and optional SVG) from traces")

@@ -32,7 +32,6 @@ from .manifolds import Manifold, Point
 __all__ = [
     "xi_lower",
     "xi_upper",
-    "tau",
     "CurvatureConstants",
     "constants_at",
     "GeodesicTriangle",
@@ -92,13 +91,6 @@ def xi_upper(kappa_min: float, c: float) -> float:
     return x / math.tanh(x)
 
 
-def tau(kappa_min: float, kappa_max: float, c: float) -> float:
-    """Distortion ratio xi_upper(kappa_min, c) / xi_lower(kappa_max, c) >= 1."""
-    if kappa_min > kappa_max:
-        raise ValueError("kappa_min must not exceed kappa_max")
-    return xi_upper(kappa_min, c) / xi_lower(kappa_max, c)
-
-
 @dataclass(frozen=True)
 class CurvatureConstants:
     """The three comparison constants evaluated at a reference length."""
@@ -119,6 +111,8 @@ class CurvatureConstants:
 
 def constants_at(kappa_min: float, kappa_max: float, c: float) -> CurvatureConstants:
     """Evaluate all three constants at length ``c`` (typically a diameter bound)."""
+    if kappa_min > kappa_max:
+        raise ValueError("kappa_min must not exceed kappa_max")
     lo = xi_lower(kappa_max, c)
     hi = xi_upper(kappa_min, c)
     return CurvatureConstants(xi_lower0=lo, xi_upper0=hi, tau0=hi / lo, at_c=c)
@@ -126,16 +120,12 @@ def constants_at(kappa_min: float, kappa_max: float, c: float) -> CurvatureConst
 
 @dataclass(frozen=True)
 class GeodesicTriangle:
-    """A geodesic triangle with the angle at vertex ``p``.
+    """The sides of a geodesic triangle pqr and its angle at vertex ``p``, made by :meth:`from_vertices`.
 
     Side ``a`` is opposite ``p``; sides ``b = d(p, r)`` and ``c = d(p, q)``
     meet at ``p`` with angle ``angle`` computed from the log maps there.
     """
 
-    manifold: Manifold
-    p: Point
-    q: Point
-    r: Point
     a: float
     b: float
     c: float
@@ -147,21 +137,7 @@ class GeodesicTriangle:
         b = m.distance(p, r)
         c = m.distance(p, q)
         angle = _angle_at(m, p, q, r, b, c)
-        return cls(manifold=m, p=p, q=q, r=r, a=a, b=b, c=c, angle=angle)
-
-    def check_consistent(self, tol: float = 1e-10) -> None:
-        """Recompute sides and angle from the vertices and compare."""
-        m = self.manifold
-        for stored, fresh in (
-            (self.a, m.distance(self.q, self.r)),
-            (self.b, m.distance(self.p, self.r)),
-            (self.c, m.distance(self.p, self.q)),
-        ):
-            if abs(stored - fresh) > tol * (1.0 + abs(fresh)):
-                raise ValueError("stored side length disagrees with the vertices")
-        fresh_angle = _angle_at(m, self.p, self.q, self.r, self.b, self.c)
-        if abs(math.cos(self.angle) - math.cos(fresh_angle)) > tol:
-            raise ValueError("stored angle disagrees with the vertices")
+        return cls(a=a, b=b, c=c, angle=angle)
 
 
 def _angle_at(m: Manifold, p: Point, q: Point, r: Point, b: float, c: float) -> float:

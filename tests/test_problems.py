@@ -97,6 +97,17 @@ def test_rpca_alpha_scales_penalty_linearly():
     assert abs((v2 - quad) - 2.0 * (v1 - quad)) < 1e-10
 
 
+def test_rpca_value_reads_its_distances_from_the_spd_manifold():
+    d, n = 25, 40
+    inst = RpcaInstance.generate(d=d, n=n, alpha=1.5, seed=3)
+    spd = Spd(d)
+    rng = np.random.default_rng(4)
+    m, x = spd.random_point(rng), Sphere(d).random_point(rng)
+    penalty = sum(spd.distance(m, spd.point(mi)) for mi in inst.data)
+    want = -float(x.value @ m.value @ x.value) - (inst.alpha / n) * penalty
+    assert abs(rpca_value(inst, x, m) - want) < 1e-12
+
+
 def test_rpca_sphere_gradient_is_tangent():
     inst = RpcaInstance.generate(d=5, n=6, alpha=1.0, seed=3)
     sph, spd = Sphere(5), Spd(5)
