@@ -442,31 +442,49 @@ def make_bilinear(inst: BilinearInstance) -> SaddleProblem:
 
 
 def _sampled_pairs(problem: SaddleProblem, samples: int, rng: np.random.Generator):
-    """``samples`` random point pairs (x1, y1, x2, y2) with their distances d(x1, x2) and d(y1, y2)."""
+    """``samples`` pairs among random points, each point's exact gradient computed once.
+
+    Draws points (x_k, y_k) one at a time, each side from its manifold's
+    ``random_point``, and calls ``problem.grad`` once per point. Each new
+    point j is paired with every earlier point i < j, in draw order, and a
+    pair is yielded as ``(x_j, y_j, gx_j, gy_j), (x_i, y_i, gx_i, gy_i),
+    d(x_j, x_i), d(y_j, y_i)``; the generator stops after ``samples``
+    pairs. So P pairs cost K gradients, the smallest K with
+    K(K - 1)/2 >= P (12 for 64 pairs, 17 for 128), plus one distance per
+    side for each pair, and the first P pairs of a larger ``samples`` at
+    the same generator state are the P pairs of ``samples = P``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mx, my = problem.m_min, problem.m_max
-    for _ in range(samples):
-        x1, y1 = mx.random_point(rng), my.random_point(rng)
-        x2, y2 = mx.random_point(rng), my.random_point(rng)
-        yield x1, y1, x2, y2, mx.distance(x1, x2), my.distance(y1, y2)
+    points: list[tuple] = []
+    left = samples
+    while True:
+        x, y = mx.random_point(rng), my.random_point(rng)
+        new = (x, y, *problem.grad(x, y))
+        for old in points:
+            yield new, old, mx.distance(x, old[0]), my.distance(y, old[1])
+            left -= 1
+            if left == 0:
+                return
+        points.append(new)
 
 
 def estimate_smoothness(problem: SaddleProblem, samples: int, rng: np.random.Generator) -> float:
     """Empirical gradient-Lipschitz modulus: max transported-difference ratio.
 
-    Draws pairs of random points and returns the largest ratio between the
-    transported gradient difference and the sum of the two displacement
-    distances, over both gradient blocks. Nondecreasing in ``samples`` for
-    a fixed seed; a lower bound on the true modulus.
+    Over ``samples`` pairs of random points (see :func:`_sampled_pairs`:
+    the pairs share their points, so 64 pairs cost 12 gradients), returns
+    the largest ratio between the transported gradient difference and the
+    sum of the two displacement distances, over both gradient blocks.
+    Nondecreasing in ``samples`` for a fixed seed, since a larger count
+    only adds pairs; a lower bound on the true modulus.
     """
     best = 0.0
-    for x1, y1, x2, y2, dx, dy in _sampled_pairs(problem, samples, rng):
+    for (x1, y1, gx1, gy1), (x2, y2, gx2, gy2), dx, dy in _sampled_pairs(problem, samples, rng):
         dist = dx + dy
         if dist < 1e-12:
             continue
-        gx1, gy1 = problem.grad(x1, y1)
-        gx2, gy2 = problem.grad(x2, y2)
         dx = gx1 - problem.m_min.transport(x2, x1, gx2)
         dy = gy1 - problem.m_max.transport(y2, y1, gy2)
         best = max(best, problem.m_min.norm(dx) / dist, problem.m_max.norm(dy) / dist)
@@ -476,18 +494,18 @@ def estimate_smoothness(problem: SaddleProblem, samples: int, rng: np.random.Gen
 def estimate_strong_monotonicity(problem: SaddleProblem, samples: int, rng: np.random.Generator) -> float:
     """Empirical modulus of the saddle field (grad_x, -grad_y).
 
-    Returns the smallest sampled value of the two-point monotonicity
-    quotient; positive values certify strong convexity-concavity on the
-    sampled region, nonpositive values flag that the instance is not
-    strongly monotone there.
+    Over ``samples`` pairs of random points (see :func:`_sampled_pairs`:
+    128 pairs cost 17 gradients, and each pair two logs per side), returns
+    the smallest sampled value of the two-point monotonicity quotient;
+    positive values certify strong convexity-concavity on the sampled
+    region, nonpositive values flag that the instance is not strongly
+    monotone there.
     """
     worst = math.inf
-    for x1, y1, x2, y2, dx, dy in _sampled_pairs(problem, samples, rng):
+    for (x1, y1, gx1, gy1), (x2, y2, gx2, gy2), dx, dy in _sampled_pairs(problem, samples, rng):
         d2 = dx**2 + dy**2
         if d2 < 1e-12:
             continue
-        gx1, gy1 = problem.grad(x1, y1)
-        gx2, gy2 = problem.grad(x2, y2)
         val = (
             -problem.m_min.inner(gx1, problem.m_min.log(x1, x2))
             - problem.m_min.inner(gx2, problem.m_min.log(x2, x1))

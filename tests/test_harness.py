@@ -218,11 +218,21 @@ def test_solve_reference_karcher_bits_at_350_iterations():
 
 
 def test_failed_reference_solve_carries_its_partial_trace():
+    # The auto step 1/(2 l^) = 0.377 leaves the PD cone before the first recorded row past 0.
     p = build_problem(RunConfig(problem="rpca", d=5, n=8, alpha=3.0, seed=7))
-    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 25: ") as err:
+    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 14: ") as err:
         solve_reference(p, tol=1e-8, seed=7)
     rows = err.value.trace.rows
-    assert [r.iter for r in rows] == [0, 25]
+    assert [r.iter for r in rows] == [0]
+    assert all(math.isfinite(r.grad_norm) for r in rows)
+
+
+def test_failed_reference_solve_at_a_fixed_step_carries_every_recorded_row():
+    p = build_problem(RunConfig(problem="rpca", d=5, n=8, alpha=3.0, seed=7))
+    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 50: ") as err:
+        solve_reference(p, tol=1e-8, seed=7, eta=0.36)
+    rows = err.value.trace.rows
+    assert [r.iter for r in rows] == [0, 25, 50]
     assert all(math.isfinite(r.grad_norm) for r in rows)
 
 

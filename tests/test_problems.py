@@ -1,5 +1,6 @@
 """Problem oracles: values, gradients vs finite differences, data generation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from geosaddle.manifolds import NumericError, Point, Product, Spd, Sphere, _sym, random_orthogonal
 from geosaddle.problems import (
     _SUBGRAD_TOL,
+    _sampled_pairs,
     BilinearInstance,
     KarcherInstance,
     MinibatchOracle,
@@ -520,6 +522,34 @@ def test_estimate_smoothness_nondecreasing_in_samples():
     a = estimate_smoothness(p, 50, np.random.default_rng(25))
     b = estimate_smoothness(p, 200, np.random.default_rng(25))
     assert b >= a
+
+
+def test_estimators_compute_one_gradient_per_sampled_point():
+    # 64 pairs among 12 points (66 >= 64 > 55) and 128 among 17 (136 >= 128 > 120).
+    base = make_rpca(RpcaInstance.generate(d=3, n=4, alpha=2.0, seed=31))
+    calls = []
+    p = dataclasses.replace(base, grad=lambda x, y: calls.append(1) or base.grad(x, y))
+    estimate_smoothness(p, 64, np.random.default_rng(32))
+    assert len(calls) == 12
+    calls.clear()
+    estimate_strong_monotonicity(p, 128, np.random.default_rng(33))
+    assert len(calls) == 17
+
+
+def _pair_arrays(pair):
+    (x1, y1, gx1, gy1), (x2, y2, gx2, gy2), dx, dy = pair
+    return [x1.value, y1.value, gx1.value, gy1.value, x2.value, y2.value, gx2.value, gy2.value, dx, dy]
+
+
+def test_sampled_pairs_of_a_smaller_count_are_a_prefix_of_a_larger_one():
+    p = make_karcher(KarcherInstance.generate(d=2, n_anchors=3, gamma=3.0, seed=34))
+    few = [_pair_arrays(pair) for pair in _sampled_pairs(p, 45, np.random.default_rng(35))]
+    many = [_pair_arrays(pair) for pair in _sampled_pairs(p, 100, np.random.default_rng(35))]
+    assert len(few) == 45 and len(many) == 100
+    for a, b in zip(few, many[:45]):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    # Each new point pairs with every earlier one: pair 0 is (1, 0), pairs 1-2 are (2, 0) and (2, 1).
+    assert np.array_equal(few[0][4], few[1][4]) and np.array_equal(few[1][0], few[2][0])
 
 
 def test_estimate_strong_monotonicity_on_quadratic():

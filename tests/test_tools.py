@@ -79,8 +79,24 @@ def test_ab_compares_a_checkout_with_itself():
     assert counts["base"] == counts["change"]
     assert counts["base"]["steps"] > 0 and counts["base"]["eigh_calls"] > 0
     assert counts["base"]["decompositions"] >= counts["base"]["eigh_calls"]
+    # Setup runs from cli.main's entry to the first driver call, so it is timed apart from the solve.
+    assert pair["base_setup_s"] > 0 and pair["change_setup_s"] > 0
+    assert pair["setup_ratio"] == pair["change_setup_s"] / pair["base_setup_s"]
+    assert report["setup_ratio"]["median"] == pair["setup_ratio"]
+    assert report["setup_s"]["base"]["median"] == pair["base_setup_s"]
+    assert report["setup_s"]["change"]["q1"] == pair["change_setup_s"]
+    setup_wins = report["setup_wins"]
+    assert setup_wins == {
+        "change": int(pair["change_setup_s"] < pair["base_setup_s"]),
+        "base": int(pair["base_setup_s"] < pair["change_setup_s"]),
+    }
     lines = ab.report_lines(report)
     assert lines[-2].startswith("change: ") and "eigh calls" in lines[-2] and "eigvalsh calls" in lines[-2]
     assert counts["base"]["eigvalsh_decompositions"] >= counts["base"]["eigvalsh_calls"] >= 0
-    assert lines[-4].startswith(f"wins: change {wins['change']} of 1 pairs, base {wins['base']}")
-    assert lines[-5].startswith("change solve: median ")
+    assert lines[-4].startswith(f"setup wins: change {setup_wins['change']} of 1 pairs, base {setup_wins['base']}")
+    assert lines[-5].startswith("change setup: median ") and lines[-6].startswith("base setup: median ")
+    assert lines[-7].startswith("setup ratio change/base: median ")
+    assert lines[-8].startswith(f"solve wins: change {wins['change']} of 1 pairs, base {wins['base']}")
+    assert lines[-9].startswith("change solve: median ")
+    assert lines[-11].startswith("solve ratio change/base: median ")
+    assert "; setup base " in lines[-12]

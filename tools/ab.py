@@ -14,16 +14,20 @@ checkout's ``src`` with BLAS pinned to one thread and calls
 ``geosaddle.cli.main(argv)`` K times in a fresh temporary directory. It
 times the solve in process: the outermost call of the run driver
 (``solvers.run``) or the reference solve (``harness.solve_reference``).
-The child's time is the minimum over its K repeats. One more call,
+It also times the setup: from the entry of ``geosaddle.cli.main`` to the
+first outermost driver call, which covers the instance, the schedule
+(with the estimates of ``--eta auto``) and the start point. The child's
+times are the minimum over its K repeats. One more call,
 untimed, counts solver steps, ``np.linalg.eigh`` calls and decompositions
 (the product of each call's leading dimensions), and the same for
 ``np.linalg.eigvalsh``, which the SPD exp runs when it checks a point
 exactly.
 
-The report gives per pair both times and the ratio CHANGE / BASE, then the
-median ratio with its quartiles, each side's median solve time with its
-quartiles (both from ``bench/run.py``'s ``_spread``), how many pairs each
-side won (ties count for neither), then each side's ``eigh`` and
+The report gives per pair both solve times and the ratio CHANGE / BASE,
+and the same for setup. Then, for the solve and then for the setup, the
+median ratio with its quartiles, each side's median time with its
+quartiles (both from ``bench/run.py``'s ``_spread``) and how many pairs
+each side won (ties count for neither). Then come each side's ``eigh`` and
 ``eigvalsh`` calls and decompositions per solver step. The last line is
 one JSON object with the same figures.
 """
@@ -76,10 +80,14 @@ def _child() -> int:
     report_path, repeats, argv = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
 
     times: list[float] = []
+    setups: list[float] = []
+    entered: list[float] = []  # the perf_counter at cli.main's entry, until the first driver call
     depth = [0]
 
     def timed(fn):
         def call(*args, **kwargs):
+            if depth[0] == 0 and entered:
+                setups.append(time.perf_counter() - entered.pop())
             depth[0] += 1
             t0 = time.perf_counter()
             try:
@@ -95,14 +103,16 @@ def _child() -> int:
         rebind(fn, timed(fn))
 
     def solve() -> None:
+        entered[:] = [time.perf_counter()]
         rc = geosaddle.cli.main(argv)
         if rc != 0:
             raise SystemExit(f"geosaddle exited {rc}")
 
     for _ in range(repeats):
         solve()
-    if len(times) != repeats:
-        raise SystemExit(f"expected one timed solve per repeat, got {len(times)} in {repeats}")
+    if len(times) != repeats or len(setups) != repeats:
+        raise SystemExit(f"expected one timed setup and solve per repeat, got {len(setups)} and {len(times)}")
+    timed_s = {"solve_s": min(times), "setup_s": min(setups)}
 
     counts = {"steps": 0, "eigh_calls": 0, "decompositions": 0, "eigvalsh_calls": 0, "eigvalsh_decompositions": 0}
 
@@ -127,7 +137,7 @@ def _child() -> int:
     np.linalg.eigvalsh = counted(np.linalg.eigvalsh, "eigvalsh_calls", "eigvalsh_decompositions")
     solve()
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"solve_s": min(times), "counts": counts}, fh)
+        json.dump({**timed_s, "counts": counts}, fh)
     return 0
 
 
@@ -153,6 +163,10 @@ def _run_child(checkout: Path, argv: list[str], repeats: int) -> dict:
         shutil.rmtree(work, ignore_errors=True)
 
 
+# Each timed phase: the prefix of its keys in a pair row and in the report, and its name.
+_PHASES = (("", "solve"), ("setup_", "setup"))
+
+
 def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int) -> dict:
     """Alternating child pairs of ``argv`` on the two checkouts; the report that :func:`main` prints."""
     if pairs < 1 or repeats < 1:
@@ -167,7 +181,11 @@ def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int)
             if sides.setdefault(side, rep["counts"]) != rep["counts"]:
                 raise RuntimeError(f"{side} counts differ between children: {rep['counts']} vs {sides[side]}")
         b, c = got["base"]["solve_s"], got["change"]["solve_s"]
-        rows.append({"first": order[0], "base_s": b, "change_s": c, "ratio": c / b})
+        sb, sc = got["base"]["setup_s"], got["change"]["setup_s"]
+        rows.append({
+            "first": order[0], "base_s": b, "change_s": c, "ratio": c / b,
+            "base_setup_s": sb, "change_setup_s": sc, "setup_ratio": sc / sb,
+        })
     counts = {}
     for side, c in sides.items():
         steps = max(c["steps"], 1)
@@ -178,17 +196,22 @@ def compare(base: Path, change: Path, argv: list[str], pairs: int, repeats: int)
             "eigvalsh_per_step": c["eigvalsh_calls"] / steps,
             "eigvalsh_decompositions_per_step": c["eigvalsh_decompositions"] / steps,
         }
+    report = {"argv": argv, "repeats": repeats, "pairs": rows}
+    for prefix, phase in _PHASES:
+        report.update(_summary(rows, prefix, phase, spread))
+    return {**report, "counts": counts}
+
+
+def _summary(rows: list[dict], prefix: str, phase: str, spread) -> dict:
+    """Ratio, per-side spread and wins of one timed phase."""
+    key = {side: f"{side}_{prefix}s" for side in ("base", "change")}
     return {
-        "argv": argv,
-        "repeats": repeats,
-        "pairs": rows,
-        "ratio": spread([r["ratio"] for r in rows]),
-        "solve_s": {side: spread([r[f"{side}_s"] for r in rows]) for side in ("base", "change")},
-        "wins": {
-            "change": sum(r["change_s"] < r["base_s"] for r in rows),
-            "base": sum(r["base_s"] < r["change_s"] for r in rows),
+        f"{prefix}ratio": spread([r[f"{prefix}ratio"] for r in rows]),
+        f"{phase}_s": {side: spread([r[key[side]] for r in rows]) for side in key},
+        f"{prefix}wins": {
+            "change": sum(r[key["change"]] < r[key["base"]] for r in rows),
+            "base": sum(r[key["base"]] < r[key["change"]] for r in rows),
         },
-        "counts": counts,
     }
 
 
@@ -197,20 +220,23 @@ def report_lines(report: dict) -> list[str]:
     for i, r in enumerate(report["pairs"], start=1):
         lines.append(
             f"pair {i:2d} ({r['first']} first): base {r['base_s']:.4f} s, change {r['change_s']:.4f} s,"
-            f" ratio {r['ratio']:.3f}"
+            f" ratio {r['ratio']:.3f}; setup base {r['base_setup_s']:.4f} s, change {r['change_setup_s']:.4f} s,"
+            f" ratio {r['setup_ratio']:.3f}"
         )
-    s = report["ratio"]
-    lines.append(
-        f"ratio change/base: median {s['median']:.3f} (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, n={s['n']} pairs,"
-        f" min of {report['repeats']} solves per child)"
-    )
-    for side in ("base", "change"):
-        t = report["solve_s"][side]
-        lines.append(f"{side} solve: median {t['median']:.4f} s (q1 {t['q1']:.4f}, q3 {t['q3']:.4f})")
-    w = report["wins"]
-    lines.append(
-        f"wins: change {w['change']} of {len(report['pairs'])} pairs, base {w['base']} (ties count for neither)"
-    )
+    for prefix, phase in _PHASES:
+        s = report[f"{prefix}ratio"]
+        lines.append(
+            f"{phase} ratio change/base: median {s['median']:.3f} (q1 {s['q1']:.3f}, q3 {s['q3']:.3f},"
+            f" n={s['n']} pairs, min of {report['repeats']} runs per child)"
+        )
+        for side in ("base", "change"):
+            t = report[f"{phase}_s"][side]
+            lines.append(f"{side} {phase}: median {t['median']:.4f} s (q1 {t['q1']:.4f}, q3 {t['q3']:.4f})")
+        w = report[f"{prefix}wins"]
+        lines.append(
+            f"{phase} wins: change {w['change']} of {len(report['pairs'])} pairs, base {w['base']}"
+            " (ties count for neither)"
+        )
     for side in ("base", "change"):
         c = report["counts"][side]
         lines.append(
