@@ -59,6 +59,7 @@ from .solvers import (
     Trace,
     TraceRow,
     _drive,
+    initial_state,
     run,
     schedule_practical,
     schedule_rgda_scsc,
@@ -394,9 +395,9 @@ def solve_reference(
     """
     if eta is None:
         eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
-    trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, x0, y0, sigma=None, reference=None,
-                          track_average=False, timing=False, tol=tol, init_rng=rng)
+    start = initial_state(problem, x0, y0, np.random.default_rng(np.random.SeedSequence([seed, 0x1717])))
+    trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, start.x, start.y, sigma=None,
+                          reference=None, track_average=False, timing=False, tol=tol)
     gn = trace.rows[-1].grad_norm
     if gn > tol:
         raise DivergenceError(

@@ -205,6 +205,12 @@ class Manifold:
         value = self._coerce(value, "point")
         return Point(self, value, self._check_point(value))
 
+    def reread(self, p: Point) -> Point:
+        """``p`` with a factor that depends on its payload alone: ``p`` itself when :meth:`point` made its SPD
+        or SPD^N factor, else ``point(p.value)`` (a point that exp made, or one without a factor, is read again)."""
+        self._require_mine(p)
+        return p if isinstance(p.factor, _Factor) and p.factor.s is None else self.point(p.value)
+
     def tangent(self, x: Point, value) -> Tangent:
         """Wrap and validate a raw payload as a tangent vector at ``x``."""
         self._require_mine(x)
@@ -260,10 +266,6 @@ class Manifold:
         self._require_mine(x)
         self._require_mine(y)
         return float(self._distance(x.value, y.value, x.factor))
-
-    def zero_tangent(self, x: Point) -> Tangent:
-        self._require_mine(x)
-        return Tangent(x, _payload_scale(x.value, 0.0) if isinstance(x.value, tuple) else np.zeros_like(x.value))
 
     # -- randomness ----------------------------------------------------------
     def random_point(self, rng: np.random.Generator) -> Point:
@@ -445,7 +447,7 @@ def _slice_name(bad: np.ndarray) -> str:
 
 
 def _check_pd(w: np.ndarray, what: str, bound: Optional[np.ndarray] = None) -> None:
-    """Reject ascending eigenvalue rows (..., n) of a non-PD slice by index, with its condition ``bound`` if given."""
+    """Reject ascending eigenvalue rows (..., n) of a non-PD slice by index, with exp's beta ``bound`` if given."""
     finite = np.isfinite(w).all(axis=-1)
     if not finite.all():
         raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
@@ -464,12 +466,16 @@ def _eigh_checked(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of a matrix or of each slice of a (..., n, n) stack."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    # vecdot runs the same BLAS dot as np.linalg.norm of one C-ordered matrix, so a 2-D call keeps its bits.
+    return np.vecdot(flat, flat)
+
+
 def _require_symmetric(a: np.ndarray, what: str) -> None:
     """Reject a matrix or (..., n, n) stack with a slice whose skew part passes _SYM_TOL of its norm."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    skew = (a - a.swapaxes(-1, -2)).reshape(flat.shape)
-    # vecdot runs the same BLAS dot as np.linalg.norm of one C-ordered matrix, so a 2-D check keeps its bits.
-    bad = np.sqrt(np.vecdot(skew, skew)) > _SYM_TOL * np.maximum(np.sqrt(np.vecdot(flat, flat)), 1.0)
+    bad = np.sqrt(_squared_norms(a - a.swapaxes(-1, -2))) > _SYM_TOL * np.maximum(np.sqrt(_squared_norms(a)), 1.0)
     if bad.any():
         raise ValueError(f"{what}{_slice_name(bad)} must be symmetric")
 
@@ -507,33 +513,32 @@ def _root_sum_squares(dists: list[float]) -> float:
 
 
 class _Factor(NamedTuple):
-    """A square-root factor of an SPD payload: per slice X = G G^T, with G^-1 and a bound on cond(X).
+    """A square-root factor of an SPD payload: per slice X = G G^T, with G^-1.
 
     An exp result also keeps its base point's payload, which the log back to it recognises by identity, and
-    the eigenvalues ``s`` of the exp's whitened velocity, so that log is -G diag(s) G^T. Made by
-    :func:`_read_only_factor`.
+    the eigenvalues ``s`` of the exp's whitened velocity, so that log is -G diag(s) G^T; ``s`` is None only on
+    a factor read from its payload alone (:func:`_root_factor`). Made by :func:`_read_only_factor`.
     """
 
     g: np.ndarray
     g_inv: np.ndarray
-    bound: np.ndarray  # one upper bound per slice
     base: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
 
 
-def _read_only_factor(g, g_inv, bound, base=None, s=None) -> _Factor:
+def _read_only_factor(g, g_inv, base=None, s=None) -> _Factor:
     """A :class:`_Factor` with its own arrays read-only; ``base`` is only referred to."""
-    for a in (g, g_inv, bound, s):
+    for a in (g, g_inv, s):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
-    return _Factor(g, g_inv, bound, base, s)
+    return _Factor(g, g_inv, base, s)
 
 
 def _root_factor(x: np.ndarray) -> _Factor:
-    """G = X^1/2 of each slice of a payload, with G^-1 and the exact condition number, from one checked
-    decomposition. A non-PD payload raises, as ``SPD point``."""
+    """G = X^1/2 of each slice of a payload, with G^-1, from one checked decomposition. A non-PD payload
+    raises, as ``SPD point``."""
     w, q = _eigh_checked(x, "SPD point")
-    return _read_only_factor(_spectral(q, np.sqrt(w)), _inv_sqrt(q, w), w[..., -1] / w[..., 0])
+    return _read_only_factor(_spectral(q, np.sqrt(w)), _inv_sqrt(q, w))
 
 
 def _factor_of(x: np.ndarray, f: Optional[_Factor]) -> _Factor:
@@ -542,15 +547,15 @@ def _factor_of(x: np.ndarray, f: Optional[_Factor]) -> _Factor:
 
 
 def _stacked_factor(fx: _Factor, fys: _Factor) -> _Factor:
-    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys."""
-    stacked = (_spd_stack(a, b) for a, b in ((fx.g, fys.g), (fx.g_inv, fys.g_inv), (fx.bound, fys.bound)))
-    return _read_only_factor(*stacked)
+    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys, for the kernels at the stack."""
+    return _read_only_factor(_spd_stack(fx.g, fys.g), _spd_stack(fx.g_inv, fys.g_inv))
 
 
 def _split_factor(f: _Factor, shape: tuple[int, ...]) -> tuple[_Factor, _Factor]:
-    """The factors of x and of ys (of ``shape``) as views of the factor ``f`` of ``_spd_stack(x, ys)``."""
-    rest = (f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape), f.bound[1:].reshape(shape[:-2]))
-    return _Factor(f.g[0], f.g_inv[0], f.bound[0]), _Factor(*rest)
+    """The factors of x and of ys (of ``shape``) as views of the factor ``f`` of ``_spd_stack(x, ys)``; each
+    keeps its part of an exp's ``s`` (so it is not taken for a root), but no base for the log shortcut."""
+    s_x, s_ys = (None, None) if f.s is None else (f.s[0], f.s[1:].reshape(shape[:-1]))
+    return _Factor(f.g[0], f.g_inv[0], s=s_x), _Factor(f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape), s=s_ys)
 
 
 def _whiten(f: _Factor, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -572,16 +577,16 @@ class Spd(Manifold):
 
     The payload kernels broadcast over (..., n, n) stacks in any argument,
     giving each slice the same bits as a call on that slice alone. Each
-    point carries its factor, with G^-1 and a bound on its condition number
-    (``Point.factor``). ``Manifold.point`` and ``random_point`` make
-    G = X^1/2 from the decomposition that validates X, with its exact
-    condition number. exp makes its result's factor from its own
-    decomposition, with no new one: if G^-1 V G^-T = Q diag(s) Q^T, then
-    exp_X(V) = F F^T with F = G Q diag(e^(s/2)), and the log back to X
-    (the same payload object) is -F diag(s) F^T. The result's bound is
-    cond(X) e^(s_max - s_min). exp checks its result with an exact
-    eigenvalue solve only when that bound passes 1e-2 / ``_PD_RTOL``, so a
-    result that is not PD fails in exp, as ``SPD exp``.
+    point carries its factor and G^-1 (``Point.factor``). ``Manifold.point``
+    and ``random_point`` make G = X^1/2 from the decomposition that
+    validates X. exp makes its result's factor with no new decomposition:
+    if G^-1 V G^-T = Q diag(s) Q^T, then exp_X(V) = F F^T with
+    F = G Q diag(e^(s/2)), F^-1 = diag(e^(-s/2)) Q^T G^-1, and the log back
+    to X (the same payload object) is -F diag(s) F^T. Each slice's
+    beta = |F|_F^2 |F^-1|_F^2 is at least cond(F F^T); exp checks its result
+    with an exact eigenvalue solve only when a beta passes 1e-2 / ``_PD_RTOL``
+    or is not finite, so a result that is not PD fails in exp, as
+    ``SPD exp``, naming its slice and that slice's beta as its bound.
     """
 
     n: int
@@ -613,7 +618,7 @@ class Spd(Manifold):
 
     def _exp(self, x, v, fx=None):
         base = _factor_of(x, fx)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # huge or underflowed: fail or check below
             try:
                 s, q = np.linalg.eigh(_sym(_congruence(base.g_inv, v)))
             except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
@@ -624,18 +629,16 @@ class Spd(Manifold):
             # F = G Q diag(e^(s/2)); a finite e^s near the float limit can still overflow in F F^T.
             h = np.exp(0.5 * s)
             g = base.g @ (q * h[..., None, :])
+            g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ base.g_inv
             out = _sym(g @ g.swapaxes(-1, -2))
-            bound = base.bound * np.exp(s[..., -1] - s[..., 0])
+            beta = _squared_norms(g) * _squared_norms(g_inv)
         if not np.isfinite(out).all():
             bad = ~np.isfinite(out).all(axis=(-2, -1))
             raise NumericError(f"SPD exp: overflow in matrix exponential{_slice_name(bad)}")
-        if (bound > _BOUND_CHECK).any():
-            w = np.linalg.eigvalsh(out)
-            _check_pd(w, "SPD exp", bound)
-            bound = w[..., -1] / w[..., 0]
-        g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ base.g_inv
+        if not (beta <= _BOUND_CHECK).all():  # a NaN or infinite beta is checked too
+            _check_pd(np.linalg.eigvalsh(out), "SPD exp", beta)
         out.flags.writeable = False  # the factor below stays this payload's
-        return out, _read_only_factor(g, g_inv, np.asarray(bound), x, s)
+        return out, _read_only_factor(g, g_inv, x, s)
 
     def _log(self, x, y, fx=None):
         f = _factor_of(x, fx)

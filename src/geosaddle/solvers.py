@@ -128,10 +128,7 @@ class SolverState:
 
 
 def _start(m: Manifold, p: Optional[Point], rng: Optional[np.random.Generator]) -> Point:
-    if p is None:
-        return m.random_point(rng)
-    m._require_mine(p)
-    return m.point(p.value)
+    return m.random_point(rng) if p is None else m.reread(p)
 
 
 def initial_state(
@@ -139,9 +136,9 @@ def initial_state(
 ) -> SolverState:
     """The state at t = 0 from (x0, y0), a missing one drawn from ``rng``, x0 first.
 
-    A given point is read again through ``Manifold.point``: a point that an earlier run's exp made carries
-    that exp's factor, and read again it carries its payload's own, so a run's bits depend only on its start
-    payloads.
+    A given point goes through ``Manifold.reread``: a point that an earlier run's exp made carries that exp's
+    factor, and read again it carries its payload's own, so a run's bits depend only on its start payloads.
+    A point that ``Manifold.point`` made is kept as it is, with no second decomposition.
     """
     return SolverState(x=_start(problem.m_min, x0, rng), y=_start(problem.m_max, y0, rng), t=0)
 
@@ -405,10 +402,10 @@ def run(
 
     Everything is deterministic given ``seed``: initial points (when not
     pinned), the stochastic-oracle stream, and the noise sub-streams all
-    derive from it. Pinned ``x0``/``y0`` are read again through
-    ``Manifold.point`` (:func:`initial_state`), so only their payloads
-    count. Row 0 of the trace holds the metrics of the initial state.
-    Without ``tol`` every step adds a row. With ``tol`` a row is recorded
+    derive from it. Pinned ``x0``/``y0`` go through ``Manifold.reread``
+    (:func:`initial_state`), so only their payloads count. Row 0 of the
+    trace holds the metrics of the initial state. Without ``tol`` every
+    step adds a row. With ``tol`` a row is recorded
     every 25 steps and after the last one, and the run stops at
     the first such row whose gradient norm is at or below ``tol``; the
     returned state's ``t`` counts the steps taken. When the gradient norm
@@ -427,10 +424,8 @@ def run(
     return _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol)
 
 
-def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol,
-           init_rng=None):
+def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference, track_average, timing, tol):
     # The loop of run, called directly by harness.solve_reference so that bench/tracing.py sees one driver span.
-    # Missing start points are drawn from init_rng, by default a generator spawned from the seed.
     kind = SOLVER_KINDS.get(solver_kind)
     if kind is None:
         raise ValueError(f"unknown solver {solver_kind!r}; expected one of {tuple(SOLVER_KINDS)}")
@@ -447,7 +442,7 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
     passes_per_call = getattr(problem.stochastic_grad, "passes_per_call", 1.0) if sampled else 1.0
     step = rceg_step if kind.extragradient else rgda_step
 
-    state = start = initial_state(problem, x0, y0, init_rng or np.random.default_rng(init_ss))
+    state = start = initial_state(problem, x0, y0, np.random.default_rng(init_ss))
 
     calls = 2 if kind.extragradient else 1
     trace = Trace()

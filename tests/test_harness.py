@@ -802,13 +802,13 @@ def test_cli_integer_sigma_from_a_config_file_writes_the_bytes_of_the_flag(tmp_p
 
 
 def test_cli_exp_result_that_is_not_pd_fails_in_exp(tmp_path, caplog):
-    # exp checks its own result once its condition bound passes 1e10, so the failure names exp and the
-    # bound; it used to surface one kernel later as "SPD point: eigenvalue -3.716e-08 below the PD threshold".
+    # exp checks its own result once its condition bound beta passes 1e10, so the failure names exp and
+    # beta; it used to surface one kernel later as "SPD point: eigenvalue -3.716e-08 below the PD threshold".
     argv = ["run", "--problem", "rpca", "--d", "3", "--n", "5", "--solver", "rgda", "--seed", "1", "--eta", "30"]
     assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 3
     assert (
         "numeric failure: geometry kernel failed at iteration 0: SPD exp: eigenvalue -6.942e-09 below the PD"
-        " threshold (condition bound 3.733e+26)"
+        " threshold (condition bound 5.125e+25)"
     ) in caplog.text
 
 
@@ -840,6 +840,21 @@ def test_run_from_a_reference_written_in_process_writes_the_bytes_of_a_fresh_pro
     argv[-1] = str(tmp_path / "ref.json")
     assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
     assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_cli_run_from_init_from_decomposes_as_often_as_from_a_drawn_start(tmp_path, monkeypatch):
+    # A loaded start point keeps the factor that its load made; it used to be decomposed again (12 calls, not 10).
+    problem = ["--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "1"]
+    assert main(["reference", *problem, "--tol", "1e-6", "--out", str(tmp_path / "ref.json")]) == 0
+    argv = ["run", *problem, "--iters", "1", "--solver", "rceg", "--eta", "0.05", "--out", str(tmp_path / "t.csv")]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    counts = []
+    for init in ([], ["--init-from", str(tmp_path / "ref.json")]):
+        calls.clear()
+        assert main([*argv, *init]) == 0
+        counts.append(len(calls))
+    assert counts == [10, 10]
 
 
 def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):

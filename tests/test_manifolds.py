@@ -33,6 +33,11 @@ def e_i(d, i):
     return v
 
 
+def _zeros(x):
+    """The zero payload of a tangent at ``x``."""
+    return tuple(map(np.zeros_like, x.value)) if isinstance(x.value, tuple) else np.zeros_like(x.value)
+
+
 MANIFOLDS = {
     "euclidean": (Euclidean(25), 1.0),
     "sphere": (Sphere(25), 0.5 * math.pi),  # half the injectivity radius
@@ -418,8 +423,7 @@ def test_spd_point_factor_is_bit_equal_to_a_fresh_decomposition(monkeypatch):
     monkeypatch.undo()
     w, q = np.linalg.eigh(_sym(x))
     s, qt = np.sqrt(w)[..., None, :], q.swapaxes(-1, -2)
-    for got, fresh in zip(p.factor, (_sym((q * s) @ qt), _sym((q / s) @ qt), w[:, -1] / w[:, 0])):
-        assert np.array_equal(got, fresh)
+    assert np.array_equal(p.factor.g, _sym((q * s) @ qt)) and np.array_equal(p.factor.g_inv, _sym((q / s) @ qt))
 
 
 def test_a_write_to_the_source_array_cannot_reach_a_point_or_its_factor():
@@ -449,7 +453,7 @@ def test_a_non_pd_point_raises_on_every_call(monkeypatch):
     bad = np.diag([1.0, 1.0, -1.0])
     x, y = Point(m, bad), m.point(np.eye(3))  # x built without validation, so without a factor
     counted = _count_eigh(monkeypatch)
-    calls = (lambda: m.point(bad), lambda: m.log(x, y), lambda: m.distance(x, y), lambda: m.exp(x, m.zero_tangent(x)))
+    calls = (lambda: m.point(bad), lambda: m.log(x, y), lambda: m.distance(x, y), lambda: m.exp(x, m.tangent(x, _zeros(x))))
     for _ in range(2):
         for call in calls:
             with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -1\.000e\+00 below the PD threshold$"):
@@ -462,13 +466,13 @@ def test_exp_results_carry_read_only_factors_and_a_failure_raises_every_time():
     x = m.random_point(rng)
     for _ in range(24):
         x = m.exp(x, 0.1 * m.standard_gaussian_tangent(x, rng))
-    for a in (x.value, x.factor.g, x.factor.g_inv, x.factor.bound, x.factor.s):
+    for a in (x.value, x.factor.g, x.factor.g_inv, x.factor.s):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     eye = m.point(np.eye(3))
     v = m.tangent(eye, np.diag([0.0, 0.0, -30.0]))
-    for _ in range(2):  # e^-30 on one eigenvalue of X = I: condition number 1.07e13
-        msg = r"^SPD exp: eigenvalue 9\.358e-14 below the PD threshold \(condition bound 1\.069e\+13\)$"
+    for _ in range(2):  # e^-30 on one eigenvalue of X = I: condition number 1.07e13, beta (2 + e^-30) e^30
+        msg = r"^SPD exp: eigenvalue 9\.358e-14 below the PD threshold \(condition bound 2\.137e\+13\)$"
         with pytest.raises(NumericError, match=msg):
             m.exp(eye, v)
 
@@ -540,23 +544,38 @@ def test_kernels_at_a_factor_from_exp_match_fresh_roots(monkeypatch, d, kappa):
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
-def test_exp_carries_a_condition_bound_and_checks_past_it(monkeypatch):
+def _beta(f):
+    """exp's condition bound |F|_F^2 |F^-1|_F^2 of a factor."""
+    return np.linalg.norm(f.g) ** 2 * np.linalg.norm(f.g_inv) ** 2
+
+
+def test_exp_checks_its_result_when_beta_passes_the_bound(monkeypatch):
     spd, rng = Spd(3), np.random.default_rng(36)
     x = spd.random_point(rng)
-    assert math.isclose(x.factor.bound, np.linalg.cond(x.value), rel_tol=1e-12)  # exact at a fresh point
     checked = _count_eigvalsh(monkeypatch)
     for _ in range(20):
         x = spd.exp(x, 0.2 * spd.standard_gaussian_tangent(x, rng))
-        assert x.factor.bound >= np.linalg.cond(x.value) * (1 - 1e-9)
+        assert _beta(x.factor) >= np.linalg.cond(x.value) * (1 - 1e-9)
     assert checked == []
     eye = spd.point(np.eye(3))
-    # e^-23 on one eigenvalue of I: condition number 9.7e9, bound 9.7e9, under the exact check
+    # e^-22 on one eigenvalue of I: condition number 3.6e9, beta (2 + e^-22) e^22 = 7.2e9, under the exact check
+    y = spd.exp(eye, spd.tangent(eye, np.diag([0.0, 0.0, -22.0])))
+    assert checked == [] and math.isclose(_beta(y.factor), 2 * math.exp(22.0), rel_tol=1e-6)
+    # e^-23: condition number 9.7e9 is under 1e10 but beta 1.95e10 is not, so exp checks the point, which passes
     y = spd.exp(eye, spd.tangent(eye, np.diag([0.0, 0.0, -23.0])))
-    assert checked == [] and y.factor.bound > 9e9
-    # e^-25: bound 7.2e10 passes 1e10, so exp checks the point exactly and keeps its exact condition number
-    y = spd.exp(eye, spd.tangent(eye, np.diag([0.0, 0.0, -25.0])))
-    assert checked == [(3, 3)]
-    assert math.isclose(y.factor.bound, math.exp(25.0), rel_tol=1e-9)
+    assert checked == [(3, 3)] and math.isclose(_beta(y.factor), 1.95e10, rel_tol=1e-3)
+    assert math.isclose(np.linalg.cond(y.value), math.exp(23.0), rel_tol=1e-6)
+
+
+def test_exp_does_not_check_a_long_chain_of_well_conditioned_results(monkeypatch):
+    # beta depends on the result alone; a bound carried along the chain grew past 1e10 here and paid a check.
+    spd, rng = Spd(5), np.random.default_rng(0)
+    x = spd.random_point(rng)
+    checked = _count_eigvalsh(monkeypatch)
+    for _ in range(100):
+        x = spd.exp(x, spd.random_tangent(x, rng, 0.3))
+    assert checked == []
+    assert np.linalg.cond(x.value) < 100
 
 
 def test_stacked_exp_failure_names_the_slice_and_its_bound():
@@ -564,7 +583,7 @@ def test_stacked_exp_failure_names_the_slice_and_its_bound():
     x = np.stack([np.eye(3)] * 4)
     v = np.zeros_like(x)
     v[2] = np.diag([0.0, 0.0, -30.0])
-    msg = r"^SPD exp: eigenvalue 9\.358e-14 of slice 2 below the PD threshold \(condition bound 1\.069e\+13\)$"
+    msg = r"^SPD exp: eigenvalue 9\.358e-14 of slice 2 below the PD threshold \(condition bound 2\.137e\+13\)$"
     with pytest.raises(NumericError, match=msg):
         spd._exp(x, v)
 
@@ -581,7 +600,7 @@ def test_spd_norm_matches_inner_with_an_equal_copy():
 )
 def test_product_rejects_a_payload_with_the_wrong_factor_count(m):
     x = m.random_point(np.random.default_rng(30))
-    v = m.zero_tangent(x).value
+    v = m.tangent(x, _zeros(x)).value
     for payload, zero in ((x.value[:-1], v[:-1]), ((*x.value, x.value[0]), (*v, v[0]))):
         with pytest.raises(ValueError, match="expected"):
             m.point(payload)
@@ -861,7 +880,7 @@ def test_random_tangent_norm_and_invariants(manifold_and_scale):
 def test_exp_of_zero_tangent_is_identity(manifold_and_scale):
     m, _ = manifold_and_scale
     x = m.random_point(np.random.default_rng(19))
-    assert m.distance(m.exp(x, m.zero_tangent(x)), x) < 1e-12
+    assert m.distance(m.exp(x, m.tangent(x, _zeros(x))), x) < 1e-12
 
 
 # -- descriptors and serialization ------------------------------------------------

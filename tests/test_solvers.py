@@ -692,11 +692,21 @@ def test_run_from_another_runs_points_matches_a_run_from_their_payloads():
 
 
 def test_initial_state_reads_given_points_again_and_draws_missing_ones():
+    # A point that exp made is read again; a point that Manifold.point made keeps its factor, the same bits.
     p = make_karcher(KarcherInstance.generate(d=3, n_anchors=4, gamma=3.0, seed=5))
     x0 = p.m_min.random_point(np.random.default_rng(1))
     st = initial_state(p, x0, None, np.random.default_rng(2))
-    assert st.x is not x0 and np.array_equal(st.x.value, x0.value)
+    assert st.x is x0
     np.testing.assert_array_equal(st.y.value, p.m_max.random_point(np.random.default_rng(2)).value)
+    x1 = p.m_min.exp(x0, p.m_min.random_tangent(x0, np.random.default_rng(3), 0.5))
+    z = p.join(x0, st.y)
+    _, y1 = p.split(p.joint.exp(z, p.joint.random_tangent(z, np.random.default_rng(4), 0.5)))  # a joint exp's side
+    for x, y in ((x1, y1), (Point(p.m_min, x0.value), Point(p.m_max, st.y.value))):
+        again = initial_state(p, x, y)
+        for given, got in ((x, again.x), (y, again.y)):
+            assert got is not given and np.array_equal(got.value, given.value)
+            fresh = given.manifold.point(given.value).factor
+            assert np.array_equal(got.factor.g, fresh.g) and np.array_equal(got.factor.g_inv, fresh.g_inv)
     with pytest.raises(ValueError, match="point belongs to"):
         initial_state(p, st.y, st.x)
 
