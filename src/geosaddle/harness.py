@@ -37,7 +37,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .curvature import constants_at
 from .manifolds import GeometryError, Manifold, Point, point_from_json, point_to_json
 from .problems import (
     PROBLEM_KINDS,
@@ -59,6 +58,7 @@ from .solvers import (
     Trace,
     TraceRow,
     _drive,
+    constants_at,
     initial_state,
     run,
     schedule_practical,

@@ -384,13 +384,16 @@ class Sphere(Manifold):
         return (self.d,)
 
     def _check_point(self, value) -> None:
-        n = np.linalg.norm(value)
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf, which fails the test below
+            n = np.linalg.norm(value)
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"sphere point must have unit norm, got {n!r}")
 
     def _check_tangent(self, x, value) -> None:
-        dot = abs(float(np.dot(x, value)))
-        if dot > _ORTHO_TOL * max(1.0, float(np.linalg.norm(value))):
+        v, floor = _downscaled(value, -1)
+        if abs(float(np.dot(x, v))) > _ORTHO_TOL * max(float(floor), float(np.linalg.norm(v))):
+            with np.errstate(over="ignore"):  # the unscaled product may overflow to inf
+                dot = abs(float(np.dot(x, value)))
             raise ValueError(f"sphere tangent must be orthogonal to base, <x,v>={dot!r}")
 
     def project_tangent(self, x, ambient: np.ndarray) -> np.ndarray:
@@ -473,9 +476,21 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat)
 
 
+def _downscaled(a: np.ndarray, *axes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice of ``a`` over ``axes`` divided by 2^e, the least power of two above its largest entry, and 2^-e.
+
+    A slice whose entries lie within (-1, 1) keeps e = 0. The division is exact, and the scaled slice's
+    squared norm cannot overflow, so a test ``|a| > tol * max(|b|, 1)`` reads ``|a'| > tol * max(|b'|, 2^-e)``.
+    """
+    _, e = np.frexp(np.abs(a).max(axis=axes))
+    scale = np.ldexp(1.0, -np.maximum(e, 0))
+    return a * scale.reshape(scale.shape + (1,) * len(axes)), scale
+
+
 def _require_symmetric(a: np.ndarray, what: str) -> None:
     """Reject a matrix or (..., n, n) stack with a slice whose skew part passes _SYM_TOL of its norm."""
-    bad = np.sqrt(_squared_norms(a - a.swapaxes(-1, -2))) > _SYM_TOL * np.maximum(np.sqrt(_squared_norms(a)), 1.0)
+    s, floor = _downscaled(a, -2, -1)
+    bad = np.sqrt(_squared_norms(s - s.swapaxes(-1, -2))) > _SYM_TOL * np.maximum(np.sqrt(_squared_norms(s)), floor)
     if bad.any():
         raise ValueError(f"{what}{_slice_name(bad)} must be symmetric")
 
@@ -665,9 +680,7 @@ class Spd(Manifold):
         return np.sqrt(np.vecdot(lw, lw))
 
     def _random_point(self, rng):
-        q = random_orthogonal(self.n, rng)
-        lam = rng.uniform(0.5, 2.0, size=self.n)
-        return _spectral(q, lam)
+        return _random_spd(self.n, rng, 0.5, 2.0)
 
     def _gauss_tangent(self, x, rng, fx=None):
         # Whitened coordinates: G S G^T has metric norm |S|_F, and S = (A + A^T)/2 is the standard
@@ -803,6 +816,12 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
+
+
+def _random_spd(n: int, rng: np.random.Generator, eig_lo: float, eig_hi: float) -> np.ndarray:
+    """Random SPD matrix Q diag(lam) Q^T: Q from :func:`random_orthogonal`, then lam uniform in [eig_lo, eig_hi]."""
+    q = random_orthogonal(n, rng)
+    return _spectral(q, rng.uniform(eig_lo, eig_hi, size=n))
 
 
 # -- serialization -----------------------------------------------------------

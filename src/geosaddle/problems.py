@@ -1,8 +1,8 @@
 """Saddle problems with exact and minibatch gradient oracles.
 
-A :class:`SaddleProblem` is two manifolds with a value and a gradient
-oracle, defined apart from the solvers that step it, plus the joint
-manifold on which they move the pair as one point.
+A :class:`SaddleProblem` is two manifolds and its gradient oracles,
+defined apart from the solvers that step it, plus the joint manifold on
+which they move the pair as one point.
 
 Three problem families:
 
@@ -21,9 +21,12 @@ Three problem families:
 
 Every value and gradient function takes the problem's slot order, the
 instance first and then (min point, max point), and a gradient returns
-(g_min, g_max); ``make_rpca`` and ``make_karcher`` bind the instance with
-``functools.partial``. The robust PCA minibatch sampler is the problem's
-``stochastic_grad(x, M, rng)``; the run's oracle holds the generator.
+(g_min, g_max); ``make_rpca`` and ``make_karcher`` bind the instance to
+the gradient with ``functools.partial``. No solver reads a value:
+``rpca_value`` and ``karcher_value`` are what the finite-difference
+gradient checks compare against. The robust PCA minibatch sampler is the
+problem's ``stochastic_grad(x, M, rng)``; the run's oracle holds the
+generator.
 
 Riemannian gradients are hand-derived and are only ever trusted through the
 finite-difference directional-derivative check in the test suite. The SPD
@@ -70,6 +73,7 @@ from .manifolds import (
     _eigh_checked,
     _factor_of,
     _payload_to_list,
+    _random_spd,
     _root_factor,
     _spd_stack,
     _spectral,
@@ -77,7 +81,6 @@ from .manifolds import (
     _stacked_factor,
     _sym,
     _whiten,
-    random_orthogonal,
 )
 
 __all__ = [
@@ -111,9 +114,9 @@ StochasticGradFn = Callable[[Point, Point, np.random.Generator], GradPair]
 
 @dataclass(frozen=True)
 class SaddleProblem:
-    """A min-max objective over a product of two manifolds.
+    """A min-max objective over a product of two manifolds, given by its gradients.
 
-    ``value(x, y)`` is minimized over the first slot and maximized over the
+    The objective is minimized over the first slot and maximized over the
     second; ``grad`` returns the pair of Riemannian gradients (ascent
     direction in both slots -- the solvers flip the sign on the min side).
     ``stochastic_grad(x, y, rng)``, when present, is an unbiased noisy
@@ -139,7 +142,6 @@ class SaddleProblem:
 
     m_min: Manifold
     m_max: Manifold
-    value: Callable[[Point, Point], float]
     grad: GradFn
     stochastic_grad: Optional[StochasticGradFn] = None
     joint: Product = field(init=False, repr=False, compare=False)
@@ -200,12 +202,7 @@ def gen_spd_data(
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        q = random_orthogonal(d, rng)
-        lam = rng.uniform(eig_lo, eig_hi, size=d)
-        out.append(_spectral(q, lam))
-    return out
+    return [_random_spd(d, rng, eig_lo, eig_hi) for _ in range(n)]
 
 
 def _frozen_spd_stack(d: int, matrices) -> np.ndarray:
@@ -288,7 +285,6 @@ def make_rpca(inst: RpcaInstance, batch_size: Optional[int] = None) -> SaddlePro
     return SaddleProblem(
         m_min=Sphere(inst.d),
         m_max=Spd(inst.d),
-        value=functools.partial(rpca_value, inst),
         grad=functools.partial(rpca_grad, inst),
         stochastic_grad=MinibatchOracle(inst, batch_size) if batch_size is not None else None,
     )
@@ -404,7 +400,6 @@ def make_karcher(inst: KarcherInstance) -> SaddleProblem:
     return SaddleProblem(
         m_min=spd,
         m_max=Product((spd,) * inst.n_anchors),
-        value=functools.partial(karcher_value, inst),
         grad=functools.partial(karcher_grad, inst),
     )
 
@@ -429,13 +424,10 @@ def make_bilinear(inst: BilinearInstance) -> SaddleProblem:
     m = Euclidean(inst.k)
     b = inst.coupling
 
-    def value(x: Point, y: Point) -> float:
-        return float(x.value @ b @ y.value)
-
     def grad(x: Point, y: Point) -> tuple[Tangent, Tangent]:
         return Tangent(x, b @ y.value), Tangent(y, b.T @ x.value)
 
-    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad)
+    return SaddleProblem(m_min=m, m_max=m, grad=grad)
 
 
 # -- empirical constants -------------------------------------------------------

@@ -34,8 +34,24 @@ driver, given a stop tolerance, is the reference solve.
 
 Step-size schedules from the convergence analysis are provided as plain
 functions (one per regime), alongside the practical min{1/(2l), a/t} decay
-used in benchmarks. The run driver takes any ``(t) -> eta`` callable;
-``harness.build_schedule`` builds them from a run config.
+used in benchmarks. The curvature constants they take come from the
+comparison coefficients of this module: on a manifold with sectional
+curvature in [kappa_min, kappa_max], the law of cosines for a geodesic
+triangle with sides a, b, c and angle A between b and c bends into
+
+    xi_lower(kappa_max, s) * b^2 + c^2 - 2 b c cos A
+        <= a^2 <=
+    xi_upper(kappa_min, s) * b^2 + c^2 - 2 b c cos A
+
+for a length s that bounds the triangle (the analysis takes s = D, the
+diameter bound), with xi_lower(k, c) = c sqrt(k) cot(c sqrt(k)) in (0, 1]
+for k > 0 (and 1 otherwise) and xi_upper(k, c) = c sqrt(-k) coth(c sqrt(-k))
+>= 1 for k < 0 (and 1 otherwise). Their ratio tau = xi_upper / xi_lower >= 1
+measures the distance distortion a solver pays for non-flatness;
+:func:`constants_at` evaluates all three at one length.
+
+The run driver takes any ``(t) -> eta`` callable; ``harness.build_schedule``
+builds them from a run config.
 
 ``SOLVER_KINDS`` is the one list of solver names, each with the two facts
 callers branch on: extragradient (two oracle calls per step, averages the
@@ -74,6 +90,10 @@ __all__ = [
     "rceg_step",
     "rgda_step",
     "running_mean_update",
+    "xi_lower",
+    "xi_upper",
+    "CurvatureConstants",
+    "constants_at",
     "schedule_rceg_scsc",
     "schedule_srceg_scsc",
     "schedule_srceg_cc",
@@ -238,6 +258,84 @@ def running_mean_update(m: Manifold, x_bar: Point, x_new: Point, t: int) -> Poin
     if t < 1:
         raise ValueError("the running mean consumes its first input directly; t must be >= 1")
     return m.exp(x_bar, m.log(x_bar, x_new) * (1.0 / (t + 1)))
+
+
+# -- curvature constants -------------------------------------------------------
+
+# Below this value of (c * sqrt|kappa|)^2 the closed forms hit 0/0 and the
+# series expansions of x*cot(x) and x*coth(x) are used instead.
+_SERIES_CUTOFF = 1e-4
+
+
+def _validate_c(c: float) -> None:
+    if not math.isfinite(c) or c < 0:
+        raise ValueError(f"side length must be finite and nonnegative, got {c!r}")
+
+
+def xi_lower(kappa_max: float, c: float) -> float:
+    """Comparison coefficient under a curvature upper bound; in (0, 1].
+
+    Equals 1 for kappa_max <= 0 or c = 0, else c*sqrt(k)*cot(c*sqrt(k)).
+    Raises for c at or beyond the cotangent pole pi/sqrt(kappa_max).
+    """
+    _validate_c(c)
+    if not math.isfinite(kappa_max):
+        raise ValueError("kappa_max must be finite")
+    if kappa_max <= 0.0 or c == 0.0:
+        return 1.0
+    x = c * math.sqrt(kappa_max)
+    if x >= math.pi:
+        raise ValueError(
+            f"c={c!r} is at or beyond the domain pole pi/sqrt(kappa_max)={math.pi / math.sqrt(kappa_max)!r}"
+        )
+    if x < _SERIES_CUTOFF:
+        x2 = x * x
+        return 1.0 - x2 / 3.0 - x2 * x2 / 45.0
+    return x / math.tan(x)
+
+
+def xi_upper(kappa_min: float, c: float) -> float:
+    """Comparison coefficient under a curvature lower bound; >= 1.
+
+    Equals 1 for kappa_min >= 0 or c = 0, else c*sqrt(-k)*coth(c*sqrt(-k)).
+    """
+    _validate_c(c)
+    if not math.isfinite(kappa_min):
+        raise ValueError("kappa_min must be finite")
+    if kappa_min >= 0.0 or c == 0.0:
+        return 1.0
+    x = c * math.sqrt(-kappa_min)
+    if x < _SERIES_CUTOFF:
+        x2 = x * x
+        return 1.0 + x2 / 3.0 - x2 * x2 / 45.0
+    return x / math.tanh(x)
+
+
+@dataclass(frozen=True)
+class CurvatureConstants:
+    """The three comparison constants evaluated at a reference length."""
+
+    xi_lower0: float
+    xi_upper0: float
+    tau0: float
+    at_c: float
+
+    def __post_init__(self):
+        if not (0.0 < self.xi_lower0 <= 1.0):
+            raise ValueError("xi_lower0 must lie in (0, 1]")
+        if self.xi_upper0 < 1.0:
+            raise ValueError("xi_upper0 must be >= 1")
+        if self.tau0 < 1.0:
+            raise ValueError("tau0 must be >= 1")
+
+
+def constants_at(kappa_min: float, kappa_max: float, c: float) -> CurvatureConstants:
+    """Evaluate all three constants at length ``c`` (typically a diameter bound)."""
+    if kappa_min > kappa_max:
+        raise ValueError("kappa_min must not exceed kappa_max")
+    lo = xi_lower(kappa_max, c)
+    hi = xi_upper(kappa_min, c)
+    return CurvatureConstants(xi_lower0=lo, xi_upper0=hi, tau0=hi / lo, at_c=c)
 
 
 # -- step-size schedules -------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from geosaddle.cli import main
-from geosaddle.curvature import GeodesicTriangle, constants_at, tci_holds_lower, tci_holds_upper
 from geosaddle.harness import (
     RunConfig,
     grid_search,
@@ -36,6 +35,7 @@ from geosaddle.problems import (
 from geosaddle.solvers import (
     DivergenceError,
     NoiseModel,
+    constants_at,
     initial_state,
     rceg_step,
     rgda_step,
@@ -48,6 +48,7 @@ from geosaddle.solvers import (
     schedule_srceg_scsc,
     schedule_srgda_cc,
 )
+from triangles import GeodesicTriangle, tci_holds_lower, tci_holds_upper
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -7,16 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from geosaddle.curvature import (
-    CurvatureConstants,
-    GeodesicTriangle,
-    constants_at,
-    tci_holds_lower,
-    tci_holds_upper,
-    xi_lower,
-    xi_upper,
-)
 from geosaddle.manifolds import Euclidean, Spd, Sphere
+from geosaddle.solvers import CurvatureConstants, constants_at, xi_lower, xi_upper
+from triangles import GeodesicTriangle, tci_holds_lower, tci_holds_upper
 
 
 def xi_lower_oracle(kappa, c):

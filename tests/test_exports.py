@@ -7,7 +7,7 @@ import pytest
 
 import geosaddle
 
-REEXPORTED = ["manifolds", "curvature", "solvers", "problems"]
+REEXPORTED = ["manifolds", "solvers", "problems"]
 MODULES = [*REEXPORTED, "harness", "cli"]
 
 

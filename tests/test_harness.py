@@ -324,7 +324,7 @@ def test_grid_candidate_ranks_by_last_iterate_when_the_mean_fails(monkeypatch):
     def grad(x, y):
         return Tangent(x, (-4.0 * math.pi / 3.0) * (turn @ x.value)), Tangent(y, np.zeros(1))
 
-    problem = SaddleProblem(m_min=Sphere(2), m_max=Euclidean(1), value=lambda x, y: 0.0, grad=grad)
+    problem = SaddleProblem(m_min=Sphere(2), m_max=Euclidean(1), grad=grad)
     monkeypatch.setattr(harness, "build_problem", lambda cfg, inst=None: problem)
     cfg = RunConfig(problem="bilinear", solver="rgda", seed=3, iters=6, d=1)
     best, _rows = grid_search(cfg, ell_grid=[1.0])
@@ -759,14 +759,25 @@ def test_config_reads_eta_as_a_number_a_numeric_string_or_auto():
         ("instance-of-another-problem", "instance file holds a RpcaInstance, config wants karcher"),
         ("run-no-out", "--out is required for run (flag or config file)"),
         ("reference-no-out", "--out is required for reference (flag or config file)"),
+        ("config-unknown-problem", "unknown problem 'nope'"),
+        ("config-unknown-solver", "unknown solver 'nope'"),
+        ("iters-0", "iters must be >= 1"),
+        ("d-0", "d must be >= 1"),
+        ("n-0", "n must be >= 1"),
+        ("alpha-0", "alpha must be positive and finite"),
+        ("gamma-0", "gamma must be positive and finite"),
+        ("n-anchors-0", "n_anchors must be >= 1"),
     ],
 )
 def test_cli_input_errors_exit_2_with_their_message(tmp_path, caplog, case, message):
     (tmp_path / "foreign.csv").write_text("iter,grad_norm\n0,1.0\n")
     (tmp_path / "array.json").write_text(json.dumps([{"problem": "bilinear", "seed": 1}]))
     (tmp_path / "rpca.json").write_text(json.dumps(instance_to_json(RpcaInstance.generate(d=2, n=4, alpha=1.0))))
+    (tmp_path / "problem.json").write_text(json.dumps({"problem": "nope", "seed": 1}))
+    (tmp_path / "solver.json").write_text(json.dumps({"problem": "bilinear", "seed": 1, "solver": "nope"}))
     out = str(tmp_path / "out.csv")
     run = ["run", "--solver", "rceg", "--eta", "0.1", "--iters", "2", "--out", out]
+    rpca, karcher = [*run, "--problem", "rpca", "--seed", "1"], [*run, "--problem", "karcher", "--seed", "1"]
     argv = {
         "plot-foreign-columns": ["plot", "--series", str(tmp_path / "foreign.csv"), "--out", out],
         "run-no-problem": [*run, "--seed", "1"],
@@ -777,6 +788,14 @@ def test_cli_input_errors_exit_2_with_their_message(tmp_path, caplog, case, mess
         ],
         "run-no-out": [*run[:-2], "--problem", "bilinear", "--seed", "1"],
         "reference-no-out": ["reference", "--problem", "bilinear", "--seed", "1"],
+        "config-unknown-problem": [*run, "--config", str(tmp_path / "problem.json")],
+        "config-unknown-solver": [*run[:1], *run[3:], "--config", str(tmp_path / "solver.json")],
+        "iters-0": [*rpca, "--iters", "0"],
+        "d-0": [*rpca, "--d", "0"],
+        "n-0": [*rpca, "--n", "0"],
+        "alpha-0": [*rpca, "--alpha", "0"],
+        "gamma-0": [*karcher, "--gamma", "0"],
+        "n-anchors-0": [*karcher, "--n-anchors", "0"],
     }[case]
     assert main(argv) == 2
     assert not Path(out).exists()

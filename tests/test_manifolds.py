@@ -379,6 +379,27 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
         m._exp(x, v)
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: Spd(2).point([[2e300, 1e300], [0.0, 2e300]]), "^SPD point must be symmetric$"),
+        (lambda: Spd(2).tangent(Spd(2).point(np.eye(2)), [[1e300, 3e300], [0.0, 1e300]]), "^SPD tangent must be symmetric$"),
+        (
+            lambda: Sphere(3).tangent(Sphere(3).point(e_i(3, 0)), [1e300, 1e300, 0.0]),
+            r"^sphere tangent must be orthogonal to base, <x,v>=1e\+300$",
+        ),
+        (lambda: Sphere(3).point([1e300, 1e300, 0.0]), r"^sphere point must have unit norm, got np\.float64\(inf\)$"),
+    ],
+    ids=["spd-point", "spd-tangent", "sphere-tangent", "sphere-point"],
+)
+def test_validators_reject_payloads_whose_squared_norms_overflow(check, message):
+    # Past about 1.3e154 an unscaled squared norm overflows to inf, and `inf > inf` is False.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
 def _count_eigvalsh(monkeypatch):
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))

@@ -236,7 +236,6 @@ def test_make_rpca_orientation():
     assert isinstance(p.m_min, Sphere) and isinstance(p.m_max, Spd)
     rng = np.random.default_rng(10)
     x, m = p.m_min.random_point(rng), p.m_max.random_point(rng)
-    assert abs(p.value(x, m) - rpca_value(inst, x, m)) < 1e-12
     gx, gm = p.grad(x, m)
     assert gx.base is x and gm.base is m
 
@@ -483,7 +482,6 @@ def test_bilinear_value_and_grad():
     p = make_bilinear(inst)
     x = p.m_min.point([1.0, -1.0])
     y = p.m_max.point([0.5, 2.0])
-    assert abs(p.value(x, y) - float(x.value @ inst.coupling @ y.value)) < 1e-15
     gx, gy = p.grad(x, y)
     assert np.allclose(gx.value, inst.coupling @ y.value)
     assert np.allclose(gy.value, inst.coupling.T @ x.value)
@@ -496,13 +494,10 @@ def quadratic_problem(k=3):
     """f(x, y) = |x|^2/2 - |y|^2/2 on flat space; ell = mu = 1."""
     m = Euclidean(k)
 
-    def value(x, y):
-        return 0.5 * float(x.value @ x.value) - 0.5 * float(y.value @ y.value)
-
     def grad(x, y):
         return Tangent(x, x.value.copy()), Tangent(y, -y.value.copy())
 
-    return SaddleProblem(m_min=m, m_max=m, value=value, grad=grad)
+    return SaddleProblem(m_min=m, m_max=m, grad=grad)
 
 
 def test_estimate_smoothness_on_quadratic():

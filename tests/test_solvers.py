@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from geosaddle.curvature import constants_at
 from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
 from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Spd, Sphere
 from geosaddle.problems import (
@@ -31,6 +30,7 @@ from geosaddle.solvers import (
     SOLVER_KINDS,
     DivergenceError,
     NoiseModel,
+    constants_at,
     initial_state,
     rceg_step,
     rgda_step,
@@ -303,7 +303,7 @@ def test_geometry_errors_propagate_through_steps():
         gx = sphere.random_tangent(x, np.random.default_rng(0), scale=math.pi)
         return gx, Tangent(y, np.zeros(1))
 
-    p = SaddleProblem(m_min=sphere, m_max=flat, value=lambda x, y: 0.0, grad=grad)
+    p = SaddleProblem(m_min=sphere, m_max=flat, grad=grad)
     st = initial_state(p, sphere.point([1.0, 0.0, 0.0]), flat.point([0.0]))
     with pytest.raises(GeodesicNotUniqueError):
         rceg_step(p, st, 1.0)
@@ -320,7 +320,6 @@ def spd_pair_problem(d=3, seed=2):
     return SaddleProblem(
         m_min=spd,
         m_max=spd,
-        value=lambda x, y: spd.distance(x, a) ** 2 - spd.distance(y, b) ** 2 + 0.25 * spd.distance(x, y) ** 2,
         grad=lambda x, y: (
             spd.log(x, a) * -2.0 + spd.log(x, y) * -0.5,
             spd.log(y, b) * 2.0 + spd.log(y, x) * -0.5,
