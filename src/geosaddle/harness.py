@@ -280,11 +280,11 @@ def build_schedule(cfg: RunConfig, problem: SaddleProblem) -> tuple[Callable[[in
         eta = float(cfg.eta)
         return (lambda t: eta), {"kind": "constant", "eta": eta}
     kind = SOLVER_KINDS[cfg.solver]
+    if kind.extragradient and not kind.stochastic:
+        eta, ell_hat = _rceg_auto_eta(problem, cfg.seed)
+        return (lambda t: eta), {"kind": "constant", "eta": eta, "ell_hat": ell_hat}
     if kind.extragradient:
         ell_hat = _estimated_smoothness(problem, cfg.seed)
-        if not kind.stochastic:
-            eta = 1.0 / (2.0 * ell_hat)
-            return (lambda t: eta), {"kind": "constant", "eta": eta, "ell_hat": ell_hat}
         a = 1.0 if cfg.a is None else cfg.a
         return (lambda t: schedule_practical(ell_hat, a, t)), {"kind": "practical", "ell_hat": ell_hat, "a": a}
     mu_hat = estimate_strong_monotonicity(problem, _MONOTONICITY_SAMPLES, _estimation_rng(cfg.seed))
@@ -307,6 +307,13 @@ def _estimated_smoothness(problem: SaddleProblem, seed: int) -> float:
     if not ell_hat > 0:
         raise ConfigError("smoothness estimate collapsed to zero; pass an explicit eta")
     return ell_hat
+
+
+def _rceg_auto_eta(problem: SaddleProblem, seed: int) -> tuple[float, float]:
+    """The ``--eta auto`` constant step of rceg, also solve_reference's default: 1/(2 l) at the smoothness
+    estimate l of the seed, returned with l."""
+    ell_hat = _estimated_smoothness(problem, seed)
+    return 1.0 / (2.0 * ell_hat), ell_hat
 
 
 # -- trace files ---------------------------------------------------------------
@@ -394,7 +401,7 @@ def solve_reference(
     iterations and after the last one.
     """
     if eta is None:
-        eta = 1.0 / (2.0 * _estimated_smoothness(problem, seed))
+        eta, _ = _rceg_auto_eta(problem, seed)
     start = initial_state(problem, x0, y0, np.random.default_rng(np.random.SeedSequence([seed, 0x1717])))
     trace, state = _drive(problem, "rceg", lambda t: eta, max_iters, seed, start.x, start.y, sigma=None,
                           reference=None, track_average=False, timing=False, tol=tol)

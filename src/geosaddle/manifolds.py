@@ -100,8 +100,10 @@ class Point:
     read-only square-root factor of an SPD or SPD^N payload (see ``Spd``),
     a tuple of per-factor entries for a mixed product, and None on the
     sphere and in flat space. An SPD payload is read-only too, so the two
-    stay in step. A point built without a factor (``Point(m, value)``) gets
-    a fresh one in each kernel call that needs it.
+    stay in step. Every point that ``Manifold.point``, ``exp`` and
+    ``SaddleProblem.split`` make carries its factor, and the kernels read
+    only that; a point built by hand (``Point(m, value)``) reaches them
+    through ``Manifold.reread``, which gives it one.
     """
 
     manifold: "Manifold"
@@ -207,7 +209,9 @@ class Manifold:
 
     def reread(self, p: Point) -> Point:
         """``p`` with a factor that depends on its payload alone: ``p`` itself when :meth:`point` made its SPD
-        or SPD^N factor, else ``point(p.value)`` (a point that exp made, or one without a factor, is read again)."""
+        or SPD^N factor, else ``point(p.value)`` (a point that exp made, or one without a factor, is read again).
+
+        The one entry for a point built without its factor: the kernels take the factor a point carries."""
         self._require_mine(p)
         return p if isinstance(p.factor, _Factor) and p.factor.s is None else self.point(p.value)
 
@@ -292,28 +296,28 @@ class Manifold:
         return Tangent(x, self._gauss_tangent(x.value, rng, x.factor))
 
     # -- payload kernels (implemented by subclasses) --------------------------
-    # Each takes the factor of the point it works at (fx at x; fy at y for transport), None for a fresh one.
-    def _exp(self, x, v, fx=None):
+    # Each takes the factor of the point it works at (fx at x; fy at y for transport).
+    def _exp(self, x, v, fx):
         """The payload of exp_x(v) and its factor."""
         raise NotImplementedError
 
-    def _log(self, x, y, fx=None):
+    def _log(self, x, y, fx):
         raise NotImplementedError
 
-    def _transport(self, x, y, v, fy=None):
+    def _transport(self, x, y, v, fy):
         raise NotImplementedError
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
 
-    def _distance(self, x, y, fx=None) -> float:
+    def _distance(self, x, y, fx) -> float:
         v = self._log(x, y, fx)
         return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _random_point(self, rng):
         raise NotImplementedError
 
-    def _gauss_tangent(self, x, rng, fx=None):
+    def _gauss_tangent(self, x, rng, fx):
         raise NotImplementedError
 
 
@@ -338,13 +342,13 @@ class Euclidean(Manifold):
     def _shape(self) -> tuple[int, ...]:
         return (self.d,)
 
-    def _exp(self, x, v, fx=None):
+    def _exp(self, x, v, fx):
         return x + v, None
 
-    def _log(self, x, y, fx=None):
+    def _log(self, x, y, fx):
         return y - x
 
-    def _transport(self, x, y, v, fy=None):
+    def _transport(self, x, y, v, fy):
         return v.copy()
 
     def _inner(self, x, u, v) -> float:
@@ -353,7 +357,7 @@ class Euclidean(Manifold):
     def _random_point(self, rng):
         return rng.standard_normal(self.d)
 
-    def _gauss_tangent(self, x, rng, fx=None):
+    def _gauss_tangent(self, x, rng, fx):
         return rng.standard_normal(self.d)
 
 
@@ -400,7 +404,7 @@ class Sphere(Manifold):
         """Orthogonal projection of an ambient vector onto the tangent space."""
         return ambient - np.dot(x, ambient) * x
 
-    def _exp(self, x, v, fx=None):
+    def _exp(self, x, v, fx):
         with np.errstate(over="ignore", invalid="ignore"):  # a huge tangent fails below, without a warning
             theta = np.linalg.norm(v)
         if theta == 0.0:
@@ -410,7 +414,7 @@ class Sphere(Manifold):
         out = math.cos(theta) * x + math.sin(theta) * (v / theta)
         return out / np.linalg.norm(out), None
 
-    def _log(self, x, y, fx=None):
+    def _log(self, x, y, fx):
         dot = float(np.dot(x, y))
         if dot <= -1.0 + _ANTIPODE_TOL:
             raise GeodesicNotUniqueError("antipodal points on the sphere")
@@ -421,8 +425,8 @@ class Sphere(Manifold):
             return np.zeros_like(x)
         return u * (theta / nu)
 
-    def _transport(self, x, y, v, fy=None):
-        u = self._log(x, y)
+    def _transport(self, x, y, v, fy):
+        u = self._log(x, y, None)
         theta = np.linalg.norm(u)
         if theta == 0.0:
             return v.copy()
@@ -438,7 +442,7 @@ class Sphere(Manifold):
         g = rng.standard_normal(self.d)
         return g / np.linalg.norm(g)
 
-    def _gauss_tangent(self, x, rng, fx=None):
+    def _gauss_tangent(self, x, rng, fx):
         return self.project_tangent(x, rng.standard_normal(self.d))
 
 
@@ -513,12 +517,16 @@ def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a @ m @ a.swapaxes(-1, -2)
 
 
-def _spd_stack(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """A matrix ``x`` followed by ``ys`` (one matrix or an (N, n, n) stack), as a new (N+1, n, n) array.
+def _spd_stack(x: np.ndarray, ys: np.ndarray, k: int = 1) -> np.ndarray:
+    """``k`` copies of a matrix ``x``, then ``ys`` (one matrix or an (N, n, n) stack), as a new (k+N, n, n) array.
 
-    :func:`_stacked_factor` and :func:`_split_factor` stack and split its factor the same way.
+    :func:`_stacked_factor` and :func:`_split_factor` stack and split the factor of a k = 1 stack the same way.
     """
-    return np.concatenate((x[None], ys.reshape(-1, *x.shape)))
+    ys = ys.reshape(-1, *x.shape)
+    out = np.empty((k + len(ys), *x.shape))
+    out[:k] = x
+    out[k:] = ys
+    return out
 
 
 def _root_sum_squares(dists: list[float]) -> float:
@@ -556,11 +564,6 @@ def _root_factor(x: np.ndarray) -> _Factor:
     return _read_only_factor(_spectral(q, np.sqrt(w)), _inv_sqrt(q, w))
 
 
-def _factor_of(x: np.ndarray, f: Optional[_Factor]) -> _Factor:
-    """The factor ``f`` of payload ``x``, or a fresh one when its point was built without one."""
-    return _root_factor(x) if f is None else f
-
-
 def _stacked_factor(fx: _Factor, fys: _Factor) -> _Factor:
     """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys, for the kernels at the stack."""
     return _read_only_factor(_spd_stack(fx.g, fys.g), _spd_stack(fx.g_inv, fys.g_inv))
@@ -592,9 +595,10 @@ class Spd(Manifold):
 
     The payload kernels broadcast over (..., n, n) stacks in any argument,
     giving each slice the same bits as a call on that slice alone. Each
-    point carries its factor and G^-1 (``Point.factor``). ``Manifold.point``
-    and ``random_point`` make G = X^1/2 from the decomposition that
-    validates X. exp makes its result's factor with no new decomposition:
+    point carries its factor and G^-1 (``Point.factor``), and each kernel
+    takes the factor of the point it works at and decomposes no base point.
+    ``Manifold.point`` and ``random_point`` make G = X^1/2 from the
+    decomposition that validates X. exp makes its result's factor with no new decomposition:
     if G^-1 V G^-T = Q diag(s) Q^T, then exp_X(V) = F F^T with
     F = G Q diag(e^(s/2)), F^-1 = diag(e^(-s/2)) Q^T G^-1, and the log back
     to X (the same payload object) is -F diag(s) F^T. Each slice's
@@ -631,11 +635,10 @@ class Spd(Manifold):
     def _check_tangent(self, x, value) -> None:
         _require_symmetric(value, "SPD tangent")
 
-    def _exp(self, x, v, fx=None):
-        base = _factor_of(x, fx)
+    def _exp(self, x, v, fx):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # huge or underflowed: fail or check below
             try:
-                s, q = np.linalg.eigh(_sym(_congruence(base.g_inv, v)))
+                s, q = np.linalg.eigh(_sym(_congruence(fx.g_inv, v)))
             except np.linalg.LinAlgError as e:  # a non-finite tangent can stop eigh converging
                 raise NumericError(f"SPD exp: {e}") from e
             if not np.isfinite(s).all():
@@ -643,8 +646,8 @@ class Spd(Manifold):
                 raise NumericError(f"SPD exp: non-finite sandwich eigenvalues{_slice_name(bad)}")
             # F = G Q diag(e^(s/2)); a finite e^s near the float limit can still overflow in F F^T.
             h = np.exp(0.5 * s)
-            g = base.g @ (q * h[..., None, :])
-            g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ base.g_inv
+            g = fx.g @ (q * h[..., None, :])
+            g_inv = (q / h[..., None, :]).swapaxes(-1, -2) @ fx.g_inv
             out = _sym(g @ g.swapaxes(-1, -2))
             beta = _squared_norms(g) * _squared_norms(g_inv)
         if not np.isfinite(out).all():
@@ -655,17 +658,15 @@ class Spd(Manifold):
         out.flags.writeable = False  # the factor below stays this payload's
         return out, _read_only_factor(g, g_inv, x, s)
 
-    def _log(self, x, y, fx=None):
-        f = _factor_of(x, fx)
-        if f.base is y:  # x = exp_y(V)
-            return _spectral(f.g, -f.s)
-        w, q = _whiten(f, y, "SPD log")
-        return _spectral(f.g @ q, np.log(w))  # G Q diag(log w) Q^T G^T
+    def _log(self, x, y, fx):
+        if fx.base is y:  # x = exp_y(V)
+            return _spectral(fx.g, -fx.s)
+        w, q = _whiten(fx, y, "SPD log")
+        return _spectral(fx.g @ q, np.log(w))  # G Q diag(log w) Q^T G^T
 
-    def _transport(self, x, y, v, fy=None):
-        f = _factor_of(y, fy)
-        w, q = _whiten(f, x, "SPD transport")
-        e = f.g @ _inv_sqrt(q, w) @ f.g_inv
+    def _transport(self, x, y, v, fy):
+        w, q = _whiten(fy, x, "SPD transport")
+        e = fy.g @ _inv_sqrt(q, w) @ fy.g_inv
         return _sym(e @ v @ e.swapaxes(-1, -2))
 
     def _inner(self, x, u, v):
@@ -673,8 +674,8 @@ class Spd(Manifold):
         b = a if v is u else np.linalg.solve(x, v)  # a norm solves once
         return np.trace(a @ b, axis1=-2, axis2=-1)
 
-    def _distance(self, x, y, fx=None):
-        w, _ = _whiten(_factor_of(x, fx), y, "SPD distance")
+    def _distance(self, x, y, fx):
+        w, _ = _whiten(fx, y, "SPD distance")
         lw = np.log(w)
         # vecdot runs the same BLAS dot as np.linalg.norm of one vector, so a 2-D pair keeps its bits.
         return np.sqrt(np.vecdot(lw, lw))
@@ -682,11 +683,10 @@ class Spd(Manifold):
     def _random_point(self, rng):
         return _random_spd(self.n, rng, 0.5, 2.0)
 
-    def _gauss_tangent(self, x, rng, fx=None):
+    def _gauss_tangent(self, x, rng, fx):
         # Whitened coordinates: G S G^T has metric norm |S|_F, and S = (A + A^T)/2 is the standard
         # Gaussian on Sym(n), whose law no orthogonal U in G = X^1/2 U changes.
-        g = _factor_of(x, fx).g
-        return _sym(_congruence(g, _sym(rng.standard_normal(x.shape))))
+        return _sym(_congruence(fx.g, _sym(rng.standard_normal(x.shape))))
 
 
 def _naming_factor(i: int, check, *args):
@@ -769,25 +769,21 @@ class Product(Manifold):
             raise ValueError(f"expected {len(self.factors)} factor payloads, got {len(value)}")
         return tuple(f._coerce(v, what) for f, v in zip(self.factors, value))
 
-    def _entries(self, f) -> tuple:
-        """A mixed product point's per-factor entries: ``f``, or None for each factor if it has none."""
-        return (None,) * len(self.factors) if f is None else f
-
-    def _exp(self, x, v, fx=None):
+    def _exp(self, x, v, fx):
         if self._power is not None:
             return self._power._exp(x, v, fx)
-        out = [f._exp(xi, vi, fi) for f, xi, vi, fi in zip(self.factors, x, v, self._entries(fx))]
+        out = [f._exp(xi, vi, fi) for f, xi, vi, fi in zip(self.factors, x, v, fx)]
         return tuple(y for y, _ in out), tuple(fy for _, fy in out)
 
-    def _log(self, x, y, fx=None):
+    def _log(self, x, y, fx):
         if self._power is not None:
             return self._power._log(x, y, fx)
-        return tuple(f._log(xi, yi, fi) for f, xi, yi, fi in zip(self.factors, x, y, self._entries(fx)))
+        return tuple(f._log(xi, yi, fi) for f, xi, yi, fi in zip(self.factors, x, y, fx))
 
-    def _transport(self, x, y, v, fy=None):
+    def _transport(self, x, y, v, fy):
         if self._power is not None:
             return self._power._transport(x, y, v, fy)
-        parts = zip(self.factors, x, y, v, self._entries(fy))
+        parts = zip(self.factors, x, y, v, fy)
         return tuple(f._transport(xi, yi, vi, fi) for f, xi, yi, vi, fi in parts)
 
     def _inner(self, x, u, v) -> float:
@@ -795,20 +791,20 @@ class Product(Manifold):
             return sum(self._power._inner(x, u, v).tolist())
         return sum(f._inner(xi, ui, vi) for f, xi, ui, vi in zip(self.factors, x, u, v))
 
-    def _distance(self, x, y, fx=None) -> float:
+    def _distance(self, x, y, fx) -> float:
         if self._power is not None:
             return _root_sum_squares(self._power._distance(x, y, fx).tolist())
-        parts = zip(self.factors, x, y, self._entries(fx))
+        parts = zip(self.factors, x, y, fx)
         return _root_sum_squares([f._distance(xi, yi, fi) for f, xi, yi, fi in parts])
 
     def _random_point(self, rng):
         parts = [f._random_point(rng) for f in self.factors]
         return np.stack(parts) if self._power is not None else tuple(parts)
 
-    def _gauss_tangent(self, x, rng, fx=None):
+    def _gauss_tangent(self, x, rng, fx):
         if self._power is not None:
             return self._power._gauss_tangent(x, rng, fx)
-        return tuple(f._gauss_tangent(xi, rng, fi) for f, xi, fi in zip(self.factors, x, self._entries(fx)))
+        return tuple(f._gauss_tangent(xi, rng, fi) for f, xi, fi in zip(self.factors, x, fx))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

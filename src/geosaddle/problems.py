@@ -71,10 +71,8 @@ from .manifolds import (
     Tangent,
     _congruence,
     _eigh_checked,
-    _factor_of,
     _payload_to_list,
     _random_spd,
-    _root_factor,
     _spd_stack,
     _spectral,
     _split_factor,
@@ -133,11 +131,10 @@ class SaddleProblem:
     stacked call and a kernel failure names the joint slice. Otherwise it is
     the product of the two sides, whose payload is the tuple (x, y). Either
     way each side keeps the bits of a per-side call. The joint point carries
-    the two sides' factors; on the stack, when a side has none, :meth:`join`
-    decomposes the joint payload once, so a side that is not PD fails there
-    and names its joint slice. Each side of a split carries its part of the
-    joint factor. Only ``_join``, :meth:`join` and :meth:`split` know this
-    layout; the metrics read each side on its own manifold.
+    the two sides' factors, stacked on SPD^(N+1) without a decomposition,
+    and each side of a split carries its part of the joint factor. Only
+    ``_join``, :meth:`join` and :meth:`split` know this layout; the metrics
+    read each side on its own manifold.
     """
 
     m_min: Manifold
@@ -164,8 +161,7 @@ class SaddleProblem:
             return Point(self.joint, (x.value, y.value), (x.factor, y.factor))
         z = _spd_stack(x.value, y.value)
         z.flags.writeable = False
-        f = _root_factor(z) if x.factor is None or y.factor is None else _stacked_factor(x.factor, y.factor)
-        return Point(self.joint, z, f)
+        return Point(self.joint, z, _stacked_factor(x.factor, y.factor))
 
     def split(self, z: Point) -> tuple[Point, Point]:
         """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
@@ -266,7 +262,7 @@ def rpca_grad(
     # sum_i (weight/d_i) log_M(M_i) = G [sum_i (weight/d_i) q_i diag(lw_i) q_i^T] G^T with M = G G^T.
     targets = inst.data if batch is None else inst.data[batch]
     weight = inst.alpha / len(targets)
-    f = _factor_of(m, m_point.factor)
+    f = m_point.factor
     w, q = _whiten(f, targets, "SPD log")
     lw = np.log(w)
     dists = np.linalg.norm(lw, axis=1)
@@ -357,14 +353,6 @@ def karcher_value(inst: KarcherInstance, x_point: Point, ys_point: Point) -> flo
     return float((to_x**2).sum() - inst.gamma * (to_anchor**2).sum())
 
 
-def _repeat_then(a: np.ndarray, k: int, rest: np.ndarray) -> np.ndarray:
-    """``k`` copies of the matrix ``a`` followed by the stack ``rest``, as one new stack."""
-    out = np.empty((k + len(rest), *a.shape))
-    out[:k] = a
-    out[k:] = rest
-    return out
-
-
 def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tuple[Tangent, Tangent]:
     """Riemannian gradients (at X, at the anchor block) of the robust mean objective.
 
@@ -379,13 +367,13 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     """
     x, ys = x_point.value, ys_point.value
     n = len(ys)
-    fx, fys = _factor_of(x, x_point.factor), _factor_of(ys, ys_point.factor)
-    whitened = _congruence(_repeat_then(fx.g_inv, n, fys.g_inv), np.concatenate((ys, inst.anchors)))
+    fx, fys = x_point.factor, ys_point.factor
+    whitened = _congruence(_spd_stack(fx.g_inv, fys.g_inv, n), np.concatenate((ys, inst.anchors)))
     w, q = _eigh_checked(whitened, "SPD log")
     lw = np.log(w)
     # log_X(Y_i); log_{Y_i}(X) = -G_X Q_i diag(w_i log w_i) Q_i^T G_X^T from the same eigenpairs; log_{Y_i}(A_i).
     spectra = np.concatenate((lw[:n], -w[:n] * lw[:n], lw[n:]))
-    logs = _spectral(_repeat_then(fx.g, 2 * n, fys.g) @ np.concatenate((q[:n], q)), spectra)
+    logs = _spectral(_spd_stack(fx.g, fys.g, 2 * n) @ np.concatenate((q[:n], q)), spectra)
     gx = (-2.0 * logs[:n]).sum(axis=0)
     gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)

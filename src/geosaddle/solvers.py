@@ -576,10 +576,11 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
                 f"gradient norm {gn!r} beyond the divergence cap at iteration {st.t}", trace, st
             )
 
-    record(state, 0.0)
-    for t in range(iters):
-        eta = schedule(t)
-        try:
+    t = 0
+    try:
+        record(state, 0.0)
+        for t in range(iters):
+            eta = schedule(t)
             prev = state
             state = step(problem, state, eta, oracle)
             # Extragradient averages its half-iterates, descent-ascent the pre-step iterates.
@@ -596,8 +597,8 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
                 record(state, eta)
                 if tol is not None and trace.rows[-1].grad_norm <= tol:
                     break
-        except GeometryError as e:
-            # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
-            # failure; the partial trace is part of the result.
-            raise DivergenceError(f"geometry kernel failed at iteration {t}: {e}", trace, state) from e
+    except GeometryError as e:
+        # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
+        # failure, from row 0 on; the partial trace is part of the result.
+        raise DivergenceError(f"geometry kernel failed at iteration {t}: {e}", trace, state) from e
     return trace, state

@@ -38,7 +38,7 @@ from geosaddle.problems import (
     make_bilinear,
     make_karcher,
 )
-from geosaddle.manifolds import Euclidean, Sphere, Tangent
+from geosaddle.manifolds import Euclidean, Spd, Sphere, Tangent
 from geosaddle.solvers import DivergenceError
 
 
@@ -571,6 +571,26 @@ def test_cli_exp_overflow_exits_3_with_partial_trace(tmp_path):
     meta, trace = read_trace_csv(str(out))
     assert meta["status"] == "numeric-failure"
     assert [r.iter for r in trace.rows] == [0]
+
+
+def test_geometry_failure_at_row_0_exits_3_with_an_empty_trace(tmp_path, caplog):
+    # The reference's x is the antipode of the start's, so row 0's distance gap has no unique geodesic.
+    sphere, spd, u = Sphere(3), Spd(3), np.eye(3)[0]
+    start, ref = (sphere.point(u), spd.point(np.eye(3))), (sphere.point(-u), spd.point(np.eye(3)))
+    for name, (x, m) in (("start.json", start), ("ref.json", ref)):
+        write_reference(str(tmp_path / name), x, m, 0.0, 0)
+    out = tmp_path / "t.csv"
+    argv = [
+        "run", "--problem", "rpca", "--d", "3", "--n", "5", "--seed", "1", "--solver", "rceg", "--eta", "0.05",
+        "--iters", "5", "--init-from", str(tmp_path / "start.json"), "--reference", str(tmp_path / "ref.json"),
+    ]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "numeric failure: geometry kernel failed at iteration 0: antipodal points on the sphere" in caplog.text
+    meta, trace = read_trace_csv(str(out))
+    assert meta["status"] == "numeric-failure" and trace.rows == []
+    p = build_problem(RunConfig(problem="rpca", d=3, n=5, seed=1))
+    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 0: antipodal points"):
+        solvers.run(p, "rceg", lambda t: 0.05, 5, 1, x0=start[0], y0=start[1], reference=ref)
 
 
 @pytest.mark.parametrize(

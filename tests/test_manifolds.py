@@ -235,6 +235,11 @@ def _per_slice(kernel, args, k):
     return [kernel(*(a if a.ndim == 2 else a[i] for a in args)) for i in range(k)]
 
 
+def _at_roots(kernel, base=0):
+    """A payload kernel given the factor of its argument ``base``, decomposed from that payload."""
+    return lambda *args: kernel(*args, _root_factor(args[base]))
+
+
 def assert_stacked_kernels_match_loop(d, k, rng):
     spd = Spd(d)
     xs, ys = (np.stack([spd._random_point(rng) for _ in range(k)]) for _ in range(2))
@@ -244,10 +249,10 @@ def assert_stacked_kernels_match_loop(d, k, rng):
     np.testing.assert_array_equal(f.g, np.stack([h.g for h in loop]))
     np.testing.assert_array_equal(f.g_inv, np.stack([h.g_inv for h in loop]))
     for kernel, args in (
-        (lambda x, v: spd._exp(x, v)[0], (xs, vs)),
-        (spd._log, (xs, ys)),
-        (spd._distance, (xs, ys)),
-        (spd._transport, (xs, ys, vs)),
+        (lambda x, v: _at_roots(spd._exp)(x, v)[0], (xs, vs)),
+        (_at_roots(spd._log), (xs, ys)),
+        (_at_roots(spd._distance), (xs, ys)),
+        (_at_roots(spd._transport, 1), (xs, ys, vs)),  # transport works at y
     ):
         np.testing.assert_array_equal(kernel(*args), np.stack(_per_slice(kernel, args, k)))
         for slot in range(len(args)):  # one 2-D argument broadcast against the stacks
@@ -278,7 +283,8 @@ def test_stacked_spd_kernel_names_the_failing_slice():
     with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
         _root_factor(stack)
     with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
-        spd._log(spd._random_point(rng), stack)
+        x = spd._random_point(rng)
+        spd._log(x, stack, _root_factor(x))
 
 
 def test_non_pd_point_message_names_no_slice():
@@ -312,15 +318,17 @@ def test_spd_power_kernels_match_per_factor_loop(seed, d, n):
     u, v = m.random_tangent(x, rng), m.random_tangent(x, rng)
     xs, ys, us, vs = x.value, y.value, u.value, v.value
     assert xs.shape == (n, d, d) and us.shape == (n, d, d)
+    # the stack reads the factors its points carry, the loop decomposes each factor's payload
+    fx, fy = x.factor, y.factor
     for kernel, loop_kernel, args in (
-        (lambda x, v: m._exp(x, v)[0], lambda x, v: spd._exp(x, v)[0], (xs, us)),
-        (m._log, spd._log, (xs, ys)),
-        (m._transport, spd._transport, (xs, ys, us)),
+        (lambda x, v: m._exp(x, v, fx)[0], lambda x, v: _at_roots(spd._exp)(x, v)[0], (xs, us)),
+        (lambda x, y: m._log(x, y, fx), _at_roots(spd._log), (xs, ys)),
+        (lambda x, y, v: m._transport(x, y, v, fy), _at_roots(spd._transport, 1), (xs, ys, us)),
     ):
         np.testing.assert_array_equal(kernel(*args), np.stack(_per_factor(loop_kernel, *args)))
     # the per-factor terms are added left to right, as the loop adds them
     assert m._inner(xs, us, vs) == sum(_per_factor(spd._inner, xs, us, vs))
-    assert m._distance(xs, ys) == math.sqrt(sum(t**2 for t in _per_factor(spd._distance, xs, ys)))
+    assert m._distance(xs, ys, fx) == math.sqrt(sum(t**2 for t in _per_factor(_at_roots(spd._distance), xs, ys)))
     t = int(rng.integers(1, 50))
     bar = running_mean_update(m, x, y, t)
     ref = [running_mean_update(spd, spd.point(a), spd.point(b), t).value for a, b in zip(xs, ys)]
@@ -337,9 +345,8 @@ def test_spd_power_draws_and_json_match_the_factor_payloads(seed, d, n):
     xs = [spd._random_point(rng) for _ in range(n)]
     np.testing.assert_array_equal(x.value, np.stack(xs))
     rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    np.testing.assert_array_equal(
-        m.standard_gaussian_tangent(x, rng_a).value, np.stack([spd._gauss_tangent(a, rng_b) for a in xs])
-    )
+    draws = [spd._gauss_tangent(a, rng_b, _root_factor(a)) for a in xs]
+    np.testing.assert_array_equal(m.standard_gaussian_tangent(x, rng_a).value, np.stack(draws))
     data = point_to_json(x)
     assert data == {"kind": "product", "payload": [a.tolist() for a in xs]}
     np.testing.assert_array_equal(point_from_json(m, data).value, x.value)
@@ -367,16 +374,15 @@ def test_spd_power_error_names_the_failing_factor(monkeypatch):
         m.point(skew)
     with pytest.raises(ValueError, match="^SPD tangent of slice 4 must be symmetric$"):
         m.tangent(m.point(x), skew - x)
+    fx = _root_factor(x)
     with pytest.raises(NumericError, match="SPD log: eigenvalue .* of slice 4 below the PD threshold"):
-        m._log(x, bad)
+        m._log(x, bad, fx)
     with pytest.raises(NumericError, match="SPD distance: eigenvalue .* of slice 4 below the PD threshold"):
-        m._distance(x, bad)
-    with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
-        m._exp(bad, np.zeros_like(bad))
+        m._distance(x, bad, fx)
     v = np.zeros_like(x)
     v[2] = 800.0 * x[2]  # whitened sandwich 800 I, past exp's overflow
     with pytest.raises(NumericError, match="SPD exp: overflow in matrix exponential of slice 2$"):
-        m._exp(x, v)
+        m._exp(x, v, fx)
 
 
 @pytest.mark.parametrize(
@@ -472,9 +478,9 @@ def test_a_write_to_the_source_array_cannot_reach_a_point_or_its_factor():
 def test_a_non_pd_point_raises_on_every_call(monkeypatch):
     m = Spd(3)
     bad = np.diag([1.0, 1.0, -1.0])
-    x, y = Point(m, bad), m.point(np.eye(3))  # x built without validation, so without a factor
     counted = _count_eigh(monkeypatch)
-    calls = (lambda: m.point(bad), lambda: m.log(x, y), lambda: m.distance(x, y), lambda: m.exp(x, m.tangent(x, _zeros(x))))
+    # reread is where a point built without validation, so without a factor, gets one
+    calls = (lambda: m.point(bad), lambda: m.reread(Point(m, bad)))
     for _ in range(2):
         for call in calls:
             with pytest.raises(NumericError, match=r"^SPD point: eigenvalue -1\.000e\+00 below the PD threshold$"):
@@ -606,7 +612,7 @@ def test_stacked_exp_failure_names_the_slice_and_its_bound():
     v[2] = np.diag([0.0, 0.0, -30.0])
     msg = r"^SPD exp: eigenvalue 9\.358e-14 of slice 2 below the PD threshold \(condition bound 2\.137e\+13\)$"
     with pytest.raises(NumericError, match=msg):
-        spd._exp(x, v)
+        spd._exp(x, v, _root_factor(x))
 
 
 def test_spd_norm_matches_inner_with_an_equal_copy():

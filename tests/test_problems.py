@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geosaddle.manifolds import NumericError, Point, Product, Spd, Sphere, _sym, random_orthogonal
+from geosaddle.manifolds import NumericError, Product, Spd, Sphere, _root_factor, _sym, random_orthogonal
 from geosaddle.problems import (
     _SUBGRAD_TOL,
     _sampled_pairs,
@@ -170,10 +170,11 @@ def rpca_grad_per_term(inst, x_point, m_point, batch=None):
     gm = -_sym(m @ np.outer(x, x) @ m)
     idx = range(inst.n) if batch is None else [int(i) for i in batch]
     weight = inst.alpha / len(idx)
+    fm = _root_factor(m)
     for i in idx:
-        di = spd._distance(m, inst.data[i])
+        di = spd._distance(m, inst.data[i], fm)
         if di > _SUBGRAD_TOL:
-            gm = gm + (weight / di) * spd._log(m, inst.data[i])
+            gm = gm + (weight / di) * spd._log(m, inst.data[i], fm)
     return gx, gm
 
 
@@ -352,8 +353,9 @@ def karcher_grad_per_factor(inst, x_point, ys_point):
     gx = np.zeros((inst.d, inst.d))
     gys = []
     for yi, ai in zip(ys_point.value, inst.anchors):
-        gx = gx - 2.0 * spd._log(x, yi)
-        gys.append(-2.0 * spd._log(yi, x) + 2.0 * inst.gamma * spd._log(yi, ai))
+        fi = _root_factor(yi)
+        gx = gx - 2.0 * spd._log(x, yi, _root_factor(x))
+        gys.append(-2.0 * spd._log(yi, x, fi) + 2.0 * inst.gamma * spd._log(yi, ai, fi))
     return gx, gys
 
 
@@ -362,8 +364,8 @@ def karcher_value_per_factor(inst, x_point, ys_point):
     spd, x = x_point.manifold, x_point.value
     total = 0.0
     for yi, ai in zip(ys_point.value, inst.anchors):
-        total += spd._distance(x, yi) ** 2
-        total -= inst.gamma * spd._distance(yi, ai) ** 2
+        total += spd._distance(x, yi, _root_factor(x)) ** 2
+        total -= inst.gamma * spd._distance(yi, ai, _root_factor(yi)) ** 2
     return total
 
 
@@ -396,8 +398,8 @@ def test_karcher_oracle_matches_per_factor_loop(seed, d, n):
 def karcher_grad_two_logs(inst, x_point, ys_point):
     """Reference: the two stacked log calls, log_X over the Y stack and one log at the Y stack."""
     spd, x, ys = x_point.manifold, x_point.value, ys_point.value
-    gx = (-2.0 * spd._log(x, ys)).sum(axis=0)
-    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst.anchors)))
+    gx = (-2.0 * spd._log(x, ys, _root_factor(x))).sum(axis=0)
+    logs = spd._log(ys, np.stack((np.broadcast_to(x, ys.shape), inst.anchors)), _root_factor(ys))
     return gx, -2.0 * logs[0] + 2.0 * inst.gamma * logs[1]
 
 
@@ -414,10 +416,6 @@ def test_karcher_grad_on_the_joint_stack_keeps_the_bits_of_two_logs(seed, d, n):
     ref_gx, ref_gys = karcher_grad_two_logs(inst, x, ys)
     np.testing.assert_array_equal(gx.value, ref_gx)
     assert np.linalg.norm(gys.value - ref_gys) <= 1e-12 * np.linalg.norm(ref_gys)
-    # Points built without factors are decomposed side by side, with the bits of Manifold.point.
-    bare_gx, bare_gys = karcher_grad(inst, Point(p.m_min, x.value), Point(p.m_max, ys.value))
-    np.testing.assert_array_equal(bare_gx.value, gx.value)
-    np.testing.assert_array_equal(bare_gys.value, gys.value)
 
 
 @pytest.mark.parametrize("d, n", [(3, 20), (25, 4)])
@@ -431,8 +429,9 @@ def test_karcher_log_toward_x_matches_the_y_whitening(d, n):
     g = x.factor.g
     assert np.linalg.norm(g - g.T) > 0.1 * np.linalg.norm(g)  # not symmetric
     _, gys = karcher_grad(inst, x, ys)
-    want = -2.0 * p.m_min._log(ys.value, np.broadcast_to(x.value, ys.value.shape))
-    want += 2.0 * inst.gamma * p.m_min._log(ys.value, inst.anchors)
+    fys = _root_factor(ys.value)
+    want = -2.0 * p.m_min._log(ys.value, np.broadcast_to(x.value, ys.value.shape), fys)
+    want += 2.0 * inst.gamma * p.m_min._log(ys.value, inst.anchors, fys)
     assert np.linalg.norm(gys.value - want) <= 1e-12 * np.linalg.norm(want)
 
 

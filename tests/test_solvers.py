@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from geosaddle.harness import RunConfig, build_problem, build_schedule, solve_reference
-from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Spd, Sphere
+from geosaddle.manifolds import Euclidean, NumericError, Point, Product, Spd, Sphere, Tangent
 from geosaddle.problems import (
     BilinearInstance,
     KarcherInstance,
@@ -415,15 +415,19 @@ def test_joint_steps_keep_the_bits_of_per_side_steps(which, sigma):
 
 
 def test_joint_step_failure_names_the_joint_slice():
-    # X is slice 0 of the joint stack and Y_k is slice k+1.
+    # X is slice 0 of the joint stack and Y_k is slice k+1. An ascent step of -800 Y_3 scales Y_3 by e^-800,
+    # which underflows to the zero matrix, so the joint exp fails at slice 4.
     p = _JOINT_PROBLEMS["karcher"]()
-    st = _joint_start(p, 5)
-    ys = st.y.value.copy()
-    ys[3] = np.diag([1.0, 1.0, -1.0])
-    bad = replace(st, y=Point(p.m_max, ys))
+    st, eta = _joint_start(p, 5), 0.05
+
+    def grad(x, y):
+        gy = np.zeros_like(y.value)
+        gy[3] = (-800.0 / eta) * y.value[3]
+        return Tangent(x, np.zeros_like(x.value)), Tangent(y, gy)
+
     for step in (rceg_step, rgda_step):
-        with pytest.raises(NumericError, match="SPD point: eigenvalue .* of slice 4 below the PD threshold"):
-            step(p, bad, 0.05)
+        with pytest.raises(NumericError, match="^SPD exp: eigenvalue 0.000e[+]00 of slice 4 below the PD threshold"):
+            step(replace(p, grad=grad), st, eta)
 
 
 # -- running mean ---------------------------------------------------------------------

@@ -212,6 +212,13 @@ COMMANDS = (
         ["rank_mb3.csv"],
         True,
     ),
+    # The only stochastic karcher run: its noise is drawn through the SPD^N stack's factor.
+    (
+        "kseg",
+        ["run", *_KARCHER, *_ITERS, "--solver", "srceg", "--sigma", "0.1", "--eta", "0.05", "--out", "kseg.csv"],
+        ["kseg.csv"],
+        False,
+    ),
 )
 
 
