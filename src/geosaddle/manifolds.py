@@ -102,8 +102,8 @@ class Point:
     sphere and in flat space. An SPD payload is read-only too, so the two
     stay in step. Every point that ``Manifold.point``, ``exp`` and
     ``SaddleProblem.split`` make carries its factor, and the kernels read
-    only that; a point built by hand (``Point(m, value)``) reaches them
-    through ``Manifold.reread``, which gives it one.
+    only that; a run reads each given start through ``Manifold.point``, so
+    a point built by hand (``Point(m, value)``) can start one.
     """
 
     manifold: "Manifold"
@@ -206,14 +206,6 @@ class Manifold:
         """Wrap and validate a copy of a raw payload as a point on this manifold."""
         value = self._coerce(value, "point")
         return Point(self, value, self._check_point(value))
-
-    def reread(self, p: Point) -> Point:
-        """``p`` with a factor that depends on its payload alone: ``p`` itself when :meth:`point` made its SPD
-        or SPD^N factor, else ``point(p.value)`` (a point that exp made, or one without a factor, is read again).
-
-        The one entry for a point built without its factor: the kernels take the factor a point carries."""
-        self._require_mine(p)
-        return p if isinstance(p.factor, _Factor) and p.factor.s is None else self.point(p.value)
 
     def tangent(self, x: Point, value) -> Tangent:
         """Wrap and validate a raw payload as a tangent vector at ``x``."""
@@ -459,7 +451,7 @@ def _check_pd(w: np.ndarray, what: str, bound: Optional[np.ndarray] = None) -> N
     if not finite.all():
         raise NumericError(f"{what}: non-finite eigenvalues{_slice_name(~finite)}")
     lo = w[..., 0]
-    bad = (lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)) | (lo <= 0.0)
+    bad = lo <= _PD_RTOL * np.maximum(w[..., -1], 0.0)
     if bad.any():
         note = "" if bound is None else f" (condition bound {float(bound[bad].flat[0]):.3e})"
         at = f"{float(lo[bad].flat[0]):.3e}{_slice_name(bad)}"
@@ -518,10 +510,7 @@ def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _spd_stack(x: np.ndarray, ys: np.ndarray, k: int = 1) -> np.ndarray:
-    """``k`` copies of a matrix ``x``, then ``ys`` (one matrix or an (N, n, n) stack), as a new (k+N, n, n) array.
-
-    :func:`_stacked_factor` and :func:`_split_factor` stack and split the factor of a k = 1 stack the same way.
-    """
+    """``k`` copies of a matrix ``x``, then ``ys`` (one matrix or an (N, n, n) stack), as a new (k+N, n, n) array."""
     ys = ys.reshape(-1, *x.shape)
     out = np.empty((k + len(ys), *x.shape))
     out[:k] = x
@@ -539,8 +528,8 @@ class _Factor(NamedTuple):
     """A square-root factor of an SPD payload: per slice X = G G^T, with G^-1.
 
     An exp result also keeps its base point's payload, which the log back to it recognises by identity, and
-    the eigenvalues ``s`` of the exp's whitened velocity, so that log is -G diag(s) G^T; ``s`` is None only on
-    a factor read from its payload alone (:func:`_root_factor`). Made by :func:`_read_only_factor`.
+    the eigenvalues ``s`` of the exp's whitened velocity, so that log is -G diag(s) G^T. Made by
+    :func:`_read_only_factor`.
     """
 
     g: np.ndarray
@@ -562,18 +551,6 @@ def _root_factor(x: np.ndarray) -> _Factor:
     raises, as ``SPD point``."""
     w, q = _eigh_checked(x, "SPD point")
     return _read_only_factor(_spectral(q, np.sqrt(w)), _inv_sqrt(q, w))
-
-
-def _stacked_factor(fx: _Factor, fys: _Factor) -> _Factor:
-    """The factor of ``_spd_stack(x, ys)`` from the factors of x and ys, for the kernels at the stack."""
-    return _read_only_factor(_spd_stack(fx.g, fys.g), _spd_stack(fx.g_inv, fys.g_inv))
-
-
-def _split_factor(f: _Factor, shape: tuple[int, ...]) -> tuple[_Factor, _Factor]:
-    """The factors of x and of ys (of ``shape``) as views of the factor ``f`` of ``_spd_stack(x, ys)``; each
-    keeps its part of an exp's ``s`` (so it is not taken for a root), but no base for the log shortcut."""
-    s_x, s_ys = (None, None) if f.s is None else (f.s[0], f.s[1:].reshape(shape[:-1]))
-    return _Factor(f.g[0], f.g_inv[0], s=s_x), _Factor(f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape), s=s_ys)
 
 
 def _whiten(f: _Factor, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -71,12 +71,12 @@ from .manifolds import (
     Tangent,
     _congruence,
     _eigh_checked,
+    _Factor,
     _payload_to_list,
     _random_spd,
+    _read_only_factor,
     _spd_stack,
     _spectral,
-    _split_factor,
-    _stacked_factor,
     _sym,
     _whiten,
 )
@@ -132,7 +132,8 @@ class SaddleProblem:
     the product of the two sides, whose payload is the tuple (x, y). Either
     way each side keeps the bits of a per-side call. The joint point carries
     the two sides' factors, stacked on SPD^(N+1) without a decomposition,
-    and each side of a split carries its part of the joint factor. Only
+    and each side of a split carries its part of the joint factor (G and
+    G^-1 alone: no exp base for the log shortcut). Only
     ``_join``, :meth:`join` and :meth:`split` know this layout; the metrics
     read each side on its own manifold.
     """
@@ -161,15 +162,17 @@ class SaddleProblem:
             return Point(self.joint, (x.value, y.value), (x.factor, y.factor))
         z = _spd_stack(x.value, y.value)
         z.flags.writeable = False
-        return Point(self.joint, z, _stacked_factor(x.factor, y.factor))
+        fx, fy = x.factor, y.factor
+        return Point(self.joint, z, _read_only_factor(_spd_stack(fx.g, fy.g), _spd_stack(fx.g_inv, fy.g_inv)))
 
     def split(self, z: Point) -> tuple[Point, Point]:
         """The two sides of a ``joint`` point; on the SPD^(N+1) stack, views of slice 0 and of the rest."""
         if self.joint._power is None:
             (a, b), (fa, fb) = z.value, z.factor
         else:
-            a, b = z.value[0], z.value[1:].reshape(self.m_max._shape)
-            fa, fb = _split_factor(z.factor, self.m_max._shape)
+            shape, f = self.m_max._shape, z.factor
+            a, b = z.value[0], z.value[1:].reshape(shape)
+            fa, fb = _Factor(f.g[0], f.g_inv[0]), _Factor(f.g[1:].reshape(shape), f.g_inv[1:].reshape(shape))
         return Point(self.m_min, a, fa), Point(self.m_max, b, fb)
 
     def distances(self, x: Point, y: Point, x_to: Point, y_to: Point) -> tuple[float, float]:
@@ -373,7 +376,8 @@ def karcher_grad(inst: KarcherInstance, x_point: Point, ys_point: Point) -> tupl
     lw = np.log(w)
     # log_X(Y_i); log_{Y_i}(X) = -G_X Q_i diag(w_i log w_i) Q_i^T G_X^T from the same eigenpairs; log_{Y_i}(A_i).
     spectra = np.concatenate((lw[:n], -w[:n] * lw[:n], lw[n:]))
-    logs = _spectral(_spd_stack(fx.g, fys.g, 2 * n) @ np.concatenate((q[:n], q)), spectra)
+    gq = _spd_stack(fx.g, fys.g, n) @ q  # G_X Q_i for i < N, then G_i Q_(N+i)
+    logs = _spectral(np.concatenate((gq[:n], gq)), spectra)
     gx = (-2.0 * logs[:n]).sum(axis=0)
     gys = -2.0 * logs[n : 2 * n] + 2.0 * inst.gamma * logs[2 * n :]
     return Tangent(x_point, gx), Tangent(ys_point, gys)

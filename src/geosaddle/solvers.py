@@ -148,7 +148,10 @@ class SolverState:
 
 
 def _start(m: Manifold, p: Optional[Point], rng: Optional[np.random.Generator]) -> Point:
-    return m.random_point(rng) if p is None else m.reread(p)
+    if p is None:
+        return m.random_point(rng)
+    m._require_mine(p)
+    return m.point(p.value)
 
 
 def initial_state(
@@ -156,9 +159,9 @@ def initial_state(
 ) -> SolverState:
     """The state at t = 0 from (x0, y0), a missing one drawn from ``rng``, x0 first.
 
-    A given point goes through ``Manifold.reread``: a point that an earlier run's exp made carries that exp's
-    factor, and read again it carries its payload's own, so a run's bits depend only on its start payloads.
-    A point that ``Manifold.point`` made is kept as it is, with no second decomposition.
+    A given point is read again through ``Manifold.point``, whatever made it: a point that an earlier run's exp
+    made carries that exp's factor, and read again it carries its payload's own, so a run's bits depend only
+    on its start payloads.
     """
     return SolverState(x=_start(problem.m_min, x0, rng), y=_start(problem.m_max, y0, rng), t=0)
 
@@ -500,15 +503,17 @@ def run(
 
     Everything is deterministic given ``seed``: initial points (when not
     pinned), the stochastic-oracle stream, and the noise sub-streams all
-    derive from it. Pinned ``x0``/``y0`` go through ``Manifold.reread``
-    (:func:`initial_state`), so only their payloads count. Row 0 of the
-    trace holds the metrics of the initial state. Without ``tol`` every
-    step adds a row. With ``tol`` a row is recorded
+    derive from it. Pinned ``x0``/``y0`` are read again through
+    ``Manifold.point`` (:func:`initial_state`), so only their payloads
+    count. Row 0 of the trace holds the metrics of the initial state.
+    Without ``tol`` every step adds a row. With ``tol`` a row is recorded
     every 25 steps and after the last one, and the run stops at
     the first such row whose gradient norm is at or below ``tol``; the
     returned state's ``t`` counts the steps taken. When the gradient norm
     of a row passes the divergence cap (1e6) or a geometry kernel fails, a
-    :class:`DivergenceError` carrying the partial trace is raised.
+    :class:`DivergenceError` carrying the partial trace is raised; a
+    geometry failure reads "at iteration t" in step t (counted from 0) or
+    the row recorded after it, and "before the first step" in row 0.
 
     srceg and srgda run the rceg and rgda steps with the oracle of
     :func:`stochastic_oracle`: the exact gradient plus ``sigma`` noise, or
@@ -576,7 +581,7 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
                 f"gradient norm {gn!r} beyond the divergence cap at iteration {st.t}", trace, st
             )
 
-    t = 0
+    t = None  # no step yet
     try:
         record(state, 0.0)
         for t in range(iters):
@@ -600,5 +605,6 @@ def _drive(problem, solver_kind, schedule, iters, seed, x0, y0, sigma, reference
     except GeometryError as e:
         # NaN/Inf payloads and SPD eigenvalue collapse count as numeric
         # failure, from row 0 on; the partial trace is part of the result.
-        raise DivergenceError(f"geometry kernel failed at iteration {t}: {e}", trace, state) from e
+        where = "before the first step" if t is None else f"at iteration {t}"
+        raise DivergenceError(f"geometry kernel failed {where}: {e}", trace, state) from e
     return trace, state

@@ -585,12 +585,26 @@ def test_geometry_failure_at_row_0_exits_3_with_an_empty_trace(tmp_path, caplog)
         "--iters", "5", "--init-from", str(tmp_path / "start.json"), "--reference", str(tmp_path / "ref.json"),
     ]
     assert main([*argv, "--out", str(out)]) == 3
-    assert "numeric failure: geometry kernel failed at iteration 0: antipodal points on the sphere" in caplog.text
+    message = "numeric failure: geometry kernel failed before the first step: antipodal points on the sphere"
+    assert message in caplog.text
     meta, trace = read_trace_csv(str(out))
     assert meta["status"] == "numeric-failure" and trace.rows == []
     p = build_problem(RunConfig(problem="rpca", d=3, n=5, seed=1))
-    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 0: antipodal points"):
+    with pytest.raises(DivergenceError, match="^geometry kernel failed before the first step: antipodal points"):
         solvers.run(p, "rceg", lambda t: 0.05, 5, 1, x0=start[0], y0=start[1], reference=ref)
+
+
+def test_a_geometry_failure_in_row_0_reads_apart_from_one_in_the_first_step():
+    # Both used to read "at iteration 0": an antipodal reference fails while row 0 is recorded, and a step of
+    # 30 leaves the PD cone in step 0 (the diverge_spd witness).
+    sphere, spd, u = Sphere(3), Spd(3), np.eye(3)[0]
+    p = build_problem(RunConfig(problem="rpca", d=3, n=5, seed=1))
+    start, ref = (sphere.point(u), spd.point(np.eye(3))), (sphere.point(-u), spd.point(np.eye(3)))
+    with pytest.raises(DivergenceError, match="^geometry kernel failed before the first step: antipodal points on"):
+        solvers.run(p, "rceg", lambda t: 0.05, 5, 1, x0=start[0], y0=start[1], reference=ref)
+    with pytest.raises(DivergenceError, match="^geometry kernel failed at iteration 0: SPD exp: eigenvalue ") as err:
+        solvers.run(p, "rgda", lambda t: 30.0, 5, 1)
+    assert [r.iter for r in err.value.trace.rows] == [0]
 
 
 @pytest.mark.parametrize(
@@ -879,21 +893,6 @@ def test_run_from_a_reference_written_in_process_writes_the_bytes_of_a_fresh_pro
     argv[-1] = str(tmp_path / "ref.json")
     assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
     assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-
-
-def test_cli_run_from_init_from_decomposes_as_often_as_from_a_drawn_start(tmp_path, monkeypatch):
-    # A loaded start point keeps the factor that its load made; it used to be decomposed again (12 calls, not 10).
-    problem = ["--problem", "karcher", "--d", "3", "--n-anchors", "4", "--gamma", "3.0", "--seed", "1"]
-    assert main(["reference", *problem, "--tol", "1e-6", "--out", str(tmp_path / "ref.json")]) == 0
-    argv = ["run", *problem, "--iters", "1", "--solver", "rceg", "--eta", "0.05", "--out", str(tmp_path / "t.csv")]
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    counts = []
-    for init in ([], ["--init-from", str(tmp_path / "ref.json")]):
-        calls.clear()
-        assert main([*argv, *init]) == 0
-        counts.append(len(calls))
-    assert counts == [10, 10]
 
 
 def test_cli_grid_search_writes_ranking_to_config_out(tmp_path):

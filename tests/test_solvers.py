@@ -360,6 +360,10 @@ def test_joint_manifold_stacks_the_robust_mean_pair_and_pairs_the_others():
     x, y = karcher.split(z)
     assert x.value.base is z.value and y.value.base is z.value  # views of the joint stack
     _assert_points_equal((x, y), (st.x, st.y))
+    w = karcher.joint.exp(z, 0.1 * karcher.joint.standard_gaussian_tangent(z, np.random.default_rng(0)))
+    assert w.factor.base is z.value and w.factor.s is not None
+    for f in (z.factor, x.factor, y.factor, *(q.factor for q in karcher.split(w))):
+        assert f.base is None and f.s is None  # a plain (G, G^-1): only exp's own result keeps the log shortcut
     st = _joint_start(rpca, 3)
     a, b = rpca.join(st.x, st.y).value
     assert a is st.x.value and b is st.y.value
@@ -694,12 +698,25 @@ def test_run_from_another_runs_points_matches_a_run_from_their_payloads():
     assert ends[0].grad_norm == ends[1].grad_norm
 
 
+def test_rpca_runs_from_three_makers_of_one_start_payload_write_the_same_rows():
+    # An exp result, a point that Manifold.point made and a bare Point(m, value) are all read again.
+    p = make_rpca(RpcaInstance.generate(d=4, n=6, alpha=3.0, seed=2))
+    rng, sides = np.random.default_rng(3), (p.m_min, p.m_max)
+    bases = [m.random_point(rng) for m in sides]
+    made = [m.exp(b, m.random_tangent(b, rng, 0.3)) for m, b in zip(sides, bases)]
+    read = [m.point(q.value) for m, q in zip(sides, made)]
+    bare = [Point(m, q.value) for m, q in zip(sides, made)]
+    rows = [run(p, "rceg", lambda t: 0.05, 10, seed=4, x0=x, y0=y)[0].rows for x, y in (made, read, bare)]
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_initial_state_reads_given_points_again_and_draws_missing_ones():
-    # A point that exp made is read again; a point that Manifold.point made keeps its factor, the same bits.
+    # Every given point is read again, with the bits of its payload's own read; a missing one is drawn.
     p = make_karcher(KarcherInstance.generate(d=3, n_anchors=4, gamma=3.0, seed=5))
     x0 = p.m_min.random_point(np.random.default_rng(1))
     st = initial_state(p, x0, None, np.random.default_rng(2))
-    assert st.x is x0
+    assert np.array_equal(st.x.value, x0.value)
+    assert np.array_equal(st.x.factor.g, x0.factor.g) and np.array_equal(st.x.factor.g_inv, x0.factor.g_inv)
     np.testing.assert_array_equal(st.y.value, p.m_max.random_point(np.random.default_rng(2)).value)
     x1 = p.m_min.exp(x0, p.m_min.random_tangent(x0, np.random.default_rng(3), 0.5))
     z = p.join(x0, st.y)

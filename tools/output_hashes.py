@@ -219,6 +219,23 @@ COMMANDS = (
         ["kseg.csv"],
         False,
     ),
+    (
+        # With a step small enough to converge, rpca's reference exists: the start that the next run reads.
+        "ref_rpca_eta",
+        ["reference", *_RPCA, "--eta", "0.05", "--tol", "1e-6", "--out", "ref_rpca_eta.json"],
+        ["ref_rpca_eta.json"],
+        False,
+    ),
+    (
+        # The only witness of a start given on the command line that has a sphere side.
+        "init_rpca",
+        [
+            "run", *_RPCA, *_ITERS, "--solver", "rceg", "--eta", "0.05",
+            "--init-from", "ref_rpca_eta.json", "--reference", "ref_rpca_eta.json", "--out", "init_rpca.csv",
+        ],
+        ["init_rpca.csv"],
+        False,
+    ),
 )
 
 
